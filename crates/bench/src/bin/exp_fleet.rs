@@ -10,10 +10,6 @@
 //!   replay must be **bit-identical** (per-request outputs, per-replica
 //!   final wear, routing counters, attribution ledgers): worker count is
 //!   a pure performance knob at every replica count;
-//! * the N=1 fleet vs the plain [`InferenceService`] on the identical
-//!   admission sequence — a one-replica fleet is the identity router in
-//!   front of the exact serve-tier pipeline, so outputs and final wear
-//!   must match **byte for byte**;
 //! * retire-under-load: a 2-replica fleet with the retire threshold set
 //!   to cross mid-run must drain, background-force-remap, and rejoin a
 //!   replica at least once — and replay that schedule bit-identically
@@ -24,9 +20,9 @@
 //!   `fleet_wear_imbalance` extra the `bench-diff` gate holds.
 //!
 //! Every leg's full event stream also replays through the offline
-//! analyzer, which must fold the `replica{r}.`-prefixed wear stream into
-//! per-replica ledgers byte-identical to the live `/wear/attribution`
-//! document. Phase profiles (suffixed per leg), the imbalance pair, and
+//! analyzer, which must fold the wear stream (`replica{r}.`-prefixed when
+//! a replica has siblings) into ledgers byte-identical to the live
+//! per-replica ledgers. Phase profiles (suffixed per leg), the imbalance pair, and
 //! the N-replica throughput-scaling ratio (`fleet_scaling`) go to
 //! `BENCH_fleet.json`; each leg's flight-recorder dump lands in
 //! `results/flight_fleet_r{N}_<leg>.jsonl`.
@@ -36,7 +32,6 @@
 //! MEMAGING_THREADS=4 cargo run --release -p memaging-bench --bin exp_fleet
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memaging::crossbar::CrossbarNetwork;
@@ -46,7 +41,7 @@ use memaging::fleet::{FleetConfig, FleetReport, FleetService, RouterPolicy};
 use memaging::lifetime::Strategy;
 use memaging::nn::Network;
 use memaging::obs::{FlightRecorder, MemorySink, Recorder, DEFAULT_FLIGHT_CAPACITY};
-use memaging::serve::{InferRequest, InferenceService, ServeConfig};
+use memaging::serve::{InferRequest, ServeConfig};
 use memaging::{analyze_lines, par, AnalyzeOptions, Scenario};
 use memaging_bench::{
     banner, fast_mode, phase_profile_json_with, profile_phases, report, results_dir, PhaseProfile,
@@ -224,34 +219,34 @@ fn run_leg(
     );
 
     // The offline-analyzer contract: replaying the complete event stream
-    // folds the `replica{r}.`-prefixed wear causes into per-replica
-    // ledgers byte-identical to the live `/wear/attribution` document.
+    // folds the wear causes into ledgers byte-identical to the live ones —
+    // per replica (`replica{r}.`-prefixed) when the fleet has siblings,
+    // the plain single-deployment ledger for a fleet of one.
     let events = handle.events();
     let lines: Vec<String> = events.iter().map(|e| e.to_json()).collect();
     let analysis =
         analyze_lines(label, lines.iter().map(String::as_str), &AnalyzeOptions::default())
             .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
-    let mut live_attribution = String::from("{\"replicas\":[");
-    for (r, replica) in report.replicas.iter().enumerate() {
-        if r > 0 {
-            live_attribution.push(',');
-        }
-        live_attribution.push_str(&replica.attribution.to_json());
-    }
-    live_attribution.push_str("]}");
+    let ledgers: Vec<String> = report.replicas.iter().map(|r| r.attribution.to_json()).collect();
+    let live_attribution = match &ledgers[..] {
+        [single] => single.clone(),
+        all => format!("{{\"replicas\":[{}]}}", all.join(",")),
+    };
     assert_eq!(
         analysis.attribution_json(),
         live_attribution,
-        "{label}: analyzer attribution document != live /wear/attribution body"
+        "{label}: analyzer attribution document != live ledgers"
     );
-    let replayed_imbalance = analysis
-        .fleet_imbalance()
-        .unwrap_or_else(|| panic!("{label}: analyzer must see a fleet attribution stream"));
     let imbalance = report.wear_imbalance();
-    assert!(
-        (replayed_imbalance - imbalance).abs() <= 1e-9 * imbalance.max(1.0),
-        "{label}: analyzer imbalance {replayed_imbalance} != live imbalance {imbalance}"
-    );
+    if replicas > 1 {
+        let replayed_imbalance = analysis
+            .fleet_imbalance()
+            .unwrap_or_else(|| panic!("{label}: analyzer must see a fleet attribution stream"));
+        assert!(
+            (replayed_imbalance - imbalance).abs() <= 1e-9 * imbalance.max(1.0),
+            "{label}: analyzer imbalance {replayed_imbalance} != live imbalance {imbalance}"
+        );
+    }
 
     let mut profiles = profile_phases(&events);
     for p in &mut profiles {
@@ -289,7 +284,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          1 vs {threads} worker threads, 1/2/4 replicas)"
     ));
     let seed_model = trained();
-    let (_, calib, spec, aging) = &seed_model;
+    let (_, _, spec, aging) = &seed_model;
 
     // Replay bit-identity at every fleet size: worker count is a pure
     // performance knob for the router too.
@@ -310,60 +305,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summarize(&scaled, &format!("{replicas} replicas @{threads}t"));
         references.push(reference);
     }
-
-    // Single-replica parity: the N=1 fleet must serve the plain inference
-    // service's exact bytes on the identical admission sequence.
-    par::set_threads(threads);
-    let serve_reference = {
-        let hardware = CrossbarNetwork::new(seed_model.0.clone(), *spec, *aging).expect("hardware");
-        let service = Arc::new(
-            InferenceService::deploy(
-                hardware,
-                calib.clone(),
-                serve_config(spec, aging, 1),
-                Recorder::disabled(),
-            )
-            .expect("deploy"),
-        );
-        let mut outputs = Vec::with_capacity(total);
-        for k in 0..total {
-            let response = service.infer(InferRequest::new(sample(calib, k))).expect("served");
-            outputs.push((
-                response.seq,
-                response.generation,
-                response.prediction,
-                response.output.iter().map(|v| v.to_bits()).collect(),
-            ));
-        }
-        let outcome = Arc::try_unwrap(service).ok().expect("sole owner").shutdown();
-        (outputs, outcome)
-    };
-    let single = &references[0];
-    assert_eq!(
-        single.digest.outputs, serve_reference.0,
-        "a 1-replica fleet must serve the inference service's exact bytes"
-    );
-    let serve_tiles: Vec<(u64, u64, u64, usize)> = serve_reference
-        .1
-        .network
-        .wear_snapshots()
-        .iter()
-        .map(|t| (t.mean_r_max.to_bits(), t.mean_r_min.to_bits(), t.total_pulses, t.worn_out))
-        .collect();
-    assert_eq!(
-        single.digest.replicas[0].tiles, serve_tiles,
-        "a 1-replica fleet must land the inference service's exact hardware state"
-    );
-    assert_eq!(
-        (single.digest.replicas[0].boundaries, single.digest.replicas[0].remaps),
-        (serve_reference.1.boundaries, serve_reference.1.remaps),
-        "a 1-replica fleet must process the inference service's exact maintenance schedule"
-    );
-    report(&format!(
-        "  parity: 1-replica fleet byte-identical to InferenceService \
-         ({total} requests, {} boundaries, {} remaps)",
-        serve_reference.1.boundaries, serve_reference.1.remaps,
-    ));
 
     // Retire-under-load: the drain / background force-remap / rejoin
     // schedule is block-indexed, so it replays bit-identically too.

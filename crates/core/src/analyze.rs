@@ -542,6 +542,17 @@ impl TraceAnalysis {
             let _ = writeln!(out, "forecast ({} tiles fitted):", trends.len());
             for (tile, fit) in &trends {
                 match fit.sessions_to_critical {
+                    // `trend` reports a tile already at or below critical
+                    // as zero sessions away.
+                    Some(k) if k <= 0.0 => {
+                        let _ = writeln!(
+                            out,
+                            "  tile {tile}: window {:.4}, velocity {:+.3e}/session, \
+                             already past critical",
+                            fit.value as f64 / SERIES_SCALE,
+                            fit.velocity / SERIES_SCALE
+                        );
+                    }
                     Some(k) => {
                         let _ = writeln!(
                             out,
@@ -968,25 +979,40 @@ mod tests {
 
     #[test]
     fn series_replay_feeds_the_forecast() {
-        // A linearly shrinking window: 1.0, 0.99, 0.98, ... per boundary.
+        // Tile 0: a linearly shrinking window, 1.0, 0.99, 0.98, ... per
+        // boundary. Tile 1: already below the 0.3 critical line (0.08 of
+        // fresh, still shrinking).
         let mut lines = Vec::new();
         for k in 0..20u64 {
-            lines.push(format!(
-                "{{\"type\":\"series\",\"name\":\"serve.window_fraction_ppb{{tile=0}}\",\
-                 \"seq\":{},\"value\":{}}}",
-                k + 1,
-                1_000_000_000 - 10_000_000 * k
-            ));
+            for (tile, value) in
+                [(0, 1_000_000_000 - 10_000_000 * k), (1, 80_000_000 - 100_000 * k)]
+            {
+                lines.push(format!(
+                    "{{\"type\":\"series\",\"name\":\"serve.window_fraction_ppb{{tile={tile}}}\",\
+                     \"seq\":{},\"value\":{value}}}",
+                    k + 1,
+                ));
+            }
         }
         let analysis = analyze_lines("test", lines.iter().map(String::as_str), &opts()).unwrap();
         let (trends, worst) = analysis.forecast();
-        assert_eq!(trends.len(), 1);
-        let (tile, fit) = worst.unwrap();
+        assert_eq!(trends.len(), 2);
+        let (tile, fit) = trends[0];
         assert_eq!(tile, 0);
         assert!((fit.velocity - -10_000_000.0).abs() < 1.0, "velocity {}", fit.velocity);
         // 810 ppb-millions left to the 0.3 critical at 10/session ≈ 51.
         let k = fit.sessions_to_critical.unwrap();
         assert!((k - 51.0).abs() < 0.5, "sessions_to_critical {k}");
+        // The tile past critical is the worst, zero sessions away, and the
+        // report says so instead of "crosses critical in ~0.0 sessions".
+        let (tile, fit) = worst.unwrap();
+        assert_eq!((tile, fit.sessions_to_critical), (1, Some(0.0)));
+        let report = analysis.report();
+        assert!(report.contains("tile 0: window 0.8100"), "{report}");
+        assert!(report.contains("crosses critical in ~51"), "{report}");
+        assert!(report.contains("tile 1: window 0.0781"), "{report}");
+        assert!(report.contains("already past critical"), "{report}");
+        assert!(!report.contains("~0.0 sessions"), "{report}");
     }
 
     #[test]

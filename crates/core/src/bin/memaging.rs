@@ -24,7 +24,7 @@ use memaging::obs::{
     ChromeTraceSink, FlightRecorder, JsonlSink, PrettySink, Recorder, SeriesStore, Sink,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SERIES_CAPACITY,
 };
-use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeHandler};
+use memaging::serve::{InferRequest, ServeConfig};
 use memaging::{AnalyzeOptions, Scenario};
 use memaging_monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 
@@ -73,9 +73,9 @@ struct ServeFlags {
     /// ([`ServeConfig::latency_buckets`]).
     latency_buckets: Option<usize>,
     /// With `--infer`: deploy this many independent replicas behind the
-    /// wear-balancing fleet router instead of a single serving cell.
+    /// wear-balancing fleet router (default 1).
     replicas: usize,
-    /// With `--infer --replicas N`: the fleet routing policy.
+    /// With `--infer`: the fleet routing policy.
     router: RouterPolicy,
 }
 
@@ -119,11 +119,6 @@ struct RunOpts {
     /// inference service forwards requests through the quantized path
     /// ([`ServeConfig::quantized`]). Bit-identical at any thread count.
     quantized: bool,
-    /// Delta programming on every (re-)map: only cells whose target level
-    /// changed are written (`--delta-remap on|off`, default on). Bitwise
-    /// identical to full reprogramming at zero tolerance; `off` keeps the
-    /// full-reprogram oracle.
-    delta_remap: bool,
     /// Delta-remap tuning tolerance in grid levels (`--remap-tolerance`,
     /// `[0, 0.5]`): drift within this distance of the target level is left
     /// in place instead of being chased with stressful pulses.
@@ -144,7 +139,6 @@ impl Default for RunOpts {
             series_capacity: None,
             no_series: false,
             quantized: false,
-            delta_remap: true,
             remap_tolerance: 0.0,
         }
     }
@@ -232,7 +226,6 @@ fn parse_run_opts(
             "--trace-chrome",
             "--flight-recorder",
             "--series-capacity",
-            "--delta-remap",
             "--remap-tolerance",
         ];
         let known = known.contains(&flag.as_str())
@@ -275,13 +268,6 @@ fn parse_run_opts(
                     return Err(format!("bad series-capacity `{n}` (must be at least 2)"));
                 }
                 opts.series_capacity = Some(n);
-            }
-            "--delta-remap" => {
-                opts.delta_remap = match value.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("bad delta-remap `{other}` (expected on|off)")),
-                };
             }
             "--remap-tolerance" => {
                 let t: f64 = value.parse().map_err(|_| format!("bad remap-tolerance `{value}`"))?;
@@ -427,7 +413,6 @@ fn print_help() {
          \u{20}                                       [--quantized] [--trace out.jsonl]\n\
          \u{20}                                       [--trace-chrome out.json] [--metrics]\n\
          \u{20}                                       [--flight-recorder out.jsonl]\n\
-         \u{20}                                       [--delta-remap on|off (default on)]\n\
          \u{20}                                       [--remap-tolerance F (0..=0.5, default 0)]\n\
          \u{20}                       --threads N sizes the worker pool (default:\n\
          \u{20}                       MEMAGING_THREADS, then available cores); results\n\
@@ -442,12 +427,10 @@ fn print_help() {
          \u{20}                       (and, with --infer, serves requests) on the\n\
          \u{20}                       fixed-point kernels — bit-identical at any\n\
          \u{20}                       thread count, f32 stays the accuracy oracle;\n\
-         \u{20}                       --delta-remap programs only cells whose target\n\
-         \u{20}                       level changed (default on; off = full-reprogram\n\
-         \u{20}                       oracle, bit-identical at tolerance 0);\n\
          \u{20}                       --remap-tolerance leaves drift within F grid\n\
          \u{20}                       levels of the target in place, trading exactness\n\
-         \u{20}                       for pulse savings\n\
+         \u{20}                       for pulse savings (re-maps program only cells\n\
+         \u{20}                       whose target level changed)\n\
          \u{20}   memaging serve <quick|lenet|vgg>    [--port N (default 9464)] [--linger]\n\
          \u{20}                                       [--strategy tt|stt|stat|all] [--quantized]\n\
          \u{20}                                       [--seed N] [--sessions N] [--threads N]\n\
@@ -518,7 +501,6 @@ fn configured_scenario(name: &str, opts: &RunOpts) -> Scenario {
         scenario.framework.lifetime.max_sessions = sessions;
     }
     scenario.framework.lifetime.quantized_eval = opts.quantized;
-    scenario.framework.lifetime.delta_remap = opts.delta_remap;
     scenario.framework.lifetime.remap_tolerance = opts.remap_tolerance;
     scenario
 }
@@ -675,7 +657,6 @@ fn run_infer(
             .stress_for_degradation(framework.spec.temperature, 0.3 * width)
             / 50_000.0,
         quantized: opts.quantized,
-        delta_remap: opts.delta_remap,
         remap_tolerance: opts.remap_tolerance,
         ..ServeConfig::default()
     };
@@ -683,93 +664,16 @@ fn run_infer(
         config.latency_buckets = buckets;
     }
 
-    if flags.replicas > 1 {
-        // Sharded deployment: N independent crossbar replicas behind the
-        // deterministic wear-balancing fleet router.
-        let networks = (0..flags.replicas)
-            .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fleet_config =
-            FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
-        let service = Arc::new(FleetService::deploy(
-            networks,
-            calib.clone(),
-            fleet_config,
-            recorder.clone(),
-        )?);
-        let handler = Arc::new(FleetHandler::new(
-            Arc::clone(&service),
-            flags.deadline_ms.map(Duration::from_millis),
-        ));
-        let server = MonitorServer::bind_with_handlers(
-            ("127.0.0.1", flags.port),
-            MonitorState::new(recorder.clone(), wear.clone()),
-            vec![handler],
-        )
-        .map_err(|e| format!("cannot bind monitor port {}: {e}", flags.port))?;
-        let addr = server.local_addr();
-        println!(
-            "serving {} replicas ({} router): POST http://{addr}/infer  GET /fleet  \
-             /serve/stats  /serve/latency  /wear/attribution  /metrics  /health  /wear",
-            flags.replicas,
-            flags.router.label(),
-        );
-        if flags.requests > 0 {
-            // Deterministic self-driven smoke load from the calibration set.
-            let mut served = 0u64;
-            let mut failed = 0u64;
-            for k in 0..flags.requests {
-                let i = (k as usize) % calib.len();
-                let input = calib.batch_matrix(i, i + 1).as_slice().to_vec();
-                match service.infer(InferRequest::new(input)) {
-                    Ok(_) => served += 1,
-                    Err(_) => failed += 1,
-                }
-            }
-            recorder.message(&format!(
-                "self-load complete: {served} served, {failed} failed; fleet: {}",
-                service.fleet_json()
-            ));
-        }
-        if flags.requests == 0 || flags.linger {
-            println!("fleet inference service live (ctrl-c to exit)");
-            loop {
-                std::thread::park();
-            }
-        }
-        server.shutdown();
-        wear.set_status(RunStatus::Survived);
-        if let Ok(service) = Arc::try_unwrap(service) {
-            let report = service.shutdown();
-            recorder.message(&format!(
-                "fleet report: {} admitted, {} served, {} rejected, {} replicas, \
-                 wear imbalance (max/mean) {:.4}",
-                report.admitted,
-                report.served(),
-                report.rejected_full,
-                report.replicas.len(),
-                report.wear_imbalance(),
-            ));
-            for r in &report.replicas {
-                recorder.message(&format!(
-                    "  replica {}: {} routed, {} served, {} boundaries, {} remaps, {} retires",
-                    r.replica, r.routed, r.served, r.boundaries, r.remaps, r.retires
-                ));
-            }
-        }
-        if opts.metrics {
-            if let Some(snapshot) = recorder.snapshot() {
-                print!("{snapshot}");
-            }
-        }
-        recorder.flush();
-        return Ok(());
-    }
-
-    let hardware = CrossbarNetwork::new(trained.network, framework.spec, framework.aging)?;
+    // N ≥ 1 independent crossbar replicas behind the deterministic
+    // wear-balancing fleet router.
+    let networks = (0..flags.replicas)
+        .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
+        .collect::<Result<Vec<_>, _>>()?;
+    let fleet_config =
+        FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
     let service =
-        Arc::new(InferenceService::deploy(hardware, calib.clone(), config, recorder.clone())?);
-    let handler = Arc::new(ServeHandler::new(
+        Arc::new(FleetService::deploy(networks, calib.clone(), fleet_config, recorder.clone())?);
+    let handler = Arc::new(FleetHandler::new(
         Arc::clone(&service),
         flags.deadline_ms.map(Duration::from_millis),
     ));
@@ -781,10 +685,11 @@ fn run_infer(
     .map_err(|e| format!("cannot bind monitor port {}: {e}", flags.port))?;
     let addr = server.local_addr();
     println!(
-        "serving: POST http://{addr}/infer  GET /serve/stats  /serve/latency  \
-         /wear/attribution  /metrics  /health  /wear"
+        "serving {} replica(s) ({} router): POST http://{addr}/infer  GET /fleet  \
+         /serve/stats  /serve/latency  /wear/attribution  /metrics  /health  /wear",
+        flags.replicas,
+        flags.router.label(),
     );
-
     if flags.requests > 0 {
         // Deterministic self-driven smoke load from the calibration set.
         let mut served = 0u64;
@@ -798,8 +703,8 @@ fn run_infer(
             }
         }
         recorder.message(&format!(
-            "self-load complete: {served} served, {failed} failed; stats: {}",
-            service.stats().to_json()
+            "self-load complete: {served} served, {failed} failed; fleet: {}",
+            service.fleet_json()
         ));
     }
     if flags.requests == 0 || flags.linger {
@@ -813,16 +718,28 @@ fn run_infer(
     if let Ok(service) = Arc::try_unwrap(service) {
         let report = service.shutdown();
         recorder.message(&format!(
-            "serve report: {} admitted, {} served, {} rejected, {} expired, {} boundaries, \
-             {} remaps, {:.3e}s stress attributed",
+            "fleet report: {} admitted, {} served, {} rejected, {} replicas, \
+             wear imbalance (max/mean) {:.4}",
             report.admitted,
-            report.served,
+            report.served(),
             report.rejected_full,
-            report.expired,
-            report.boundaries,
-            report.remaps,
-            report.attribution.total(),
+            report.replicas.len(),
+            report.wear_imbalance(),
         ));
+        for r in &report.replicas {
+            recorder.message(&format!(
+                "  replica {}: {} routed, {} served, {} expired, {} boundaries, {} remaps, \
+                 {} retires, {:.3e}s stress attributed",
+                r.replica,
+                r.routed,
+                r.served,
+                r.expired,
+                r.boundaries,
+                r.remaps,
+                r.retires,
+                r.attribution.total(),
+            ));
+        }
     }
     if opts.metrics {
         if let Some(snapshot) = recorder.snapshot() {
@@ -1239,15 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_delta_remap_flags() {
-        let cmd = parse_args(&argv("scenario quick --delta-remap off")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Scenario {
-                name: "quick".into(),
-                opts: RunOpts { delta_remap: false, ..RunOpts::default() },
-            }
-        );
+    fn parses_remap_tolerance_flag() {
         let cmd = parse_args(&argv("serve quick --infer --remap-tolerance 0.25")).unwrap();
         assert_eq!(
             cmd,
@@ -1261,21 +1170,15 @@ mod tests {
                 flags: ServeFlags { infer: true, ..ServeFlags::default() },
             }
         );
-        // Delta is on by default and an explicit `on` round-trips.
-        assert!(RunOpts::default().delta_remap);
-        assert!(parse_args(&argv("scenario quick --delta-remap on")).is_ok());
-        let err = parse_args(&argv("scenario quick --delta-remap maybe")).unwrap_err();
-        assert!(err.contains("bad delta-remap"), "got: {err}");
         let err = parse_args(&argv("scenario quick --remap-tolerance 0.7")).unwrap_err();
         assert!(err.contains("bad remap-tolerance"), "got: {err}");
         let err = parse_args(&argv("scenario quick --remap-tolerance nan")).unwrap_err();
         assert!(err.contains("bad remap-tolerance"), "got: {err}");
-        // The flags flow into the lifetime config.
-        let opts = RunOpts { delta_remap: false, remap_tolerance: 0.1, ..RunOpts::default() };
+        // The tolerance flows into the lifetime config, which always
+        // programs by delta.
+        let opts = RunOpts { remap_tolerance: 0.1, ..RunOpts::default() };
         let scenario = configured_scenario("quick", &opts);
-        assert!(!scenario.framework.lifetime.delta_remap);
         assert_eq!(scenario.framework.lifetime.remap_tolerance, 0.1);
-        let scenario = configured_scenario("quick", &RunOpts::default());
         assert!(scenario.framework.lifetime.delta_remap);
     }
 

@@ -75,10 +75,10 @@ pub use study::{run_study, StrategyStats, StudyReport};
 pub use memaging_crossbar as crossbar;
 pub use memaging_dataset as dataset;
 pub use memaging_device as device;
-pub use memaging_fleet as fleet;
 pub use memaging_lifetime as lifetime;
 pub use memaging_nn as nn;
 pub use memaging_obs as obs;
 pub use memaging_par as par;
 pub use memaging_serve as serve;
+pub use memaging_serve::fleet;
 pub use memaging_tensor as tensor;

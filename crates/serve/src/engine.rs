@@ -48,7 +48,7 @@ fn to_fixed(value: f64) -> u64 {
 
 /// The serving tier's hardware side: crossbars, wear accounting, health
 /// forecasting, and the live-remap policy.
-pub struct ServeEngine {
+pub(crate) struct ServeEngine {
     network: CrossbarNetwork,
     calib: Dataset,
     config: ServeConfig,
@@ -85,33 +85,17 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Takes ownership of `network`, performs the initial aging-aware
     /// mapping against `calib`, and returns the engine plus the initial
-    /// generation (id 0) to publish.
+    /// generation (id 0) to publish. With a fleet replica id, all
+    /// per-hardware observability (series, wear causes, forecast gauges,
+    /// the attribution ledger) is namespaced `replica{r}.`; `None` emits
+    /// the plain single-deployment streams.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a bad config,
     /// [`ServeError::Internal`] when the initial mapping or read-back
     /// fails.
-    pub fn deploy(
-        network: CrossbarNetwork,
-        calib: Dataset,
-        config: ServeConfig,
-        recorder: Recorder,
-        stats: Arc<ServeStats>,
-    ) -> Result<(ServeEngine, Arc<MappingGeneration>), ServeError> {
-        ServeEngine::deploy_replica(network, calib, config, recorder, stats, None)
-    }
-
-    /// [`ServeEngine::deploy`] with an explicit fleet replica id: all
-    /// per-hardware observability (series, wear causes, forecast gauges,
-    /// the attribution ledger) is namespaced `replica{r}.`. `None` is the
-    /// single-replica path and produces byte-identical streams to the
-    /// pre-fleet engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::deploy`].
-    pub fn deploy_replica(
+    pub(crate) fn deploy(
         mut network: CrossbarNetwork,
         calib: Dataset,
         config: ServeConfig,
@@ -324,11 +308,6 @@ impl ServeEngine {
     /// post-run wear assertions and reports).
     pub fn into_network(self) -> CrossbarNetwork {
         self.network
-    }
-
-    /// Cumulative live remaps performed so far.
-    pub fn remaps(&self) -> u64 {
-        self.remaps
     }
 
     /// A handle on the wear-attribution ledger (read side:

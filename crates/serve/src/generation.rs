@@ -37,7 +37,7 @@ pub struct MappingGeneration {
 /// dispatcher can await a generation the maintenance task has not
 /// published yet.
 #[derive(Debug, Default)]
-pub struct GenerationCell {
+pub(crate) struct GenerationCell {
     current: Mutex<Option<Arc<MappingGeneration>>>,
     published: Condvar,
 }

@@ -5,13 +5,20 @@
 //!   blocks until the request is served and answers
 //!   `{"seq":..,"generation":..,"prediction":..,"output":[..],..}`.
 //!   Admission-control outcomes map to HTTP statuses: 429 queue full,
-//!   504 deadline expired, 503 shutting down, 400 bad payload.
-//! * `GET /serve/stats` — the live [`crate::ServeStats`] JSON snapshot
-//!   (including p50/p90/p99/max per latency stage).
-//! * `GET /serve/latency` — the full log-bucketed latency histograms
+//!   504 deadline expired, 503 shutting down, 400 bad payload. The router
+//!   decides which replica serves the request.
+//! * `GET /fleet` — the router's per-replica view: lifecycle state,
+//!   routed share, wear snapshot, and live boundary/remap counters.
+//! * `GET /serve/stats` — fleet admission counters plus one full
+//!   [`crate::ServeStats`] row per replica (including p50/p90/p99/max per
+//!   latency stage).
+//! * `GET /serve/latency` — per-replica log-bucketed latency histograms
 //!   (count/sum/min/max, percentiles, every non-empty bucket).
-//! * `GET /wear/attribution` — the wear-attribution ledger: per-cause and
-//!   per-tile accrued stress.
+//! * `GET /wear/attribution` — per-replica wear-attribution ledgers:
+//!   per-cause and per-tile accrued stress.
+//!
+//! Every body has the fleet shape `{..,"replicas":[..]}`, one row per
+//! replica, at any replica count.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -20,45 +27,25 @@ use std::time::Duration;
 use memaging_monitor::{HttpHandler, HttpRequest, HttpResponse};
 
 use crate::error::ServeError;
+use crate::fleet::FleetService;
 use crate::request::InferRequest;
-use crate::service::InferenceService;
 
 /// The serving tier's [`HttpHandler`]; register with
 /// [`memaging_monitor::MonitorServer::bind_with_handlers`].
-pub struct ServeHandler {
-    service: Arc<InferenceService>,
+pub struct FleetHandler {
+    service: Arc<FleetService>,
     /// Deadline attached to HTTP-submitted requests (`None`: no
     /// deadline).
     default_deadline: Option<Duration>,
 }
 
-impl ServeHandler {
+impl FleetHandler {
     /// A handler serving `service`, attaching `default_deadline` to each
     /// HTTP request.
-    pub fn new(service: Arc<InferenceService>, default_deadline: Option<Duration>) -> Self {
-        ServeHandler { service, default_deadline }
+    pub fn new(service: Arc<FleetService>, default_deadline: Option<Duration>) -> Self {
+        FleetHandler { service, default_deadline }
     }
-}
 
-impl HttpHandler for ServeHandler {
-    fn handle(&self, request: &HttpRequest) -> Option<HttpResponse> {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/infer") => Some(self.infer(&request.body)),
-            ("GET", "/serve/stats") => {
-                Some(HttpResponse::json(200, self.service.stats().to_json()))
-            }
-            ("GET", "/serve/latency") => {
-                Some(HttpResponse::json(200, self.service.stats().latency_json()))
-            }
-            ("GET", "/wear/attribution") => {
-                Some(HttpResponse::json(200, self.service.wear_attribution_json()))
-            }
-            _ => None,
-        }
-    }
-}
-
-impl ServeHandler {
     fn infer(&self, body: &[u8]) -> HttpResponse {
         let input = match parse_infer_input(body) {
             Ok(input) => input,
@@ -74,10 +61,23 @@ impl ServeHandler {
     }
 }
 
-/// The `POST /infer` 200 body for a served response — shared by the
-/// single-service [`ServeHandler`] and the fleet handler so both wire
-/// formats stay identical.
-pub fn infer_response_json(response: &crate::request::InferResponse) -> String {
+impl HttpHandler for FleetHandler {
+    fn handle(&self, request: &HttpRequest) -> Option<HttpResponse> {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/infer") => Some(self.infer(&request.body)),
+            ("GET", "/fleet") => Some(HttpResponse::json(200, self.service.fleet_json())),
+            ("GET", "/serve/stats") => Some(HttpResponse::json(200, self.service.stats_json())),
+            ("GET", "/serve/latency") => Some(HttpResponse::json(200, self.service.latency_json())),
+            ("GET", "/wear/attribution") => {
+                Some(HttpResponse::json(200, self.service.wear_attribution_json()))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The `POST /infer` 200 body for a served response.
+pub(crate) fn infer_response_json(response: &crate::request::InferResponse) -> String {
     let mut out = String::with_capacity(64 + 16 * response.output.len());
     let _ = write!(
         out,
@@ -99,9 +99,8 @@ pub fn infer_response_json(response: &crate::request::InferResponse) -> String {
     out
 }
 
-/// An `{"error": "..."}` body with JSON string escaping — shared with the
-/// fleet handler.
-pub fn infer_error_json(message: &str) -> String {
+/// An `{"error": "..."}` body with JSON string escaping.
+pub(crate) fn infer_error_json(message: &str) -> String {
     let mut out = String::with_capacity(message.len() + 12);
     out.push_str("{\"error\":\"");
     for c in message.chars() {
@@ -130,12 +129,12 @@ fn push_f32(out: &mut String, value: f32) {
 
 /// Accepts `{"input": [..]}` or a bare `[..]` array of JSON numbers.
 /// Deliberately minimal: this is the only JSON the endpoint consumes, and
-/// the workspace is dependency-free. Shared with the fleet handler.
+/// the workspace is dependency-free.
 ///
 /// # Errors
 ///
 /// [`ServeError::BadInput`] with the offending token.
-pub fn parse_infer_input(body: &[u8]) -> Result<Vec<f32>, ServeError> {
+pub(crate) fn parse_infer_input(body: &[u8]) -> Result<Vec<f32>, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServeError::BadInput { reason: "body is not UTF-8".into() })?
         .trim();

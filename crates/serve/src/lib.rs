@@ -10,6 +10,10 @@
 //! real under a sustained request stream. This crate builds that stream's
 //! receiving end:
 //!
+//! * **One serving path** ([`fleet::FleetService`]): N ≥ 1 independent
+//!   crossbar replicas behind one admission queue and a deterministic
+//!   wear-balancing router. [`InferenceService`] is the single-replica
+//!   front over a fleet of one.
 //! * **Admission control** ([`ServeConfig::queue_capacity`]): a bounded
 //!   MPSC queue that rejects on full ([`ServeError::QueueFull`]) and
 //!   drops requests whose deadline expires before dispatch
@@ -30,9 +34,9 @@
 //!   (queue wait / linger / forward / end-to-end, lock-free per-worker
 //!   shards), a wear-attribution ledger
 //!   ([`memaging_lifetime::WearLedger`]) charging every unit of tile
-//!   stress to its cause, and the `POST /infer` + `GET /serve/stats` +
-//!   `GET /serve/latency` + `GET /wear/attribution` routes for the
-//!   monitor HTTP server ([`ServeHandler`]).
+//!   stress to its cause, and the `POST /infer` + `GET /fleet` +
+//!   `GET /serve/stats` + `GET /serve/latency` + `GET /wear/attribution`
+//!   routes for the monitor HTTP server ([`fleet::FleetHandler`]).
 //!
 //! ## Determinism
 //!
@@ -50,6 +54,7 @@
 mod config;
 mod engine;
 mod error;
+pub mod fleet;
 mod generation;
 mod http;
 mod queue;
@@ -60,13 +65,9 @@ mod trace;
 mod worker;
 
 pub use config::ServeConfig;
-pub use engine::ServeEngine;
 pub use error::ServeError;
-pub use generation::{GenerationCell, MappingGeneration};
-pub use http::{infer_error_json, infer_response_json, parse_infer_input, ServeHandler};
-pub use queue::{Entry, RequestQueue, ResponseSlot};
+pub use generation::MappingGeneration;
 pub use request::{InferRequest, InferResponse};
 pub use service::{InferenceService, ServeReport};
 pub use stats::{LatencyStats, ServeStats, WorstTileForecast};
 pub use trace::{RequestCtx, TraceId};
-pub use worker::{declare_serve_histograms, dispatch_batch, form_batch, WorkerCtx, LINGER_POLL};

@@ -19,7 +19,7 @@ use crate::trace::RequestCtx;
 
 /// One admitted request as the dispatcher sees it.
 #[derive(Debug)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Global admission sequence number (0-based).
     pub seq: u64,
     /// The input feature vector.
@@ -37,7 +37,7 @@ pub struct Entry {
 
 /// The rendezvous a client blocks on while its request is in flight.
 #[derive(Debug, Default)]
-pub struct ResponseSlot {
+pub(crate) struct ResponseSlot {
     outcome: Mutex<Option<Result<InferResponse, ServeError>>>,
     ready: Condvar,
 }
@@ -72,7 +72,7 @@ struct QueueState {
 
 /// The bounded MPSC admission queue.
 #[derive(Debug)]
-pub struct RequestQueue {
+pub(crate) struct RequestQueue {
     state: Mutex<QueueState>,
     /// Signalled when an entry arrives or the queue closes.
     arrived: Condvar,
@@ -147,11 +147,6 @@ impl RequestQueue {
             Some(entry) if entry.seq < below_seq => state.entries.pop_front(),
             _ => None,
         }
-    }
-
-    /// Total requests admitted so far (= the next sequence number).
-    pub fn admitted(&self) -> u64 {
-        self.lock().next_seq
     }
 
     /// Current queue depth.

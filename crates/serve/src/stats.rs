@@ -58,14 +58,12 @@ impl Reservoir {
     }
 }
 
-/// Shared serving counters and latency windows. All writers are the
+/// One replica's serving counters and latency windows. All writers are the
 /// service's own threads; readers are `GET /serve/stats` and the bench.
+/// Admission counters are fleet-wide (one admission queue) and live on
+/// [`crate::fleet::FleetService`], not here.
 #[derive(Debug)]
 pub struct ServeStats {
-    /// Requests admitted into the queue.
-    pub admitted: AtomicU64,
-    /// Requests rejected with `QueueFull`.
-    pub rejected_full: AtomicU64,
     /// Requests whose deadline expired before dispatch.
     pub expired: AtomicU64,
     /// Requests served to completion.
@@ -171,8 +169,6 @@ impl ServeStats {
     /// ([`crate::ServeConfig::latency_buckets`]).
     pub fn with_buckets(buckets: usize) -> Self {
         ServeStats {
-            admitted: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -220,13 +216,11 @@ impl ServeStats {
         let (service_p50, service_p99, service_max) = self.service_us.percentiles();
         let (batch_p50, batch_p99, batch_max) = self.batch_sizes.percentiles();
         let mut out = format!(
-            "{{\"admitted\":{},\"rejected_full\":{},\"expired\":{},\"served\":{},\
+            "{{\"expired\":{},\"served\":{},\
              \"batches\":{},\"boundaries\":{},\"remaps\":{},\
              \"queue_wait_us\":{{\"p50\":{queue_p50},\"p99\":{queue_p99},\"max\":{queue_max}}},\
              \"service_us\":{{\"p50\":{service_p50},\"p99\":{service_p99},\"max\":{service_max}}},\
              \"batch_size\":{{\"p50\":{batch_p50},\"p99\":{batch_p99},\"max\":{batch_max}}}",
-            self.admitted.load(Ordering::Relaxed),
-            self.rejected_full.load(Ordering::Relaxed),
             self.expired.load(Ordering::Relaxed),
             self.served.load(Ordering::Relaxed),
             self.batches.load(Ordering::Relaxed),
@@ -298,7 +292,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable_when_empty() {
         let json = ServeStats::default().to_json();
-        assert!(json.starts_with("{\"admitted\":0,"), "{json}");
+        assert!(json.starts_with("{\"expired\":0,"), "{json}");
         assert!(json.contains("\"batch_size\":{\"p50\":0,\"p99\":0,\"max\":0}"), "{json}");
         assert!(
             json.ends_with(

@@ -1,6 +1,5 @@
-//! Batch formation and worker-pool dispatch, shared by the
-//! single-replica dispatcher ([`crate::InferenceService`]) and the fleet
-//! router (`memaging-fleet`).
+//! Batch formation and worker-pool dispatch for the fleet dispatcher
+//! ([`crate::fleet`]).
 //!
 //! A [`WorkerCtx`] is one worker's persistent software-network clone,
 //! lazily re-synced to the `(replica, generation)` a batch is served
@@ -29,13 +28,12 @@ use crate::request::InferResponse;
 use crate::stats::ServeStats;
 
 /// Poll period while the batcher lingers for more requests.
-pub const LINGER_POLL: Duration = Duration::from_micros(100);
+pub(crate) const LINGER_POLL: Duration = Duration::from_micros(100);
 
-/// Declares the serving tier's Prometheus histograms on `recorder` — the
-/// one set shared by the single-replica service and the fleet (request
-/// latency is a tier-wide property; per-replica latency lives in each
-/// replica's [`ServeStats`]).
-pub fn declare_serve_histograms(recorder: &Recorder) {
+/// Declares the serving tier's Prometheus histograms on `recorder` — one
+/// set for the whole fleet (request latency is a tier-wide property;
+/// per-replica latency lives in each replica's [`ServeStats`]).
+pub(crate) fn declare_serve_histograms(recorder: &Recorder) {
     recorder.declare_histogram(
         "serve.queue_wait_us",
         &[100.0, 500.0, 1_000.0, 5_000.0, 20_000.0, 100_000.0, 500_000.0],
@@ -63,7 +61,7 @@ pub fn declare_serve_histograms(recorder: &Recorder) {
 /// (rebuilt at each resync — a pure function of the weight bits, so every
 /// worker's snapshot of one generation is bit-identical) and the
 /// integer-forward scratch.
-pub struct WorkerCtx {
+pub(crate) struct WorkerCtx {
     network: Network,
     /// `(replica, generation id)` the weights are synced to.
     synced: (usize, u64),
@@ -92,11 +90,8 @@ impl WorkerCtx {
 /// Forms one batch starting from `first`: pops queued requests while they
 /// stay below `boundary_seq` (a batch never crosses a maintenance
 /// boundary), up to `max_batch`, lingering at most `max_linger` for more.
-/// Returns the batch and the linger time in microseconds. Both the serve
-/// dispatcher and the fleet router form batches through this exact loop,
-/// which is what makes a 1-replica fleet operation-for-operation
-/// identical to the single-replica service.
-pub fn form_batch(
+/// Returns the batch and the linger time in microseconds.
+pub(crate) fn form_batch(
     queue: &RequestQueue,
     first: Entry,
     boundary_seq: u64,
@@ -133,7 +128,7 @@ pub fn form_batch(
 /// per remap) runs before the span opens, and delivery / accounting run
 /// after it closes.
 #[allow(clippy::too_many_arguments)]
-pub fn dispatch_batch(
+pub(crate) fn dispatch_batch(
     batch: Vec<Entry>,
     replica: usize,
     generation: &MappingGeneration,

@@ -16,84 +16,58 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
 
-# Perf-regression gate over the committed phase profile. The self-compare is
-# a structural sanity check (the gate must parse the baseline and exit 0);
-# when a fresh candidate profile exists (exp_all writes one, or set
-# MEMAGING_BENCH_CANDIDATE), diff it against the baseline with a loose
-# cross-machine tolerance.
-cargo run -q -p memaging-bench --bin bench-diff -- BENCH_obs.json BENCH_obs.json
-candidate="${MEMAGING_BENCH_CANDIDATE:-}"
-if [[ -n "$candidate" && -f "$candidate" ]]; then
-    cargo run -q -p memaging-bench --bin bench-diff -- \
-        BENCH_obs.json "$candidate" --tolerance 3.0
-fi
-
-# Same gate over the parallel-runtime profile (exp_par writes a fresh one;
-# set MEMAGING_BENCH_CANDIDATE_PAR to diff it against the committed
-# baseline).
-cargo run -q -p memaging-bench --bin bench-diff -- BENCH_par.json BENCH_par.json
-candidate_par="${MEMAGING_BENCH_CANDIDATE_PAR:-}"
-if [[ -n "$candidate_par" && -f "$candidate_par" ]]; then
-    cargo run -q -p memaging-bench --bin bench-diff -- \
-        BENCH_par.json "$candidate_par" --tolerance 3.0
-fi
-
-# Same gate over the range-selection engine profile (exp_map writes a fresh
-# one; set MEMAGING_BENCH_CANDIDATE_MAP to diff it against the committed
-# baseline). The committed baseline must carry the quantized-vs-f32
-# candidate-scoring speedup — exp_map asserts the >= 2x gate when it runs;
-# this keeps the extra from silently vanishing from the baseline.
-grep -q '"quant_speedup_candidate"' BENCH_map.json \
-    || { echo "check.sh: BENCH_map.json is missing extra \"quant_speedup_candidate\"" >&2; exit 1; }
-cargo run -q -p memaging-bench --bin bench-diff -- BENCH_map.json BENCH_map.json
-candidate_map="${MEMAGING_BENCH_CANDIDATE_MAP:-}"
-if [[ -n "$candidate_map" && -f "$candidate_map" ]]; then
-    cargo run -q -p memaging-bench --bin bench-diff -- \
-        BENCH_map.json "$candidate_map" --tolerance 3.0
-fi
-
-# Same gate over the serving-tier profile (exp_serve writes a fresh one; set
-# MEMAGING_BENCH_CANDIDATE_SERVE to diff it against the committed baseline).
-# The committed baseline must carry the wear-attribution / latency extras —
-# bench-diff fails on drifted or vanished extras, and unlike wall-clock
-# times the extras are deterministic (pure FP over a fixed admission
-# sequence), so they stay at the strict default tolerance even when the
-# timing tolerance is loosened for cross-machine runs.
-for key in wear_total_stress wear_inference_read_stress wear_remap_stress \
-           wear_ledger_entries latency_e2e_count series_points forecast_tiles \
-           forecast_worst_velocity quant_speedup_forward \
-           remap_cells_skipped_frac delta_remap_speedup; do
-    grep -q "\"$key\"" BENCH_serve.json \
-        || { echo "check.sh: BENCH_serve.json is missing extra \"$key\"" >&2; exit 1; }
+# Perf-regression gates over the committed bench profiles, one row each:
+# the BENCH file, the environment variable naming a fresh candidate
+# profile, and the extras the committed baseline must carry.
+#
+# * obs (exp_all), par (exp_par): phase timings only.
+# * map (exp_map): the quantized-vs-f32 candidate-scoring speedup — exp_map
+#   asserts the >= 2x gate when it runs; this keeps the extra from silently
+#   vanishing from the baseline.
+# * serve (exp_serve): the wear-attribution / latency extras. bench-diff
+#   fails on drifted or vanished extras, and unlike wall-clock times the
+#   extras are deterministic (pure FP over a fixed admission sequence), so
+#   they stay at the strict default tolerance even when the timing
+#   tolerance is loosened for cross-machine runs.
+# * fleet (exp_fleet): the wear-imbalance gate (exp_fleet asserts
+#   wear-balancing strictly beats round-robin when it runs) and the
+#   throughput-scaling extra.
+#
+# The self-compare is a structural sanity check (the gate must parse the
+# baseline and exit 0); when the candidate variable names an existing
+# file, it is diffed against the baseline with a loose cross-machine
+# tolerance.
+manifest=(
+    "BENCH_obs.json   MEMAGING_BENCH_CANDIDATE"
+    "BENCH_par.json   MEMAGING_BENCH_CANDIDATE_PAR"
+    "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   quant_speedup_candidate"
+    "BENCH_serve.json MEMAGING_BENCH_CANDIDATE_SERVE wear_total_stress wear_inference_read_stress
+        wear_remap_stress wear_ledger_entries latency_e2e_count series_points forecast_tiles
+        forecast_worst_velocity quant_speedup_forward remap_cells_skipped_frac delta_remap_speedup"
+    "BENCH_fleet.json MEMAGING_BENCH_CANDIDATE_FLEET fleet_wear_imbalance
+        fleet_wear_imbalance_round_robin fleet_scaling fleet_retires"
+)
+for row in "${manifest[@]}"; do
+    # shellcheck disable=SC2086 # word-split the row into its fields
+    set -- $row
+    bench="$1" var="$2"
+    shift 2
+    for key in "$@"; do
+        grep -q "\"$key\"" "$bench" \
+            || { echo "check.sh: $bench is missing extra \"$key\"" >&2; exit 1; }
+    done
+    cargo run -q -p memaging-bench --bin bench-diff -- "$bench" "$bench"
+    candidate="${!var:-}"
+    if [[ -n "$candidate" && -f "$candidate" ]]; then
+        cargo run -q -p memaging-bench --bin bench-diff -- \
+            "$bench" "$candidate" --tolerance 3.0
+    fi
 done
-cargo run -q -p memaging-bench --bin bench-diff -- BENCH_serve.json BENCH_serve.json
-candidate_serve="${MEMAGING_BENCH_CANDIDATE_SERVE:-}"
-if [[ -n "$candidate_serve" && -f "$candidate_serve" ]]; then
-    cargo run -q -p memaging-bench --bin bench-diff -- \
-        BENCH_serve.json "$candidate_serve" --tolerance 3.0
-fi
-
-# Same gate over the replica-fleet profile (exp_fleet writes a fresh one;
-# set MEMAGING_BENCH_CANDIDATE_FLEET to diff it against the committed
-# baseline). The committed baseline must carry the wear-imbalance gate
-# (exp_fleet asserts wear-balancing strictly beats round-robin when it
-# runs) and the throughput-scaling extra.
-for key in fleet_wear_imbalance fleet_wear_imbalance_round_robin fleet_scaling \
-           fleet_retires; do
-    grep -q "\"$key\"" BENCH_fleet.json \
-        || { echo "check.sh: BENCH_fleet.json is missing extra \"$key\"" >&2; exit 1; }
-done
-cargo run -q -p memaging-bench --bin bench-diff -- BENCH_fleet.json BENCH_fleet.json
-candidate_fleet="${MEMAGING_BENCH_CANDIDATE_FLEET:-}"
-if [[ -n "$candidate_fleet" && -f "$candidate_fleet" ]]; then
-    cargo run -q -p memaging-bench --bin bench-diff -- \
-        BENCH_fleet.json "$candidate_fleet" --tolerance 3.0
-fi
 
 # Offline trace analyzer over the committed flight dumps: every committed
 # line must parse, and identical dumps must diff clean (exit 0, zero
 # regressions) — the analyzer's own regression gate applied to itself.
-# The fleet dumps exercise the per-replica folding path.
+# The 4-replica fleet dump exercises the per-replica folding path.
 for dump in results/flight_serve_*.jsonl results/flight_fleet_*.jsonl; do
     cargo run -q -p memaging --bin memaging -- analyze "$dump" > /dev/null
 done

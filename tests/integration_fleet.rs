@@ -5,9 +5,9 @@
 //!   admission block index and to wear snapshots from published mapping
 //!   generations, so the same admission sequence replays bit-identically
 //!   at any worker-thread count, for any replica count.
-//! * **Single-replica parity**: a one-replica fleet is the identity router
-//!   in front of the exact serve-tier dispatch pipeline — its outputs and
-//!   final wear state match `InferenceService` byte for byte.
+//! * **The HTTP surface**: `FleetHandler` answers `POST /infer` and the
+//!   per-replica `GET` routes with one row per replica, at one replica and
+//!   at two.
 //! * **Retire-under-load determinism**: drain + background force-remap +
 //!   rejoin decisions are block-indexed functions of published snapshots,
 //!   so they replay identically too.
@@ -15,17 +15,18 @@
 //!   router must land a strictly tighter max/mean replica-stress ratio
 //!   than round-robin on the same admitted sequence.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use memaging::crossbar::CrossbarNetwork;
 use memaging::dataset::Dataset;
 use memaging::device::{ArrheniusAging, DeviceSpec};
-use memaging::fleet::{FleetConfig, FleetReport, FleetService, RouterPolicy};
+use memaging::fleet::{FleetConfig, FleetHandler, FleetReport, FleetService, RouterPolicy};
 use memaging::lifetime::Strategy;
 use memaging::nn::Network;
 use memaging::obs::Recorder;
-use memaging::serve::{InferRequest, InferenceService, ServeConfig};
+use memaging::serve::{InferRequest, ServeConfig};
 use memaging::{par, Scenario};
+use memaging_monitor::{HttpHandler, HttpRequest, HttpResponse};
 
 /// The thread override is process-global; serialize the tests that sweep
 /// it (same discipline as `integration_serve`).
@@ -182,64 +183,6 @@ fn fleet_replay_is_bit_identical_across_thread_and_replica_counts() {
 }
 
 #[test]
-fn single_replica_fleet_matches_the_inference_service_byte_for_byte() {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
-    let total = 96;
-    let calib = &trained().1;
-
-    // Reference: the plain serve tier on the same admission sequence.
-    par::set_threads(2);
-    let service = {
-        let mut networks = hardware(1);
-        InferenceService::deploy(
-            networks.remove(0),
-            calib.clone(),
-            serve_config(total),
-            Recorder::disabled(),
-        )
-        .expect("deploy")
-    };
-    let mut reference = Vec::with_capacity(total);
-    for k in 0..total {
-        let response = service.infer(InferRequest::new(sample(calib, k))).expect("served");
-        reference.push(Observed {
-            seq: response.seq,
-            generation: response.generation,
-            prediction: response.prediction,
-            output_bits: response.output.iter().map(|v| v.to_bits()).collect(),
-        });
-    }
-    let serve_report = service.shutdown();
-
-    let (fleet_run, fleet_report) = closed_loop(2, FleetConfig::new(1, serve_config(total)), total);
-    assert_eq!(fleet_run, reference, "a 1-replica fleet must serve the serve tier's exact bytes");
-    let replica = &fleet_report.replicas[0];
-    let serve_tiles: Vec<(u64, u64)> = serve_report
-        .network
-        .wear_snapshots()
-        .iter()
-        .map(|t| (t.mean_r_max.to_bits(), t.mean_r_min.to_bits()))
-        .collect();
-    let fleet_tiles: Vec<(u64, u64)> = replica
-        .network
-        .wear_snapshots()
-        .iter()
-        .map(|t| (t.mean_r_max.to_bits(), t.mean_r_min.to_bits()))
-        .collect();
-    assert_eq!(fleet_tiles, serve_tiles, "identical final hardware state");
-    assert_eq!(
-        (replica.boundaries, replica.remaps),
-        (serve_report.boundaries, serve_report.remaps)
-    );
-    // The fleet ledger is the same account under a replica label: entries
-    // and per-tile attribution match exactly, only the namespace differs.
-    assert_eq!(replica.attribution.replica(), Some(0));
-    assert_eq!(replica.attribution.entries(), serve_report.attribution.entries());
-    assert_eq!(replica.attribution.attributed(), serve_report.attribution.attributed());
-    par::set_threads(0);
-}
-
-#[test]
 fn retire_under_load_is_deterministic() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     let total = 128;
@@ -305,5 +248,79 @@ fn wear_balancing_beats_round_robin_on_a_heterogeneous_fleet() {
         "the hottest replica must absorb less load under wear balancing \
          ({hot_balanced} vs {hot_rr} requests)"
     );
+    par::set_threads(0);
+}
+
+fn request(handler: &FleetHandler, method: &str, path: &str, body: &str) -> HttpResponse {
+    let request =
+        HttpRequest { method: method.into(), path: path.into(), body: body.as_bytes().to_vec() };
+    handler.handle(&request).unwrap_or_else(|| panic!("{method} {path} is not routed"))
+}
+
+#[test]
+fn http_handler_serves_one_row_per_replica() {
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    par::set_threads(2);
+    let calib = &trained().1;
+    let sent = 8u64;
+    for replicas in [1usize, 2] {
+        let service = Arc::new(deploy_fleet(FleetConfig::new(replicas, serve_config(64))));
+        let handler = FleetHandler::new(Arc::clone(&service), None);
+        for k in 0..sent {
+            let input: Vec<String> =
+                sample(calib, k as usize).iter().map(|v| v.to_string()).collect();
+            let response = request(
+                &handler,
+                "POST",
+                "/infer",
+                &format!("{{\"input\":[{}]}}", input.join(",")),
+            );
+            assert_eq!(response.status, 200, "{replicas} replicas: {}", response.body);
+            // The `infer_response_json` body: admission identity first,
+            // one logit per class last.
+            let body = &response.body;
+            assert!(body.starts_with(&format!("{{\"seq\":{k},\"generation\":")), "{body}");
+            for key in ["\"prediction\":", "\"queue_us\":", "\"service_us\":"] {
+                assert!(body.contains(key), "{body} lacks {key}");
+            }
+            let output = body.split("\"output\":[").nth(1).expect("output array");
+            let logits = output.trim_end_matches("]}").split(',');
+            assert_eq!(logits.count(), calib.num_classes(), "{body}");
+        }
+        let bad = request(&handler, "POST", "/infer", "[1, two]");
+        assert_eq!(bad.status, 400, "{}", bad.body);
+        assert!(bad.body.starts_with("{\"error\":\"bad input:"), "{}", bad.body);
+
+        let rows = |body: &str, key: &str| body.matches(key).count();
+        for (path, key) in [
+            ("/fleet", "{\"replica\":"),
+            ("/serve/stats", "{\"replica\":"),
+            ("/serve/latency", "{\"replica\":"),
+            ("/wear/attribution", "\"tiles\":"),
+        ] {
+            let response = request(&handler, "GET", path, "");
+            assert_eq!(response.status, 200, "GET {path}: {}", response.body);
+            assert!(response.body.contains("\"replicas\":["), "GET {path}: {}", response.body);
+            assert_eq!(rows(&response.body, key), replicas, "GET {path}: {}", response.body);
+        }
+        // Admission is fleet-wide: the malformed body never reached the
+        // queue, so the top-level counter is exactly the requests sent.
+        let stats = request(&handler, "GET", "/serve/stats", "").body;
+        assert!(
+            stats.starts_with(&format!("{{\"admitted\":{sent},\"rejected_full\":0,")),
+            "{stats}"
+        );
+        let served: u64 = stats
+            .split("\"served\":")
+            .skip(1)
+            .map(|rest| rest.split(',').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(served, sent, "{stats}");
+        let unrouted = HttpRequest { method: "GET".into(), path: "/nope".into(), body: Vec::new() };
+        assert!(handler.handle(&unrouted).is_none(), "unknown paths fall through");
+        drop(handler);
+        let report = Arc::try_unwrap(service).ok().expect("sole owner").shutdown();
+        assert_eq!((report.admitted, report.served()), (sent, sent));
+    }
     par::set_threads(0);
 }
