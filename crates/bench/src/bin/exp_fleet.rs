@@ -42,7 +42,7 @@ use memaging::lifetime::Strategy;
 use memaging::nn::Network;
 use memaging::obs::{FlightRecorder, MemorySink, Recorder, DEFAULT_FLIGHT_CAPACITY};
 use memaging::serve::{InferRequest, ServeConfig};
-use memaging::{analyze_lines, par, AnalyzeOptions, Scenario};
+use memaging::{analyze_lines, par, Scenario};
 use memaging_bench::{
     banner, fast_mode, phase_profile_json_with, profile_phases, report, results_dir, PhaseProfile,
 };
@@ -224,9 +224,8 @@ fn run_leg(
     // the plain single-deployment ledger for a fleet of one.
     let events = handle.events();
     let lines: Vec<String> = events.iter().map(|e| e.to_json()).collect();
-    let analysis =
-        analyze_lines(label, lines.iter().map(String::as_str), &AnalyzeOptions::default())
-            .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
+    let analysis = analyze_lines(label, lines.iter().map(String::as_str))
+        .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
     let ledgers: Vec<String> = report.replicas.iter().map(|r| r.attribution.to_json()).collect();
     let live_attribution = match &ledgers[..] {
         [single] => single.clone(),

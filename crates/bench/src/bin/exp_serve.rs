@@ -56,7 +56,7 @@ use memaging::obs::{
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SERIES_CAPACITY,
 };
 use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeReport};
-use memaging::{analyze_lines, par, AnalyzeOptions, Scenario, TraceAnalysis};
+use memaging::{analyze_lines, par, Scenario, TraceAnalysis};
 use memaging_bench::{
     banner, phase_profile_json_with, profile_phases, report, results_dir, PhaseProfile,
 };
@@ -129,12 +129,7 @@ fn trained() -> (Network, Dataset, DeviceSpec, ArrheniusAging) {
     (model.network, calib, scenario.framework.spec, scenario.framework.aging)
 }
 
-fn serve_config(
-    spec: &DeviceSpec,
-    aging: &ArrheniusAging,
-    quantized: bool,
-    delta: bool,
-) -> ServeConfig {
+fn serve_config(spec: &DeviceSpec, aging: &ArrheniusAging, quantized: bool) -> ServeConfig {
     // Calibrated so the shared warn threshold (half the fresh window)
     // crosses near the midpoint of the run: the bench must observe the
     // full live-remap path, not just steady-state forwards.
@@ -145,11 +140,6 @@ fn serve_config(
             / (TOTAL as f64 / 2.0),
         remap_drift_fraction: 0.01,
         quantized,
-        // Delta reprogramming at zero tolerance is bit-identical to a full
-        // reprogram (every skipped cell is one the full path would no-op
-        // pulse), so the oracle leg below may flip this off and still
-        // demand digest equality.
-        delta_remap: delta,
         // The single-submitter legs otherwise pay the full linger per
         // request (batch size is 1 by construction); the concurrent legs
         // fill whole batches long before this expires either way.
@@ -197,12 +187,17 @@ fn run_leg(
     let series = Arc::new(SeriesStore::with_capacity(DEFAULT_SERIES_CAPACITY));
     let recorder =
         Recorder::with_series(vec![Box::new(sink), Box::new(flight)], Arc::clone(&series));
-    let hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
+    let mut hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
+    // Delta reprogramming at zero tolerance is bit-identical to a full
+    // reprogram (every skipped cell is one the full path would no-op
+    // pulse), so the oracle leg may switch it off and still demand digest
+    // equality.
+    hardware.set_delta_remap(delta);
     let service = Arc::new(
         InferenceService::deploy(
             hardware,
             calib.clone(),
-            serve_config(spec, aging, quantized, delta),
+            serve_config(spec, aging, quantized),
             recorder,
         )
         .expect("deploy"),
@@ -309,9 +304,8 @@ fn run_leg(
     // is a truncated ring; the in-memory sink holds the full stream.
     let events = handle.events();
     let lines: Vec<String> = events.iter().map(|e| e.to_json()).collect();
-    let analysis =
-        analyze_lines(label, lines.iter().map(String::as_str), &AnalyzeOptions::default())
-            .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
+    let analysis = analyze_lines(label, lines.iter().map(String::as_str))
+        .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
     assert_eq!(
         analysis.latency_json(),
         live_latency,

@@ -11,7 +11,9 @@
 //! per-tile lifetime forecast — so the analyzer's latency and attribution
 //! documents are **byte-for-byte identical** to the live
 //! `GET /serve/latency` and `GET /wear/attribution` bodies at the moment
-//! the trace ended (`exp_serve` asserts exactly that).
+//! the trace ended (`exp_serve` asserts exactly that). The replay takes no
+//! options: the bucket count ([`LATENCY_BUCKETS`]), series capacity,
+//! forecast window and critical threshold are the live tier's constants.
 //!
 //! On top of the replay it reconstructs what the live tier never serves:
 //! per-phase self/total time from the span tree (a span's *self* time is
@@ -24,46 +26,13 @@ use std::fmt::Write as _;
 use memaging_lifetime::{
     trend, worst_tile, TileTrend, WearCause, WearLedger, WearThresholds, DEFAULT_FORECAST_WINDOW,
 };
-use memaging_obs::{
-    latency_detail_json, Event, LatencySnapshot, SeriesStore, ShardedHistogram,
-    DEFAULT_SERIES_CAPACITY,
-};
+use memaging_obs::{latency_detail_json, Event, LatencySnapshot, SeriesStore, ShardedHistogram};
+use memaging_serve::LATENCY_BUCKETS;
 
 /// Fixed-point scale of the serve tier's wear series (parts-per-billion of
 /// the fresh window) — must match the engine's encoding for the forecast
 /// replay to agree with the live gauges.
 const SERIES_SCALE: f64 = 1e9;
-
-/// Knobs of one analysis pass. The defaults mirror the live tier's
-/// defaults, so analyzing a default-configured run reproduces its live
-/// documents without any flags.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyzeOptions {
-    /// Power-of-2 buckets per replayed latency histogram — must match the
-    /// run's [`memaging_serve::ServeConfig::latency_buckets`] for the
-    /// byte-identical guarantee.
-    pub latency_buckets: usize,
-    /// Ring capacity of the replayed [`SeriesStore`] — must match the
-    /// run's store for byte-identical `/timeseries` output.
-    pub series_capacity: usize,
-    /// Regression window of the forecast refit
-    /// ([`memaging_serve::ServeConfig::forecast_window`]).
-    pub forecast_window: usize,
-    /// Critical window fraction the forecast extrapolates toward
-    /// ([`WearThresholds::critical_window_fraction`]).
-    pub critical_window_fraction: f64,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            latency_buckets: 40,
-            series_capacity: DEFAULT_SERIES_CAPACITY,
-            forecast_window: DEFAULT_FORECAST_WINDOW,
-            critical_window_fraction: WearThresholds::default().critical_window_fraction,
-        }
-    }
-}
 
 /// Aggregated timing of one span name across a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +52,6 @@ pub struct PhaseStat {
 /// under the exact stage names `GET /serve/latency` uses.
 #[derive(Debug)]
 struct LatencyReplay {
-    buckets: usize,
     queue_wait: ShardedHistogram,
     linger: ShardedHistogram,
     forward: ShardedHistogram,
@@ -91,13 +59,12 @@ struct LatencyReplay {
 }
 
 impl LatencyReplay {
-    fn new(buckets: usize) -> Self {
+    fn new() -> Self {
         LatencyReplay {
-            buckets,
-            queue_wait: ShardedHistogram::new(1, buckets),
-            linger: ShardedHistogram::new(1, buckets),
-            forward: ShardedHistogram::new(1, buckets),
-            e2e: ShardedHistogram::new(1, buckets),
+            queue_wait: ShardedHistogram::new(1, LATENCY_BUCKETS),
+            linger: ShardedHistogram::new(1, LATENCY_BUCKETS),
+            forward: ShardedHistogram::new(1, LATENCY_BUCKETS),
+            e2e: ShardedHistogram::new(1, LATENCY_BUCKETS),
         }
     }
 
@@ -156,7 +123,6 @@ pub struct TraceAnalysis {
     /// The replayed deterministic time-series store.
     pub series: SeriesStore,
     latency: LatencyReplay,
-    options: AnalyzeOptions,
 }
 
 /// One span, flattened for the nesting reconstruction.
@@ -177,10 +143,10 @@ struct SpanRec {
 ///
 /// Returns the I/O failure or `path:line: parse error` of the first bad
 /// line.
-pub fn analyze_file(path: &str, options: &AnalyzeOptions) -> Result<TraceAnalysis, String> {
+pub fn analyze_file(path: &str) -> Result<TraceAnalysis, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
-    analyze_lines(path, text.lines(), options)
+    analyze_lines(path, text.lines())
 }
 
 /// Analyzes an in-memory trace, one JSON event per item. Blank lines are
@@ -192,7 +158,6 @@ pub fn analyze_file(path: &str, options: &AnalyzeOptions) -> Result<TraceAnalysi
 pub fn analyze_lines<'a>(
     source: &str,
     lines: impl IntoIterator<Item = &'a str>,
-    options: &AnalyzeOptions,
 ) -> Result<TraceAnalysis, String> {
     let mut analysis = TraceAnalysis {
         source: source.to_string(),
@@ -202,9 +167,8 @@ pub fn analyze_lines<'a>(
         alerts: 0,
         ledger: None,
         replica_ledgers: BTreeMap::new(),
-        series: SeriesStore::with_capacity(options.series_capacity),
-        latency: LatencyReplay::new(options.latency_buckets),
-        options: *options,
+        series: SeriesStore::default(),
+        latency: LatencyReplay::new(),
     };
     let mut spans: Vec<SpanRec> = Vec::new();
     for (lineno, line) in lines.into_iter().enumerate() {
@@ -337,7 +301,7 @@ impl TraceAnalysis {
     /// server's when the trace covers the full run and the bucket count
     /// matches.
     pub fn latency_json(&self) -> String {
-        latency_detail_json(self.latency.buckets, &self.latency.snapshots())
+        latency_detail_json(LATENCY_BUCKETS, &self.latency.snapshots())
     }
 
     /// The replayed `GET /wear/attribution` body, or `"null"` when the
@@ -387,8 +351,9 @@ impl TraceAnalysis {
     /// `serve.window_fraction_ppb{tile=N}` series: every tile's trend plus
     /// the worst tile, exactly as the live engine computes them.
     pub fn forecast(&self) -> (Vec<TileFit>, Option<TileFit>) {
-        let critical =
-            (self.options.critical_window_fraction * SERIES_SCALE).round().max(0.0) as u64;
+        let critical = (WearThresholds::default().critical_window_fraction * SERIES_SCALE)
+            .round()
+            .max(0.0) as u64;
         let mut trends: Vec<TileFit> = Vec::new();
         for (name, snapshot) in self.series.snapshot_all() {
             let Some(tile) = name
@@ -398,8 +363,7 @@ impl TraceAnalysis {
             else {
                 continue;
             };
-            if let Some(fit) = trend(&snapshot.raw_points(), self.options.forecast_window, critical)
-            {
+            if let Some(fit) = trend(&snapshot.raw_points(), DEFAULT_FORECAST_WINDOW, critical) {
                 trends.push((tile, fit));
             }
         }
@@ -844,10 +808,6 @@ fn push_json_str(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
-    fn opts() -> AnalyzeOptions {
-        AnalyzeOptions::default()
-    }
-
     #[test]
     fn phase_self_time_excludes_direct_children() {
         // parent [0, 100] with children [10, 30] and [40, 80]; the
@@ -858,7 +818,7 @@ mod tests {
             r#"{"type":"span","name":"child","trace":7,"start_us":40,"duration_us":40}"#,
             r#"{"type":"span","name":"parent","trace":7,"start_us":0,"duration_us":100}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         let by_name: BTreeMap<&str, &PhaseStat> =
             analysis.phases.iter().map(|p| (p.name.as_str(), p)).collect();
         assert_eq!(by_name["parent"].total_us, 100);
@@ -875,7 +835,7 @@ mod tests {
             r#"{"type":"span","name":"a","worker":0,"start_us":0,"duration_us":100}"#,
             r#"{"type":"span","name":"b","worker":1,"start_us":10,"duration_us":20}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         let a = analysis.phases.iter().find(|p| p.name == "a").unwrap();
         assert_eq!(a.self_us, 100, "a worker boundary is a nesting boundary");
     }
@@ -888,7 +848,7 @@ mod tests {
             r#"{"type":"histogram","name":"serve.e2e_us","value":350}"#,
             r#"{"type":"histogram","name":"serve.batch_size","value":2}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         let json = analysis.latency_json();
         assert!(json.starts_with("{\"buckets\":40,\"histograms\":{\"queue_wait_us\":"), "{json}");
         assert!(json.contains("\"queue_wait_us\":{\"count\":1,\"sum_us\":300,"), "{json}");
@@ -905,7 +865,7 @@ mod tests {
             r#"{"type":"wear","cause":"inference_read","param":64,"tiles":[1,0.5]}"#,
             r#"{"type":"wear","cause":"tuning","tiles":[1,0.75]}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         let ledger = analysis.ledger.as_ref().unwrap();
         assert_eq!(ledger.tiles(), 2);
         assert_eq!(ledger.entries().len(), 3);
@@ -921,7 +881,7 @@ mod tests {
             r#"{"type":"wear","cause":"replica1.remap","param":0,"tiles":[0.25,0.25]}"#,
             r#"{"type":"wear","cause":"replica0.inference_read","param":64,"tiles":[1.5,1.5]}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         assert!(analysis.ledger.is_none(), "prefixed causes must not feed the flat ledger");
         assert_eq!(analysis.replica_ledgers.len(), 2);
         assert_eq!(analysis.replica_ledgers[&0].total(), 3.0);
@@ -942,7 +902,7 @@ mod tests {
             r#"{"type":"wear","cause":"replicaX.remap","param":0,"tiles":[1.0]}"#,
             r#"{"type":"wear","cause":"replica0.mystery","param":0,"tiles":[1.0]}"#,
         ] {
-            let err = analyze_lines("t.jsonl", [bad], &opts()).unwrap_err();
+            let err = analyze_lines("t.jsonl", [bad]).unwrap_err();
             assert!(err.contains("unknown wear cause"), "got: {err}");
         }
     }
@@ -957,8 +917,8 @@ mod tests {
             r#"{"type":"wear","cause":"replica0.remap","param":0,"tiles":[3.0]}"#,
             r#"{"type":"wear","cause":"replica1.remap","param":0,"tiles":[1.0]}"#,
         ];
-        let a = analyze_lines("a", balanced, &opts()).unwrap();
-        let b = analyze_lines("b", lopsided, &opts()).unwrap();
+        let a = analyze_lines("a", balanced).unwrap();
+        let b = analyze_lines("b", lopsided).unwrap();
         let report = diff(&a, &b, 0.05);
         let regressed: Vec<&str> = report.regressions().iter().map(|r| r.metric.as_str()).collect();
         assert!(regressed.contains(&"fleet.wear_imbalance"), "{regressed:?}");
@@ -971,8 +931,7 @@ mod tests {
         );
         // Non-fleet traces don't grow the row at all.
         let flat =
-            analyze_lines("c", [r#"{"type":"wear","cause":"tuning","tiles":[1.0]}"#], &opts())
-                .unwrap();
+            analyze_lines("c", [r#"{"type":"wear","cause":"tuning","tiles":[1.0]}"#]).unwrap();
         let none = diff(&flat, &flat, 0.05);
         assert!(none.rows.iter().all(|r| r.metric != "fleet.wear_imbalance"));
     }
@@ -994,7 +953,7 @@ mod tests {
                 ));
             }
         }
-        let analysis = analyze_lines("test", lines.iter().map(String::as_str), &opts()).unwrap();
+        let analysis = analyze_lines("test", lines.iter().map(String::as_str)).unwrap();
         let (trends, worst) = analysis.forecast();
         assert_eq!(trends.len(), 2);
         let (tile, fit) = trends[0];
@@ -1018,10 +977,10 @@ mod tests {
     #[test]
     fn malformed_lines_abort_with_the_line_number() {
         let lines = [r#"{"type":"message","text":"ok"}"#, "not json"];
-        let err = analyze_lines("t.jsonl", lines, &opts()).unwrap_err();
+        let err = analyze_lines("t.jsonl", lines).unwrap_err();
         assert!(err.starts_with("t.jsonl:2:"), "got: {err}");
         let lines = [r#"{"type":"wear","cause":"mystery","tiles":[1.0]}"#];
-        let err = analyze_lines("t.jsonl", lines, &opts()).unwrap_err();
+        let err = analyze_lines("t.jsonl", lines).unwrap_err();
         assert!(err.contains("unknown wear cause"), "got: {err}");
     }
 
@@ -1031,7 +990,7 @@ mod tests {
             r#"{"type":"counter","name":"serve.remaps","delta":1,"total":1}"#,
             r#"{"type":"counter","name":"serve.remaps","delta":1,"total":2}"#,
         ];
-        let analysis = analyze_lines("test", lines, &opts()).unwrap();
+        let analysis = analyze_lines("test", lines).unwrap();
         assert_eq!(analysis.counters["serve.remaps"], 2);
     }
 
@@ -1044,7 +1003,7 @@ mod tests {
             r#"{"type":"wear","cause":"remap","param":0,"tiles":[0.125]}"#,
             r#"{"type":"series","name":"serve.window_fraction_ppb{tile=0}","seq":1,"value":900000000}"#,
         ];
-        let analysis = analyze_lines("run.jsonl", lines, &opts()).unwrap();
+        let analysis = analyze_lines("run.jsonl", lines).unwrap();
         let json = analysis.to_json();
         assert!(json.starts_with("{\"source\":\"run.jsonl\",\"events\":5,\"alerts\":0,"), "{json}");
         assert!(json.contains("\"phases\":[{\"name\":\"serve.batch\",\"count\":1,\"total_us\":50,\"self_us\":50}]"), "{json}");
@@ -1066,8 +1025,8 @@ mod tests {
             r#"{"type":"histogram","name":"serve.e2e_us","value":400}"#,
             r#"{"type":"counter","name":"serve.expired","delta":0,"total":0}"#,
         ];
-        let a = analyze_lines("a", base, &opts()).unwrap();
-        let b = analyze_lines("b", slower, &opts()).unwrap();
+        let a = analyze_lines("a", base).unwrap();
+        let b = analyze_lines("b", slower).unwrap();
         let report = diff(&a, &b, 0.05);
         let regressions = report.regressions();
         assert!(
@@ -1097,8 +1056,8 @@ mod tests {
             r#"{"type":"counter","name":"mapping.cells_skipped","delta":400,"total":400}"#,
             r#"{"type":"counter","name":"mapping.pulses","delta":3000,"total":3000}"#,
         ];
-        let a = analyze_lines("a", base, &opts()).unwrap();
-        let b = analyze_lines("b", drifted, &opts()).unwrap();
+        let a = analyze_lines("a", base).unwrap();
+        let b = analyze_lines("b", drifted).unwrap();
         let report = diff(&a, &b, 0.05);
         let regressed: Vec<&str> = report.regressions().iter().map(|r| r.metric.as_str()).collect();
         assert!(regressed.contains(&"counter.mapping.cells_programmed"), "{regressed:?}");
@@ -1123,8 +1082,8 @@ mod tests {
             r#"{"type":"histogram","name":"serve.e2e_us","value":100}"#,
             r#"{"type":"wear","cause":"tuning","tiles":[0.5]}"#,
         ];
-        let a = analyze_lines("a", lines, &opts()).unwrap();
-        let b = analyze_lines("b", lines, &opts()).unwrap();
+        let a = analyze_lines("a", lines).unwrap();
+        let b = analyze_lines("b", lines).unwrap();
         let report = diff(&a, &b, 0.0);
         assert!(report.regressions().is_empty(), "{}", report.report());
         assert!(report.to_json().ends_with("\"regressions\":0}"));

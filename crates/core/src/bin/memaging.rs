@@ -22,10 +22,10 @@ use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
 use memaging::obs::{
     ChromeTraceSink, FlightRecorder, JsonlSink, PrettySink, Recorder, SeriesStore, Sink,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SERIES_CAPACITY,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use memaging::serve::{InferRequest, ServeConfig};
-use memaging::{AnalyzeOptions, Scenario};
+use memaging::Scenario;
 use memaging_monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 
 /// Parsed command-line request.
@@ -46,13 +46,11 @@ struct AnalyzeFlags {
     json: bool,
     /// Relative tolerance of the two-run regression diff.
     tolerance: f64,
-    /// Replay knobs (histogram buckets, series capacity, forecast window).
-    options: AnalyzeOptions,
 }
 
 impl Default for AnalyzeFlags {
     fn default() -> Self {
-        AnalyzeFlags { json: false, tolerance: 0.05, options: AnalyzeOptions::default() }
+        AnalyzeFlags { json: false, tolerance: 0.05 }
     }
 }
 
@@ -69,9 +67,6 @@ struct ServeFlags {
     requests: u64,
     /// With `--infer`: per-request deadline attached to HTTP submissions.
     deadline_ms: Option<u64>,
-    /// With `--infer`: power-of-2 buckets per serving latency histogram
-    /// ([`ServeConfig::latency_buckets`]).
-    latency_buckets: Option<usize>,
     /// With `--infer`: deploy this many independent replicas behind the
     /// wear-balancing fleet router (default 1).
     replicas: usize,
@@ -87,7 +82,6 @@ impl Default for ServeFlags {
             infer: false,
             requests: 0,
             deadline_ms: None,
-            latency_buckets: None,
             replicas: 1,
             router: RouterPolicy::WearBalance,
         }
@@ -107,9 +101,6 @@ struct RunOpts {
     /// flushed to JSONL when a wear alert or live remap fires.
     flight: Option<String>,
     metrics: bool,
-    /// Ring capacity of the deterministic wear time-series store
-    /// (`GET /timeseries`); `None` uses [`DEFAULT_SERIES_CAPACITY`].
-    series_capacity: Option<usize>,
     /// Disable series retention entirely: no store is attached, and the
     /// serve tier's per-boundary series path is allocation-free.
     no_series: bool,
@@ -136,21 +127,9 @@ impl Default for RunOpts {
             trace_chrome: None,
             flight: None,
             metrics: false,
-            series_capacity: None,
             no_series: false,
             quantized: false,
             remap_tolerance: 0.0,
-        }
-    }
-}
-
-impl RunOpts {
-    /// The series-store capacity to attach, or `None` for `--no-series`.
-    fn series(&self) -> Option<usize> {
-        if self.no_series {
-            None
-        } else {
-            Some(self.series_capacity.unwrap_or(DEFAULT_SERIES_CAPACITY))
         }
     }
 }
@@ -225,20 +204,12 @@ fn parse_run_opts(
             "--trace",
             "--trace-chrome",
             "--flight-recorder",
-            "--series-capacity",
             "--remap-tolerance",
         ];
         let known = known.contains(&flag.as_str())
             || (serve
-                && [
-                    "--port",
-                    "--requests",
-                    "--deadline-ms",
-                    "--latency-buckets",
-                    "--replicas",
-                    "--router",
-                ]
-                .contains(&flag.as_str()));
+                && ["--port", "--requests", "--deadline-ms", "--replicas", "--router"]
+                    .contains(&flag.as_str()));
         if !known {
             return Err(format!("unknown flag `{flag}`"));
         }
@@ -261,14 +232,6 @@ fn parse_run_opts(
             "--trace" => opts.trace = Some(value.to_string()),
             "--trace-chrome" => opts.trace_chrome = Some(value.to_string()),
             "--flight-recorder" => opts.flight = Some(value.to_string()),
-            "--series-capacity" => {
-                let n: usize =
-                    value.parse().map_err(|_| format!("bad series-capacity `{value}`"))?;
-                if n < 2 {
-                    return Err(format!("bad series-capacity `{n}` (must be at least 2)"));
-                }
-                opts.series_capacity = Some(n);
-            }
             "--remap-tolerance" => {
                 let t: f64 = value.parse().map_err(|_| format!("bad remap-tolerance `{value}`"))?;
                 if !t.is_finite() || !(0.0..=0.5).contains(&t) {
@@ -286,14 +249,6 @@ fn parse_run_opts(
                 flags.deadline_ms =
                     Some(value.parse().map_err(|_| format!("bad deadline-ms `{value}`"))?);
             }
-            "--latency-buckets" => {
-                let n: usize =
-                    value.parse().map_err(|_| format!("bad latency-buckets `{value}`"))?;
-                if !(8..=64).contains(&n) {
-                    return Err(format!("bad latency-buckets `{n}` (must lie in [8, 64])"));
-                }
-                flags.latency_buckets = Some(n);
-            }
             "--replicas" => {
                 let n: usize = value.parse().map_err(|_| format!("bad replicas `{value}`"))?;
                 if n == 0 {
@@ -308,14 +263,8 @@ fn parse_run_opts(
     if !flags.infer && (flags.requests != 0 || flags.deadline_ms.is_some()) {
         return Err("--requests / --deadline-ms require --infer".into());
     }
-    if !flags.infer && flags.latency_buckets.is_some() {
-        return Err("--latency-buckets requires --infer".into());
-    }
     if !flags.infer && (flags.replicas != 1 || flags.router != RouterPolicy::WearBalance) {
         return Err("--replicas / --router require --infer".into());
-    }
-    if opts.no_series && opts.series_capacity.is_some() {
-        return Err("--series-capacity conflicts with --no-series".into());
     }
     Ok((opts, flags))
 }
@@ -327,43 +276,13 @@ fn parse_analyze(it: &mut std::slice::Iter<'_, String>) -> Result<Command, Strin
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => flags.json = true,
-            "--latency-buckets" | "--series-capacity" | "--forecast-window" | "--tolerance" => {
+            "--tolerance" => {
                 let value = it.next().ok_or_else(|| format!("flag {arg} needs a value"))?;
-                match arg.as_str() {
-                    "--latency-buckets" => {
-                        let n: usize =
-                            value.parse().map_err(|_| format!("bad latency-buckets `{value}`"))?;
-                        if !(8..=64).contains(&n) {
-                            return Err(format!("bad latency-buckets `{n}` (must lie in [8, 64])"));
-                        }
-                        flags.options.latency_buckets = n;
-                    }
-                    "--series-capacity" => {
-                        let n: usize =
-                            value.parse().map_err(|_| format!("bad series-capacity `{value}`"))?;
-                        if n < 2 {
-                            return Err(format!("bad series-capacity `{n}` (must be at least 2)"));
-                        }
-                        flags.options.series_capacity = n;
-                    }
-                    "--forecast-window" => {
-                        let n: usize =
-                            value.parse().map_err(|_| format!("bad forecast-window `{value}`"))?;
-                        if n < 2 {
-                            return Err(format!("bad forecast-window `{n}` (must be at least 2)"));
-                        }
-                        flags.options.forecast_window = n;
-                    }
-                    "--tolerance" => {
-                        let t: f64 =
-                            value.parse().map_err(|_| format!("bad tolerance `{value}`"))?;
-                        if !t.is_finite() || t < 0.0 {
-                            return Err(format!("bad tolerance `{t}` (must be >= 0)"));
-                        }
-                        flags.tolerance = t;
-                    }
-                    _ => unreachable!("flag matched above"),
+                let t: f64 = value.parse().map_err(|_| format!("bad tolerance `{value}`"))?;
+                if !t.is_finite() || t < 0.0 {
+                    return Err(format!("bad tolerance `{t}` (must be >= 0)"));
                 }
+                flags.tolerance = t;
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             path => paths.push(path.to_string()),
@@ -443,9 +362,8 @@ fn print_help() {
          \u{20}                       serving after the run finishes\n\
          \u{20}   memaging serve <quick|lenet|vgg> --infer\n\
          \u{20}                                       [--requests N] [--deadline-ms N]\n\
-         \u{20}                                       [--latency-buckets N (8..=64)]\n\
          \u{20}                                       [--replicas N (default 1)]\n\
-         \u{20}                                       [--router wear|round-robin|sticky]\n\
+         \u{20}                                       [--router wear|round-robin]\n\
          \u{20}                       trains the strategy's model and deploys it behind\n\
          \u{20}                       the batched inference service: POST /infer,\n\
          \u{20}                       GET /serve/stats, /serve/latency (log-bucketed\n\
@@ -454,29 +372,26 @@ fn print_help() {
          \u{20}                       and aging-aware live remapping; --requests N\n\
          \u{20}                       drives a deterministic self-load then reports (0:\n\
          \u{20}                       serve until ctrl-c); --deadline-ms bounds HTTP\n\
-         \u{20}                       requests; --series-capacity N sizes the\n\
+         \u{20}                       requests; --no-series disables the\n\
          \u{20}                       deterministic wear time-series ring behind\n\
-         \u{20}                       GET /timeseries and /forecast (default 64);\n\
-         \u{20}                       --no-series disables series retention (the\n\
+         \u{20}                       GET /timeseries and /forecast (the\n\
          \u{20}                       per-boundary series path is allocation-free);\n\
          \u{20}                       --replicas N shards the deployment into N\n\
          \u{20}                       independent crossbar replicas behind the\n\
          \u{20}                       deterministic wear-balancing fleet router\n\
          \u{20}                       (GET /fleet shows per-replica routing state);\n\
          \u{20}                       --router picks the policy: wear (default,\n\
-         \u{20}                       least projected stress), round-robin, sticky\n\
+         \u{20}                       least projected stress) or round-robin\n\
          \u{20}   memaging analyze <trace.jsonl> [baseline.jsonl]\n\
          \u{20}                                       [--json] [--tolerance F (default 0.05)]\n\
-         \u{20}                                       [--latency-buckets N (default 40)]\n\
-         \u{20}                                       [--series-capacity N (default 64)]\n\
-         \u{20}                                       [--forecast-window N (default 16)]\n\
          \u{20}                       replays a JSONL trace (from --trace or a flight\n\
          \u{20}                       dump) offline: per-phase self/total time, the\n\
          \u{20}                       exact /serve/latency and /wear/attribution\n\
          \u{20}                       bodies, per-tile wear trajectories and lifetime\n\
-         \u{20}                       forecast; with two traces, diffs them into a\n\
-         \u{20}                       regression table (exit 3 on regressions beyond\n\
-         \u{20}                       --tolerance)\n\
+         \u{20}                       forecast under the live tier's fixed settings\n\
+         \u{20}                       (no flags to match); with two traces, diffs them\n\
+         \u{20}                       into a regression table (exit 3 on regressions\n\
+         \u{20}                       beyond --tolerance)\n\
          \u{20}   memaging device      single-cell aging trajectory (paper Fig. 4)\n\
          \u{20}   memaging info        list the calibrated scenarios\n\
          \u{20}   memaging help        this message\n"
@@ -509,15 +424,15 @@ fn configured_scenario(name: &str, opts: &RunOpts) -> Scenario {
 /// when `--trace` was given, a Chrome trace-event sink when
 /// `--trace-chrome` was given, a flight recorder when `--flight-recorder`
 /// was given, plus any caller-provided sink (the monitor's wear-state
-/// feed). A [`SeriesStore`] of `series` capacity is attached unless the
-/// user passed `--no-series` (`series: None`) — with no store attached the
-/// serve tier's per-boundary series path is allocation-free. Fails cleanly
+/// feed). A default-capacity [`SeriesStore`] is attached when `series` is
+/// set, i.e. unless the user passed `--no-series` — with no store attached
+/// the serve tier's per-boundary series path is allocation-free. Fails cleanly
 /// on an unwritable trace path.
 fn build_recorder(
     trace: Option<&str>,
     trace_chrome: Option<&str>,
     flight: Option<&str>,
-    series: Option<usize>,
+    series: bool,
     extra: Option<Box<dyn Sink>>,
 ) -> Result<Recorder, String> {
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(PrettySink::new())];
@@ -539,11 +454,10 @@ fn build_recorder(
     if let Some(sink) = extra {
         sinks.push(sink);
     }
-    match series {
-        Some(capacity) => {
-            Ok(Recorder::with_series(sinks, Arc::new(SeriesStore::with_capacity(capacity))))
-        }
-        None => Ok(Recorder::new(sinks)),
+    if series {
+        Ok(Recorder::with_series(sinks, Arc::new(SeriesStore::default())))
+    } else {
+        Ok(Recorder::new(sinks))
     }
 }
 
@@ -598,7 +512,7 @@ fn run_scenario(name: &str, opts: &RunOpts) -> Result<(), Box<dyn std::error::Er
         opts.trace.as_deref(),
         opts.trace_chrome.as_deref(),
         opts.flight.as_deref(),
-        opts.series(),
+        !opts.no_series,
         None,
     )?;
     // The pipeline recorder is only attached when the user opted into
@@ -636,7 +550,7 @@ fn run_infer(
         opts.trace.as_deref(),
         opts.trace_chrome.as_deref(),
         opts.flight.as_deref(),
-        opts.series(),
+        !opts.no_series,
         Some(Box::new(sink)),
     )?;
     let mut framework = scenario.framework.clone();
@@ -651,24 +565,25 @@ fn run_infer(
     // visibly ages the crossbars (and eventually triggers a live remap)
     // without wearing them out within a short session.
     let width = framework.spec.r_max - framework.spec.r_min;
-    let mut config = ServeConfig {
+    let config = ServeConfig {
         stress_per_read: framework
             .aging
             .stress_for_degradation(framework.spec.temperature, 0.3 * width)
             / 50_000.0,
         quantized: opts.quantized,
-        remap_tolerance: opts.remap_tolerance,
         ..ServeConfig::default()
     };
-    if let Some(buckets) = flags.latency_buckets {
-        config.latency_buckets = buckets;
-    }
 
     // N ≥ 1 independent crossbar replicas behind the deterministic
     // wear-balancing fleet router.
     let networks = (0..flags.replicas)
-        .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|_| {
+            let mut network =
+                CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging)?;
+            network.set_remap_tolerance(opts.remap_tolerance);
+            Ok(network)
+        })
+        .collect::<Result<Vec<_>, memaging::crossbar::CrossbarError>>()?;
     let fleet_config =
         FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
     let service =
@@ -768,7 +683,7 @@ fn run_serve(
         opts.trace.as_deref(),
         opts.trace_chrome.as_deref(),
         opts.flight.as_deref(),
-        opts.series(),
+        !opts.no_series,
         Some(Box::new(sink)),
     )?;
     scenario.framework.recorder = recorder.clone();
@@ -815,10 +730,8 @@ fn run_serve(
 /// regression diff. Returns the number of regressions beyond tolerance
 /// (always 0 for a single-trace report).
 fn run_analyze(paths: &[String], flags: &AnalyzeFlags) -> Result<usize, String> {
-    let analyses: Vec<memaging::TraceAnalysis> = paths
-        .iter()
-        .map(|path| memaging::analyze_file(path, &flags.options))
-        .collect::<Result<_, _>>()?;
+    let analyses: Vec<memaging::TraceAnalysis> =
+        paths.iter().map(|path| memaging::analyze_file(path)).collect::<Result<_, _>>()?;
     if let [baseline, candidate] = &analyses[..] {
         let report = memaging::diff(baseline, candidate, flags.tolerance);
         if flags.json {
@@ -1076,29 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_latency_buckets_flag() {
-        let cmd = parse_args(&argv("serve quick --infer --latency-buckets 24")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve {
-                name: "quick".into(),
-                opts: RunOpts { strategy: StrategyArg::One(Strategy::StAt), ..RunOpts::default() },
-                flags: ServeFlags {
-                    infer: true,
-                    latency_buckets: Some(24),
-                    ..ServeFlags::default()
-                },
-            }
-        );
-        let err = parse_args(&argv("serve quick --infer --latency-buckets 4")).unwrap_err();
-        assert!(err.contains("[8, 64]"), "got: {err}");
-        let err = parse_args(&argv("serve quick --latency-buckets 24")).unwrap_err();
-        assert!(err.contains("--infer"), "got: {err}");
-        let err = parse_args(&argv("scenario quick --latency-buckets 24")).unwrap_err();
-        assert!(err.contains("unknown flag"), "got: {err}");
-    }
-
-    #[test]
     fn parses_fleet_flags() {
         let cmd =
             parse_args(&argv("serve quick --infer --replicas 4 --router round-robin")).unwrap();
@@ -1122,7 +1012,7 @@ mod tests {
         // Fleet flags are serve --infer only.
         let err = parse_args(&argv("serve quick --replicas 2")).unwrap_err();
         assert!(err.contains("--infer"), "got: {err}");
-        let err = parse_args(&argv("serve quick --router sticky")).unwrap_err();
+        let err = parse_args(&argv("serve quick --router round-robin")).unwrap_err();
         assert!(err.contains("--infer"), "got: {err}");
         let err = parse_args(&argv("scenario quick --replicas 2")).unwrap_err();
         assert!(err.contains("unknown flag"), "got: {err}");
@@ -1174,33 +1064,15 @@ mod tests {
         assert!(err.contains("bad remap-tolerance"), "got: {err}");
         let err = parse_args(&argv("scenario quick --remap-tolerance nan")).unwrap_err();
         assert!(err.contains("bad remap-tolerance"), "got: {err}");
-        // The tolerance flows into the lifetime config, which always
-        // programs by delta.
+        // The tolerance flows into the lifetime config.
         let opts = RunOpts { remap_tolerance: 0.1, ..RunOpts::default() };
         let scenario = configured_scenario("quick", &opts);
         assert_eq!(scenario.framework.lifetime.remap_tolerance, 0.1);
-        assert!(scenario.framework.lifetime.delta_remap);
     }
 
     #[test]
     fn parses_series_flags() {
-        let cmd = parse_args(&argv("serve quick --infer --series-capacity 128")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve {
-                name: "quick".into(),
-                opts: RunOpts {
-                    strategy: StrategyArg::One(Strategy::StAt),
-                    series_capacity: Some(128),
-                    ..RunOpts::default()
-                },
-                flags: ServeFlags { infer: true, ..ServeFlags::default() },
-            }
-        );
-        // The default attaches a store at the default capacity; --no-series
-        // disables retention entirely.
-        assert_eq!(RunOpts::default().series(), Some(DEFAULT_SERIES_CAPACITY));
-        assert_eq!(RunOpts { no_series: true, ..RunOpts::default() }.series(), None);
+        // --no-series disables retention entirely.
         let cmd = parse_args(&argv("scenario quick --no-series")).unwrap();
         assert_eq!(
             cmd,
@@ -1209,10 +1081,6 @@ mod tests {
                 opts: RunOpts { no_series: true, ..RunOpts::default() },
             }
         );
-        let err = parse_args(&argv("serve quick --series-capacity 1")).unwrap_err();
-        assert!(err.contains("at least 2"), "got: {err}");
-        let err = parse_args(&argv("serve quick --no-series --series-capacity 8")).unwrap_err();
-        assert!(err.contains("conflicts"), "got: {err}");
     }
 
     #[test]
@@ -1225,25 +1093,12 @@ mod tests {
                 flags: AnalyzeFlags::default(),
             }
         );
-        let cmd = parse_args(&argv(
-            "analyze a.jsonl b.jsonl --json --tolerance 0.1 --latency-buckets 24 \
-             --series-capacity 32 --forecast-window 8",
-        ))
-        .unwrap();
+        let cmd = parse_args(&argv("analyze a.jsonl b.jsonl --json --tolerance 0.1")).unwrap();
         assert_eq!(
             cmd,
             Command::Analyze {
                 paths: vec!["a.jsonl".into(), "b.jsonl".into()],
-                flags: AnalyzeFlags {
-                    json: true,
-                    tolerance: 0.1,
-                    options: AnalyzeOptions {
-                        latency_buckets: 24,
-                        series_capacity: 32,
-                        forecast_window: 8,
-                        ..AnalyzeOptions::default()
-                    },
-                },
+                flags: AnalyzeFlags { json: true, tolerance: 0.1 },
             }
         );
         assert!(parse_args(&argv("analyze")).is_err());
@@ -1252,8 +1107,6 @@ mod tests {
         let err = parse_args(&argv("analyze a.jsonl --bogus")).unwrap_err();
         assert!(err.contains("unknown flag"), "got: {err}");
         assert!(parse_args(&argv("analyze a.jsonl --tolerance -1")).is_err());
-        assert!(parse_args(&argv("analyze a.jsonl --latency-buckets 2")).is_err());
-        assert!(parse_args(&argv("analyze a.jsonl --forecast-window 1")).is_err());
     }
 
     #[test]
@@ -1286,13 +1139,13 @@ mod tests {
 
     #[test]
     fn unwritable_trace_path_is_a_clean_error() {
-        let err =
-            build_recorder(Some("/nonexistent-dir/run.jsonl"), None, None, None, None).unwrap_err();
+        let err = build_recorder(Some("/nonexistent-dir/run.jsonl"), None, None, false, None)
+            .unwrap_err();
         assert!(err.contains("cannot open trace file"), "got: {err}");
         let err =
-            build_recorder(None, Some("/nonexistent-dir/run.json"), None, None, None).unwrap_err();
+            build_recorder(None, Some("/nonexistent-dir/run.json"), None, false, None).unwrap_err();
         assert!(err.contains("cannot open chrome trace file"), "got: {err}");
-        let err = build_recorder(None, None, Some("/nonexistent-dir/flight.jsonl"), None, None)
+        let err = build_recorder(None, None, Some("/nonexistent-dir/flight.jsonl"), false, None)
             .unwrap_err();
         assert!(err.contains("cannot open flight-recorder file"), "got: {err}");
     }

@@ -63,8 +63,7 @@ mod scenario;
 mod study;
 
 pub use analyze::{
-    analyze_file, analyze_lines, diff, AnalyzeOptions, DiffReport, DiffRow, PhaseStat, TileFit,
-    TraceAnalysis,
+    analyze_file, analyze_lines, diff, DiffReport, DiffRow, PhaseStat, TileFit, TraceAnalysis,
 };
 pub use error::FrameworkError;
 pub use framework::{Framework, SkewParams, StrategyOutcome, TrainedModel, TrainingPlan};

@@ -179,15 +179,16 @@ impl CrossbarNetwork {
     /// whose drifted state is within this distance of its target level is
     /// left in place instead of being chased with stressful pulses. `0.0`
     /// (the default) skips only provable no-ops, keeping delta programming
-    /// bit-identical to the full path.
+    /// bit-identical to the full path. Beyond half a level the skipped
+    /// state would alias a different level code.
     ///
     /// # Panics
     ///
-    /// Panics if `tolerance` is negative or non-finite.
+    /// Panics if `tolerance` lies outside `[0, 0.5]` (NaN included).
     pub fn set_remap_tolerance(&mut self, tolerance: f64) {
         assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "remap tolerance must be finite and >= 0, got {tolerance}"
+            (0.0..=0.5).contains(&tolerance),
+            "remap tolerance must lie in [0, 0.5] grid levels, got {tolerance}"
         );
         self.remap_tolerance = tolerance;
     }
@@ -891,10 +892,12 @@ mod tests {
             CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
         cn.set_remap_tolerance(0.25);
         assert_eq!(cn.remap_tolerance(), 0.25);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cn.set_remap_tolerance(-0.1);
-        }))
-        .is_err());
+        for bad in [-0.1, 0.6, f64::NAN] {
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cn.set_remap_tolerance(bad);
+            }))
+            .is_err());
+        }
     }
 
     #[test]

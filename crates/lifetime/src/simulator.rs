@@ -65,14 +65,12 @@ pub struct LifetimeConfig {
     /// differ from f32 mode within the quantization error bound. Only
     /// meaningful with `incremental_eval`.
     pub quantized_eval: bool,
-    /// Programs only cells whose target level changed on every (re-)map
-    /// (default). Bitwise identical to full reprogramming when
-    /// `remap_tolerance == 0.0`; `false` keeps the full-reprogram oracle.
-    pub delta_remap: bool,
-    /// Delta-remap tuning tolerance in grid levels (`[0, 0.5]`): drift
+    /// Delta-remap tuning tolerance in grid levels (`[0, 0.5]`): every
+    /// (re-)map programs only cells whose target level changed, and drift
     /// within this distance of the target level is left in place instead
-    /// of being chased with stressful pulses. Only meaningful with
-    /// `delta_remap`.
+    /// of being chased with stressful pulses. At `0.0` delta programming
+    /// is bitwise identical to full reprogramming (the oracle stays
+    /// reachable through [`CrossbarNetwork::set_delta_remap`]).
     pub remap_tolerance: f64,
     /// Thresholds of the wear-health subsystem (forecaster + alerts). The
     /// monitor only runs when a recorder is enabled — its reports flow
@@ -96,7 +94,6 @@ impl Default for LifetimeConfig {
             wear_leveling: false,
             incremental_eval: true,
             quantized_eval: false,
-            delta_remap: true,
             remap_tolerance: 0.0,
             health: HealthConfig::default(),
         }
@@ -272,7 +269,6 @@ pub fn run_lifetime_with_recorder(
     hw.set_wear_leveling(config.wear_leveling);
     hw.set_incremental_eval(config.incremental_eval);
     hw.set_quantized_eval(config.quantized_eval);
-    hw.set_delta_remap(config.delta_remap);
     hw.set_remap_tolerance(config.remap_tolerance);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut sessions = Vec::new();

@@ -20,7 +20,7 @@ struct Inner {
     registry: Mutex<Registry>,
     sinks: Mutex<Vec<Box<dyn Sink>>>,
     /// Deterministic time-series store, when series retention is on
-    /// (`--series-capacity` / absent under `--no-series`).
+    /// (absent under `--no-series`).
     series: Option<Arc<SeriesStore>>,
 }
 

@@ -45,8 +45,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// Default per-tier capacity (cells) when none is configured
-/// (`--series-capacity` on the CLI).
+/// Default per-tier capacity (cells): the live serve tier's store and the
+/// offline analyzer's replay store both use it.
 pub const DEFAULT_SERIES_CAPACITY: usize = 64;
 
 /// Number of tiers: raw plus 2×- and 4×-decimated.

@@ -47,21 +47,6 @@ pub struct ServeConfig {
     /// Without it the (monotone) wear would re-trigger a remap at every
     /// boundary past the warn threshold.
     pub remap_drift_fraction: f64,
-    /// Calibration batch size handed to the aging-aware range selection.
-    pub calib_batch: usize,
-    /// Tuning-iteration budget reported to the health forecaster (the
-    /// paper's failure criterion denominator).
-    pub tuning_budget: usize,
-    /// Number of power-of-2 buckets in the serving latency histograms
-    /// (queue wait, linger, forward, end-to-end). Bucket `i` spans
-    /// `[2^(i-1), 2^i - 1]` microseconds; 40 buckets cover up to ~12.7
-    /// days. CLI flag: `--latency-buckets`.
-    pub latency_buckets: usize,
-    /// Regression window (maintenance boundaries) for the per-tile wear
-    /// velocity/acceleration fit behind the lifetime forecast
-    /// ([`memaging_lifetime::trend`]). Must not exceed the series
-    /// capacity, or the raw tail can't hold a full window.
-    pub forecast_window: usize,
     /// Serve inference on the fixed-point kernels: each worker quantizes
     /// its generation snapshot once at resync and forwards requests with
     /// integer accumulation (bit-identical at any thread count). The
@@ -70,19 +55,6 @@ pub struct ServeConfig {
     /// f32 oracle, within the quantization error bound. CLI flag:
     /// `--quantized`.
     pub quantized: bool,
-    /// Background remaps program only cells whose target level changed
-    /// (delta programming, the default). With `remap_tolerance == 0.0` the
-    /// hardware trajectory is bitwise identical to full reprogramming —
-    /// only faster and with the wear attribution reflecting the cells
-    /// actually written. `false` keeps the full-reprogram oracle. CLI
-    /// flag: `--delta-remap`.
-    pub delta_remap: bool,
-    /// Delta-remap tuning tolerance, in grid levels: drift within this
-    /// distance of the target level is left in place instead of being
-    /// chased with stressful pulses. Must lie in `[0, 0.5]` — beyond half
-    /// a level the skipped state would alias a different level code. CLI
-    /// flag: `--remap-tolerance`.
-    pub remap_tolerance: f64,
 }
 
 impl Default for ServeConfig {
@@ -95,13 +67,7 @@ impl Default for ServeConfig {
             stress_per_read: 0.0,
             thresholds: WearThresholds::default(),
             remap_drift_fraction: 0.02,
-            calib_batch: 64,
-            tuning_budget: 150,
-            latency_buckets: 40,
-            forecast_window: memaging_lifetime::DEFAULT_FORECAST_WINDOW,
             quantized: false,
-            delta_remap: true,
-            remap_tolerance: 0.0,
         }
     }
 }
@@ -135,36 +101,16 @@ impl ServeConfig {
                 reason: "remap_drift_fraction must lie in [0, 1]".into(),
             });
         }
-        if self.calib_batch == 0 || self.tuning_budget == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "calib_batch and tuning_budget must be nonzero".into(),
-            });
-        }
-        if !(8..=64).contains(&self.latency_buckets) {
-            return Err(ServeError::InvalidConfig {
-                reason: "latency_buckets must lie in [8, 64]".into(),
-            });
-        }
-        if self.forecast_window < 2 {
-            return Err(ServeError::InvalidConfig {
-                reason: "forecast_window must be at least 2 boundaries".into(),
-            });
-        }
-        if !self.remap_tolerance.is_finite() || !(0.0..=0.5).contains(&self.remap_tolerance) {
-            return Err(ServeError::InvalidConfig {
-                reason: "remap_tolerance must lie in [0, 0.5] grid levels".into(),
-            });
-        }
         self.thresholds
             .validate()
             .map_err(|e| ServeError::InvalidConfig { reason: format!("wear thresholds: {e}") })
     }
 }
 
-/// How the fleet router assigns admitted blocks to replicas. All three
+/// How the fleet router assigns admitted blocks to replicas. Both
 /// policies are deterministic functions of the admission sequence and of
 /// wear snapshots taken at maintenance boundaries — never of wall-clock
-/// time — so any policy replays bit-identically at any worker-thread
+/// time — so either policy replays bit-identically at any worker-thread
 /// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
@@ -177,9 +123,6 @@ pub enum RouterPolicy {
     /// Rotate over active replicas by block index. The fairness baseline
     /// the wear-imbalance gate compares against.
     RoundRobin,
-    /// Stay on the current replica until it retires, then move to the
-    /// lowest-id active replica. The worst-case (no balancing) baseline.
-    Sticky,
 }
 
 impl RouterPolicy {
@@ -192,19 +135,15 @@ impl RouterPolicy {
         match name {
             "wear" | "wear-balance" => Ok(RouterPolicy::WearBalance),
             "round-robin" => Ok(RouterPolicy::RoundRobin),
-            "sticky" => Ok(RouterPolicy::Sticky),
-            other => Err(format!(
-                "unknown router policy `{other}` (expected wear, round-robin, or sticky)"
-            )),
+            other => Err(format!("unknown router policy `{other}` (expected wear or round-robin)")),
         }
     }
 
-    /// The policy's stable wire label (`wear` / `round-robin` / `sticky`).
+    /// The policy's stable wire label (`wear` / `round-robin`).
     pub fn label(&self) -> &'static str {
         match self {
             RouterPolicy::WearBalance => "wear",
             RouterPolicy::RoundRobin => "round-robin",
-            RouterPolicy::Sticky => "sticky",
         }
     }
 }
@@ -325,13 +264,6 @@ mod tests {
             ServeConfig { stress_per_read: -1.0, ..ServeConfig::default() },
             ServeConfig { stress_per_read: f64::NAN, ..ServeConfig::default() },
             ServeConfig { remap_drift_fraction: 1.5, ..ServeConfig::default() },
-            ServeConfig { calib_batch: 0, ..ServeConfig::default() },
-            ServeConfig { latency_buckets: 4, ..ServeConfig::default() },
-            ServeConfig { latency_buckets: 65, ..ServeConfig::default() },
-            ServeConfig { forecast_window: 1, ..ServeConfig::default() },
-            ServeConfig { remap_tolerance: -0.1, ..ServeConfig::default() },
-            ServeConfig { remap_tolerance: 0.6, ..ServeConfig::default() },
-            ServeConfig { remap_tolerance: f64::NAN, ..ServeConfig::default() },
             ServeConfig {
                 thresholds: WearThresholds {
                     warn_window_fraction: 0.1,
@@ -346,7 +278,7 @@ mod tests {
 
     #[test]
     fn router_policies_round_trip_through_labels() {
-        for policy in [RouterPolicy::WearBalance, RouterPolicy::RoundRobin, RouterPolicy::Sticky] {
+        for policy in [RouterPolicy::WearBalance, RouterPolicy::RoundRobin] {
             assert_eq!(RouterPolicy::parse(policy.label()).unwrap(), policy);
         }
         assert_eq!(RouterPolicy::parse("wear-balance").unwrap(), RouterPolicy::WearBalance);

@@ -28,7 +28,9 @@ use std::sync::{Arc, Mutex};
 
 use memaging_crossbar::{CrossbarNetwork, MappingStrategy};
 use memaging_dataset::Dataset;
-use memaging_lifetime::{trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger};
+use memaging_lifetime::{
+    trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger, DEFAULT_FORECAST_WINDOW,
+};
 use memaging_obs::{AlertSeverity, Recorder};
 
 use crate::config::ServeConfig;
@@ -40,6 +42,13 @@ use crate::stats::{ServeStats, WorstTileForecast};
 /// parts-per-billion and stress in nanoseconds, so series folds are pure
 /// integer math (the bit-determinism contract of the series store).
 const SERIES_SCALE: f64 = 1e9;
+
+/// Calibration batch size handed to the aging-aware range selection.
+const CALIB_BATCH: usize = 64;
+
+/// Tuning-iteration budget reported to the health forecaster: the paper's
+/// failure-criterion denominator.
+const TUNING_BUDGET: usize = 150;
 
 /// Converts a non-negative float to its fixed-point series value.
 fn to_fixed(value: f64) -> u64 {
@@ -88,7 +97,10 @@ impl ServeEngine {
     /// generation (id 0) to publish. With a fleet replica id, all
     /// per-hardware observability (series, wear causes, forecast gauges,
     /// the attribution ledger) is namespaced `replica{r}.`; `None` emits
-    /// the plain single-deployment streams.
+    /// the plain single-deployment streams. Remaps program the hardware
+    /// with the network's own delta-programming settings
+    /// ([`CrossbarNetwork::set_delta_remap`],
+    /// [`CrossbarNetwork::set_remap_tolerance`]).
     ///
     /// # Errors
     ///
@@ -109,16 +121,10 @@ impl ServeEngine {
         // engine: persistent worker contexts across map epochs are exactly
         // the serving-time reuse it was built for.
         network.set_incremental_eval(true);
-        // Delta programming on the background remap path: only cells whose
-        // target level changed are written (bitwise identical to full
-        // reprogramming at zero tolerance, and the wear ledger attributes
-        // remap wear by the cells actually programmed).
-        network.set_delta_remap(config.delta_remap);
-        network.set_remap_tolerance(config.remap_tolerance);
         network
             .map_weights_with_recorder(
                 MappingStrategy::AgingAware,
-                Some((&calib, config.calib_batch)),
+                Some((&calib, CALIB_BATCH)),
                 &recorder,
             )
             .map_err(internal)?;
@@ -126,7 +132,7 @@ impl ServeEngine {
         let health = HealthMonitor::new(
             spec.r_min,
             spec.r_max,
-            config.tuning_budget,
+            TUNING_BUDGET,
             HealthConfig { wear: config.thresholds, ..HealthConfig::default() },
         );
         // Open the attribution ledger with the initial deployment mapping
@@ -239,7 +245,7 @@ impl ServeEngine {
         let span = self.recorder.span("serve.remap");
         let outcome = self.network.map_weights_with_recorder(
             MappingStrategy::AgingAware,
-            Some((&self.calib, self.config.calib_batch)),
+            Some((&self.calib, CALIB_BATCH)),
             &self.recorder,
         );
         drop(span);
@@ -372,8 +378,7 @@ impl ServeEngine {
         for t in 0..tiles {
             let name = format!("serve.{}window_fraction_ppb{{tile={t}}}", self.prefix);
             let Some(snapshot) = store.snapshot(&name) else { continue };
-            let Some(fit) =
-                trend(&snapshot.raw_points(), self.config.forecast_window, critical_ppb)
+            let Some(fit) = trend(&snapshot.raw_points(), DEFAULT_FORECAST_WINDOW, critical_ppb)
             else {
                 continue;
             };

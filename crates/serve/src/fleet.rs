@@ -15,10 +15,10 @@
 //!   of one maintenance interval's worth of consecutive admissions is
 //!   routed whole to the active replica with the least projected stress —
 //!   its last published generation's stress total plus its *measured*
-//!   burn rate times the load it would absorb. `round-robin` and `sticky`
-//!   baselines are selectable for comparison; the `exp_fleet` bench gates
-//!   that wear balancing yields a strictly tighter max/mean replica-stress
-//!   ratio than round-robin on the same admitted sequence.
+//!   burn rate times the load it would absorb. A `round-robin` baseline
+//!   is selectable for comparison; the `exp_fleet` bench gates that wear
+//!   balancing yields a strictly tighter max/mean replica-stress ratio
+//!   than round-robin on the same admitted sequence.
 //! * **Retire/rejoin** ([`FleetConfig::retire_fraction`]): when the
 //!   hottest replica's resistance window degrades past the threshold, the
 //!   router drains it, force-remaps it in the background while its
@@ -283,7 +283,7 @@ impl FleetService {
         let mut base: Option<Network> = None;
         let mut input_dim = 0;
         for (r, network) in networks.into_iter().enumerate() {
-            let stats = Arc::new(ServeStats::with_buckets(config.serve.latency_buckets));
+            let stats = Arc::new(ServeStats::default());
             // Namespace a replica only when it has siblings: a fleet of one
             // emits the plain single-deployment streams.
             let (engine, initial) = ServeEngine::deploy(
@@ -660,7 +660,6 @@ fn dispatch_loop(
     // The target's local interval index for the current block (its block
     // count at the block start).
     let mut local_interval: u64 = 0;
-    let mut sticky: usize = 0;
     while let Some(first) = queue.pop_blocking() {
         let block = first.seq / quantum;
         if current_block != Some(block) {
@@ -668,7 +667,7 @@ fn dispatch_loop(
             // requests are contiguous: one routing decision covers them
             // all.
             current_block = Some(block);
-            target = begin_block(block, &mut reps, config, recorder, &mut sticky);
+            target = begin_block(block, &mut reps, config, recorder);
             local_interval = reps[target].blocks;
             reps[target].blocks += 1;
             publish_view(view, &reps);
@@ -742,7 +741,6 @@ fn begin_block(
     reps: &mut [ReplicaRt],
     config: &FleetConfig,
     recorder: &Recorder,
-    sticky: &mut usize,
 ) -> usize {
     let quantum = config.serve.maintenance_interval;
     // 1. Rejoin replicas whose sit-out elapsed, blocking on the remap ack:
@@ -815,12 +813,6 @@ fn begin_block(
     // 4. Route the block.
     match config.router {
         RouterPolicy::RoundRobin => active[(block % active.len() as u64) as usize],
-        RouterPolicy::Sticky => {
-            if !active.contains(sticky) {
-                *sticky = active[0];
-            }
-            *sticky
-        }
         RouterPolicy::WearBalance => {
             if active.len() == 1 {
                 return active[0];

@@ -152,6 +152,13 @@ pub(crate) fn parse_infer_input(body: &[u8]) -> Result<Vec<f32>, ServeError> {
         let Some(end) = after_key.find(']') else {
             return Err(ServeError::BadInput { reason: "unterminated input array".into() });
         };
+        // Nothing but whitespace and the closing brace may follow the
+        // array: no second key, no trailing bytes.
+        if after_key[end + 1..].trim_start() != "}" {
+            return Err(ServeError::BadInput {
+                reason: "expected `}` right after the input array".into(),
+            });
+        }
         &after_key[..=end]
     } else {
         text
@@ -187,7 +194,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_payloads() {
-        for bad in [&b"not json"[..], b"{\"x\": [1]}", b"[1, two]", b"[1, 2", b"\xff\xfe"] {
+        for bad in [
+            &b"not json"[..],
+            b"{\"x\": [1]}",
+            b"[1, two]",
+            b"[1, 2",
+            b"\xff\xfe",
+            b"{\"input\": [1, 2]",
+            b"{\"input\": [1, 2]} trailing",
+            b"{\"input\": [1, 2], \"input\": [\"x\"]}",
+        ] {
             assert!(parse_infer_input(bad).is_err(), "{bad:?} must be rejected");
         }
     }

@@ -69,5 +69,5 @@ pub use error::ServeError;
 pub use generation::MappingGeneration;
 pub use request::{InferRequest, InferResponse};
 pub use service::{InferenceService, ServeReport};
-pub use stats::{LatencyStats, ServeStats, WorstTileForecast};
+pub use stats::{LatencyStats, ServeStats, WorstTileForecast, LATENCY_BUCKETS};
 pub use trace::{RequestCtx, TraceId};

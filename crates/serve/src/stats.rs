@@ -13,6 +13,13 @@ use memaging_obs::{latency_detail_json, LatencySnapshot, ShardedHistogram};
 /// does not depend on the count, only contention does).
 const LATENCY_SHARDS: usize = 16;
 
+/// Power-of-2 buckets per serving latency histogram (queue wait, linger,
+/// forward, end-to-end). Bucket `i` spans `[2^(i-1), 2^i - 1]`
+/// microseconds; 40 buckets cover up to ~12.7 days. The offline analyzer
+/// replays traces into the same count, so its `GET /serve/latency` body
+/// matches the live one byte for byte.
+pub const LATENCY_BUCKETS: usize = 40;
+
 /// Ring-buffer reservoir capacity: enough for stable tail percentiles,
 /// small enough to stay off the serving hot path.
 const RESERVOIR: usize = 4096;
@@ -138,12 +145,12 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn new(buckets: usize) -> Self {
+    fn new() -> Self {
         LatencyStats {
-            queue_wait: ShardedHistogram::new(LATENCY_SHARDS, buckets),
-            linger: ShardedHistogram::new(LATENCY_SHARDS, buckets),
-            forward: ShardedHistogram::new(LATENCY_SHARDS, buckets),
-            e2e: ShardedHistogram::new(LATENCY_SHARDS, buckets),
+            queue_wait: ShardedHistogram::new(LATENCY_SHARDS, LATENCY_BUCKETS),
+            linger: ShardedHistogram::new(LATENCY_SHARDS, LATENCY_BUCKETS),
+            forward: ShardedHistogram::new(LATENCY_SHARDS, LATENCY_BUCKETS),
+            e2e: ShardedHistogram::new(LATENCY_SHARDS, LATENCY_BUCKETS),
         }
     }
 
@@ -160,14 +167,6 @@ impl LatencyStats {
 
 impl Default for ServeStats {
     fn default() -> Self {
-        ServeStats::with_buckets(crate::config::ServeConfig::default().latency_buckets)
-    }
-}
-
-impl ServeStats {
-    /// Stats with `buckets` power-of-2 buckets per latency histogram
-    /// ([`crate::ServeConfig::latency_buckets`]).
-    pub fn with_buckets(buckets: usize) -> Self {
         ServeStats {
             expired: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -177,11 +176,13 @@ impl ServeStats {
             queue_wait_us: Reservoir::new(),
             service_us: Reservoir::new(),
             batch_sizes: Reservoir::new(),
-            latency: LatencyStats::new(buckets),
+            latency: LatencyStats::new(),
             forecast: Mutex::new(None),
         }
     }
+}
 
+impl ServeStats {
     /// The latency histograms (record side: the service's own threads).
     pub fn latency(&self) -> &LatencyStats {
         &self.latency
@@ -331,7 +332,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_surface_in_both_json_bodies() {
-        let stats = ServeStats::with_buckets(40);
+        let stats = ServeStats::default();
         // 1000 end-to-end observations spread over 4 worker shards; the
         // merged snapshot must not depend on the sharding.
         for v in 1..=1000u64 {

@@ -30,7 +30,7 @@ use memaging::lifetime::Strategy;
 use memaging::nn::Network;
 use memaging::obs::{Event, MemorySink, Recorder, SeriesStore, DEFAULT_SERIES_CAPACITY};
 use memaging::serve::{InferRequest, InferenceService, ServeConfig};
-use memaging::{analyze_file, analyze_lines, par, AnalyzeOptions, Scenario, TraceAnalysis};
+use memaging::{analyze_file, analyze_lines, par, Scenario, TraceAnalysis};
 
 /// The thread override is process-global; serialize the tests that sweep
 /// it (same discipline as `integration_serve`).
@@ -110,12 +110,8 @@ fn closed_loop_analyzed(threads: usize, total: usize) -> RunDocs {
     assert!(outcome.remaps >= 1, "the calibrated load must trigger a live remap");
 
     let lines: Vec<String> = handle.events().iter().map(Event::to_json).collect();
-    let analysis = analyze_lines(
-        &format!("{threads}t"),
-        lines.iter().map(String::as_str),
-        &AnalyzeOptions::default(),
-    )
-    .expect("the recorded trace must replay cleanly");
+    let analysis = analyze_lines(&format!("{threads}t"), lines.iter().map(String::as_str))
+        .expect("the recorded trace must replay cleanly");
     assert_eq!(
         analysis.latency_json(),
         live_latency,
@@ -200,8 +196,7 @@ fn golden_flight_dumps_round_trip_and_analyze() {
         // bit-for-bit check lives in `exp_serve` over the complete
         // stream — but it must digest the tail without error and still
         // see the wear instrumentation.
-        let analysis = analyze_file(path, &AnalyzeOptions::default())
-            .unwrap_or_else(|e| panic!("analyze {path}: {e}"));
+        let analysis = analyze_file(path).unwrap_or_else(|e| panic!("analyze {path}: {e}"));
         assert_eq!(analysis.events, text.lines().count(), "{path}: every line digested");
         assert!(analysis.span_count() > 0, "{path}: spans survive the ring");
         assert!(analysis.ledger.is_some(), "{path}: wear checkpoints survive the ring");

@@ -348,6 +348,26 @@ fn delta_remap_ledger_attributes_strictly_less_remap_stress() {
 }
 
 #[test]
+fn engine_keeps_the_networks_remap_programming_settings() {
+    // Remap programming is configured on the crossbar network alone: the
+    // service must program with whatever the caller handed it.
+    let (network, calib, spec, aging) = trained();
+    let mut hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
+    hardware.set_delta_remap(false);
+    hardware.set_remap_tolerance(0.25);
+    let service = InferenceService::deploy(
+        hardware,
+        calib.clone(),
+        ServeConfig::default(),
+        Recorder::disabled(),
+    )
+    .expect("deploy");
+    let report = service.shutdown();
+    assert!(!report.network.delta_remap(), "the full-reprogram setting must survive deploy");
+    assert_eq!(report.network.remap_tolerance(), 0.25);
+}
+
+#[test]
 fn quantized_batches_replay_solo_responses_bit_for_bit() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     let (_, calib, spec, aging) = trained();
