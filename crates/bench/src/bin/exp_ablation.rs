@@ -4,7 +4,7 @@
 //! 1. quantization depth: 8–64 resistance levels (paper refs. 14/15);
 //! 2. power-acceleration exponent γ of the aging model;
 //! 3. thermal-crosstalk coupling;
-//! 4. the row-swapping wear-leveling baseline of the paper's ref. [12];
+//! 4. the row-swapping wear-leveling baseline of the paper's ref. \[12\];
 //! 5. the differential-pair signed-weight scheme vs the paper's eq. 4;
 //! 6. the outlier percentile of the weight-range mapping;
 //! 7. write-variability robustness (accuracy after noisy programming and

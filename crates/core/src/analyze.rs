@@ -26,7 +26,10 @@ use std::fmt::Write as _;
 use memaging_lifetime::{
     trend, worst_tile, TileTrend, WearCause, WearLedger, WearThresholds, DEFAULT_FORECAST_WINDOW,
 };
-use memaging_obs::{latency_detail_json, Event, LatencySnapshot, SeriesStore, ShardedHistogram};
+use memaging_obs::{
+    latency_detail_json, parse_label, push_json_str, Event, LatencySnapshot, SeriesStore,
+    ShardedHistogram,
+};
 use memaging_serve::LATENCY_BUCKETS;
 
 /// Fixed-point scale of the serve tier's wear series (parts-per-billion of
@@ -356,11 +359,7 @@ impl TraceAnalysis {
             .max(0.0) as u64;
         let mut trends: Vec<TileFit> = Vec::new();
         for (name, snapshot) in self.series.snapshot_all() {
-            let Some(tile) = name
-                .strip_prefix("serve.window_fraction_ppb{tile=")
-                .and_then(|rest| rest.strip_suffix('}'))
-                .and_then(|t| t.parse::<usize>().ok())
-            else {
+            let Some(("serve.window_fraction_ppb", tile)) = parse_label(&name, "tile") else {
                 continue;
             };
             if let Some(fit) = trend(&snapshot.raw_points(), DEFAULT_FORECAST_WINDOW, critical) {
@@ -783,25 +782,6 @@ pub fn diff(a: &TraceAnalysis, b: &TraceAnalysis, tolerance: f64) -> DiffReport 
         });
     }
     DiffReport { tolerance, rows }
-}
-
-/// Appends a JSON string literal (RFC 8259 escaping).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

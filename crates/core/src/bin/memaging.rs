@@ -20,13 +20,13 @@ use memaging::crossbar::CrossbarNetwork;
 use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
 use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
+use memaging::obs::monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 use memaging::obs::{
     ChromeTraceSink, FlightRecorder, JsonlSink, PrettySink, Recorder, SeriesStore, Sink,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use memaging::serve::{InferRequest, ServeConfig};
 use memaging::Scenario;
-use memaging_monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 
 /// Parsed command-line request.
 #[derive(Debug, Clone, PartialEq)]

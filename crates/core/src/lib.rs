@@ -33,7 +33,9 @@
 //! | [`crossbar`] | arrays, eq. 4 mapping, tracing, range selection, eq. 5 tuning |
 //! | [`lifetime`] | serve → drift → re-map → tune loop; T+T / ST+T / ST+AT |
 //! | [`obs`] | dependency-free metrics registry, span timers, JSONL tracing |
+//! | [`obs::monitor`] | HTTP monitoring tier: Prometheus `/metrics`, `/health`, `/wear` |
 //! | [`par`] | scoped thread pool: deterministic parallel loops, `--threads` control |
+//! | [`serve`] | batched inference fleet: admission, batching, live aging-aware remaps |
 //!
 //! ## Quickstart
 //!
@@ -60,7 +62,6 @@ mod error;
 mod framework;
 mod model;
 mod scenario;
-mod study;
 
 pub use analyze::{
     analyze_file, analyze_lines, diff, DiffReport, DiffRow, PhaseStat, TileFit, TraceAnalysis,
@@ -69,7 +70,6 @@ pub use error::FrameworkError;
 pub use framework::{Framework, SkewParams, StrategyOutcome, TrainedModel, TrainingPlan};
 pub use model::ModelKind;
 pub use scenario::{DataGenerator, Scenario};
-pub use study::{run_study, StrategyStats, StudyReport};
 
 pub use memaging_crossbar as crossbar;
 pub use memaging_dataset as dataset;

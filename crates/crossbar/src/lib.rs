@@ -31,7 +31,7 @@
 //!   [`Crossbar::vmm_noisy`]);
 //! * interconnect IR drop ([`Crossbar::vmm_with_ir_drop`]);
 //! * differential-pair signed-weight mapping ([`DifferentialCrossbar`]);
-//! * the row-swapping wear-leveling baseline of the paper's ref. [12]
+//! * the row-swapping wear-leveling baseline of the paper's ref. \[12\]
 //!   ([`incremental_swap`], [`CrossbarNetwork::set_wear_leveling`]).
 //!
 //! # Example

@@ -199,7 +199,7 @@ impl CrossbarNetwork {
     }
 
     /// Enables the row-swapping wear-leveling baseline of the paper's
-    /// ref. [12]: every mapping re-assigns logical weight rows to physical
+    /// ref. \[12\]: every mapping re-assigns logical weight rows to physical
     /// rows so the most-worn rows host the least-demanding targets.
     pub fn set_wear_leveling(&mut self, enabled: bool) {
         self.wear_leveling = enabled;

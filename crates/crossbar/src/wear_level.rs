@@ -104,7 +104,7 @@ impl RowAssignment {
     }
 }
 
-/// Computes the wear-leveling assignment of ref. [12]: physical rows are
+/// Computes the wear-leveling assignment of ref. \[12\]: physical rows are
 /// ranked by accumulated stress (most-worn first) and logical rows by the
 /// programming power their targets draw (lowest mean conductance first);
 /// the most-worn physical row hosts the least-demanding logical row.

@@ -19,7 +19,7 @@
 //!   window can no longer hold a usable level grid;
 //! * `warn`/`critical` [alerts](memaging_obs::Event::Alert) that fire once
 //!   per rule on severity escalation, flowing through the [`Recorder`] to
-//!   every sink (and to the `memaging-monitor` HTTP tier).
+//!   every sink (and to the [`memaging_obs::monitor`] HTTP tier).
 
 use std::collections::HashMap;
 

@@ -53,7 +53,7 @@ pub struct LifetimeConfig {
     /// before the re-map escalation.
     pub remap_trigger: f64,
     /// Enables the row-swapping wear-leveling baseline of the paper's
-    /// ref. [12] on top of the selected strategy (prior-work comparison).
+    /// ref. \[12\] on top of the selected strategy (prior-work comparison).
     pub wear_leveling: bool,
     /// Uses the incremental candidate-evaluation engine for aging-aware
     /// range selection (default). The naive per-candidate re-simulation is

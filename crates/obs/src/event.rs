@@ -271,7 +271,7 @@ fn push_session(out: &mut String, session: Option<u64>) {
 }
 
 /// Appends `value` as a JSON string literal, escaping as per RFC 8259.
-pub(crate) fn push_json_str(out: &mut String, value: &str) {
+pub fn push_json_str(out: &mut String, value: &str) {
     out.push('"');
     for c in value.chars() {
         match c {
@@ -291,7 +291,7 @@ pub(crate) fn push_json_str(out: &mut String, value: &str) {
 
 /// Appends a finite float as a JSON number; non-finite values become `null`
 /// (JSON has no NaN/Inf).
-pub(crate) fn push_json_f64(out: &mut String, value: f64) {
+pub fn push_json_f64(out: &mut String, value: f64) {
     if value.is_finite() {
         if value == value.trunc() && value.abs() < 1e15 {
             // Keep integral values compact and round-trippable.

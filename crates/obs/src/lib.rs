@@ -28,8 +28,8 @@
 //!   for test assertions.
 //! * The wear-health subsystem raises [`Event::Alert`]s
 //!   ([`Recorder::alert`]) when a degradation threshold is crossed; the
-//!   `memaging-monitor` crate exports the aggregated [`Registry`] in
-//!   Prometheus text format over HTTP.
+//!   [`monitor`] tier exports the aggregated [`Registry`] in Prometheus
+//!   text format over HTTP, next to the wear, health and forecast JSON.
 //! * The serving tier adds two specialized pieces: [`ShardedHistogram`],
 //!   a lock-free log-bucketed latency histogram with per-worker shards
 //!   merged deterministically at snapshot, and [`FlightRecorder`], a
@@ -67,10 +67,14 @@ mod event;
 mod flight;
 mod hist;
 mod metrics;
+pub mod monitor;
 mod parse;
+pub mod prometheus;
 mod recorder;
 mod series;
+mod server;
 mod sink;
+mod state;
 
 /// Canonical span names for the mapping hot path, shared between the
 /// crossbar instrumentation and the bench profilers so a renamed span can
@@ -90,11 +94,11 @@ pub mod names {
 }
 
 pub use chrome::ChromeTraceSink;
-pub use event::{AlertSeverity, Event};
+pub use event::{push_json_f64, push_json_str, AlertSeverity, Event};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::{latency_detail_json, LatencySnapshot, ShardedHistogram, MAX_BUCKETS};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
-pub use recorder::{Recorder, SpanGuard};
+pub use recorder::{parse_label, Recorder, SpanGuard};
 pub use series::{
     EvictedSummary, SeriesBucket, SeriesCell, SeriesSnapshot, SeriesStore, DEFAULT_SERIES_CAPACITY,
 };

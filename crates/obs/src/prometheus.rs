@@ -3,7 +3,7 @@
 //!
 //! The renderer is the *only* consumer-facing serialization of the metrics
 //! registry besides the pretty `--metrics` table, and both read the same
-//! sorted [`memaging_obs::Registry::snapshot`] — so scrapes are
+//! sorted [`crate::Registry::snapshot`] — so scrapes are
 //! deterministic: the same registry state always renders to byte-identical
 //! exposition text, regardless of metric insertion order.
 //!
@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use memaging_obs::{HistogramSnapshot, MetricsSnapshot};
+use crate::{HistogramSnapshot, MetricsSnapshot};
 
 /// The `Content-Type` a scrape endpoint must declare for this exposition.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -153,7 +153,7 @@ fn number(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_obs::Registry;
+    use crate::Registry;
 
     #[test]
     fn renders_counters_gauges_and_labels() {

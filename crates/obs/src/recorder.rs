@@ -149,7 +149,7 @@ impl Recorder {
 
     /// Sets the gauge `name{key=label}` — e.g.
     /// `aging.r_max_ohms{layer=0}`. The labeled name is only formatted when
-    /// the recorder is enabled.
+    /// the recorder is enabled; [`parse_label`] splits it back.
     pub fn gauge_labeled(&self, name: &str, key: &str, label: impl Display, value: f64) {
         if let Some(inner) = &self.inner {
             let labeled = format!("{name}{{{key}={label}}}");
@@ -288,6 +288,15 @@ impl Recorder {
             }
         }
     }
+}
+
+/// Splits a [`Recorder::gauge_labeled`] name `base{key=N}` into
+/// `(base, N)`; `None` when `name` carries no `key` label or its value is
+/// not an index.
+pub fn parse_label<'a>(name: &'a str, key: &str) -> Option<(&'a str, usize)> {
+    let (base, rest) = name.split_once('{')?;
+    let index = rest.strip_suffix('}')?.strip_prefix(key)?.strip_prefix('=')?.parse().ok()?;
+    Some((base, index))
 }
 
 impl Inner {
@@ -456,6 +465,8 @@ mod tests {
         match &handle.events()[0] {
             Event::Gauge { name, value, .. } => {
                 assert_eq!(name, "aging.r_max_ohms{layer=2}");
+                assert_eq!(parse_label(name, "layer"), Some(("aging.r_max_ohms", 2)));
+                assert_eq!(parse_label(name, "tile"), None);
                 assert_eq!(*value, 9500.0);
             }
             other => panic!("expected gauge, got {other:?}"),

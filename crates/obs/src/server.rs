@@ -8,12 +8,12 @@
 //! * `GET /health`  — compact JSON liveness summary (`503` once the
 //!   monitored run has failed — scrapers and load balancers alike read it);
 //! * `GET /wear`    — the per-tile wear heatmap JSON of
-//!   [`crate::WearState::to_json`];
+//!   [`crate::monitor::WearState::to_json`];
 //! * `GET /forecast` — per-tile lifetime trajectories (wear velocity,
 //!   acceleration, sessions-to-critical) folded from the serve engine's
-//!   `forecast.*` gauges ([`crate::WearState::to_forecast_json`]);
+//!   `forecast.*` gauges ([`crate::monitor::WearState::to_forecast_json`]);
 //! * `GET /timeseries` — the recorder's deterministic wear time-series
-//!   store ([`memaging_obs::SeriesStore::to_json`]), `404` when no store
+//!   store ([`crate::SeriesStore::to_json`]), `404` when no store
 //!   is attached.
 //!
 //! Additional routes (the serving tier's `POST /infer` and
@@ -131,10 +131,9 @@ impl MonitorServer {
         let connections = Arc::new(Mutex::new(Vec::new()));
         let thread_stop = Arc::clone(&stop);
         let thread_connections = Arc::clone(&connections);
-        let handle =
-            std::thread::Builder::new().name("memaging-monitor".into()).spawn(move || {
-                accept_loop(&listener, &state, &handlers, &thread_stop, &thread_connections)
-            })?;
+        let handle = std::thread::Builder::new().name("monitor".into()).spawn(move || {
+            accept_loop(&listener, &state, &handlers, &thread_stop, &thread_connections)
+        })?;
         Ok(MonitorServer { addr, stop, handle: Some(handle), connections })
     }
 
@@ -193,10 +192,9 @@ fn accept_loop(
         let handlers: Vec<Arc<dyn HttpHandler>> = handlers.to_vec();
         // Best-effort per connection: a broken request must not kill the
         // server.
-        let conn =
-            std::thread::Builder::new().name("memaging-monitor-conn".into()).spawn(move || {
-                let _ = handle_connection(stream, &state, &handlers);
-            });
+        let conn = std::thread::Builder::new().name("monitor-conn".into()).spawn(move || {
+            let _ = handle_connection(stream, &state, &handlers);
+        });
         let Ok(conn) = conn else { continue };
         let Ok(mut conns) = connections.lock() else { continue };
         // Reap finished threads as we go so the vec tracks only live
@@ -345,7 +343,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_obs::Recorder;
+    use crate::Recorder;
 
     /// Minimal test-side HTTP GET; returns (status, body).
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -380,7 +378,7 @@ mod tests {
     }
 
     fn serving_state() -> (MonitorState, Recorder) {
-        let (sink, wear) = crate::MonitorSink::new();
+        let (sink, wear) = crate::state::MonitorSink::new();
         // A recorder that feeds the monitor sink *and* owns a registry.
         let recorder = Recorder::new(vec![Box::new(sink)]);
         (MonitorState::new(recorder.clone(), wear), recorder)
@@ -414,9 +412,9 @@ mod tests {
 
     #[test]
     fn serves_forecast_and_timeseries() {
-        use memaging_obs::SeriesStore;
+        use crate::SeriesStore;
 
-        let (sink, wear) = crate::MonitorSink::new();
+        let (sink, wear) = crate::state::MonitorSink::new();
         let series = Arc::new(SeriesStore::with_capacity(8));
         let recorder = Recorder::with_series(vec![Box::new(sink)], Arc::clone(&series));
         let state = MonitorState::new(recorder.clone(), wear);

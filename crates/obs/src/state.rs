@@ -2,8 +2,8 @@
 //!
 //! The lifetime simulator publishes its health telemetry as recorder events
 //! (gauges, session summaries, alerts). [`MonitorSink`] is an
-//! [`memaging_obs::Sink`] that folds those events into a [`WearState`]
-//! behind an `Arc<Mutex<..>>`, which [`crate::MonitorServer`] renders as
+//! [`crate::Sink`] that folds those events into a [`WearState`]
+//! behind an `Arc<Mutex<..>>`, which [`crate::monitor::MonitorServer`] renders as
 //! JSON on `/wear` and `/health` — no changes to the pipeline's signatures,
 //! no sharing of the crossbar arrays across threads.
 
@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use memaging_obs::{AlertSeverity, Event, Recorder, Sink};
+use crate::event::{push_json_f64, push_json_str};
+use crate::{parse_label, AlertSeverity, Event, Recorder, Sink};
 
 /// Alerts retained for `/wear`; older ones are dropped first.
 const MAX_ALERTS: usize = 64;
@@ -114,7 +115,7 @@ pub struct WearState {
     pub worst_velocity_per_session: Option<f64>,
     /// Worst-tile extrapolated sessions to the critical window.
     pub worst_sessions_to_critical: Option<f64>,
-    /// Most recent alerts, oldest first (capped at [`MAX_ALERTS`]).
+    /// Most recent alerts, oldest first (capped at `MAX_ALERTS`).
     pub alerts: Vec<AlertRecord>,
 }
 
@@ -138,7 +139,7 @@ impl WearState {
     /// The `/wear` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"status\":");
-        push_str(&mut out, self.status.label());
+        push_json_str(&mut out, self.status.label());
         out.push_str(",\"session\":");
         push_opt_u64(&mut out, self.session);
         out.push_str(",\"sessions_to_failure\":");
@@ -149,13 +150,13 @@ impl WearState {
                 out.push(',');
             }
             let _ = write!(out, "{{\"layer\":{layer},\"r_max_ohms\":");
-            push_f64(&mut out, wear.r_max_ohms);
+            push_json_f64(&mut out, wear.r_max_ohms);
             out.push_str(",\"r_min_ohms\":");
-            push_f64(&mut out, wear.r_min_ohms);
+            push_json_f64(&mut out, wear.r_min_ohms);
             out.push_str(",\"window_fraction\":");
-            push_f64(&mut out, wear.window_fraction);
+            push_json_f64(&mut out, wear.window_fraction);
             out.push_str(",\"shrink_rate_ohms_per_session\":");
-            push_f64(&mut out, wear.shrink_rate_ohms_per_session);
+            push_json_f64(&mut out, wear.shrink_rate_ohms_per_session);
             out.push_str(",\"sessions_left\":");
             push_opt_f64(&mut out, wear.sessions_left);
             let _ = write!(
@@ -170,15 +171,15 @@ impl WearState {
                 out.push(',');
             }
             let _ = write!(out, "{{\"severity\":\"{}\",\"rule\":", alert.severity);
-            push_str(&mut out, &alert.rule);
+            push_json_str(&mut out, &alert.rule);
             out.push_str(",\"session\":");
             push_opt_u64(&mut out, alert.session);
             out.push_str(",\"value\":");
-            push_f64(&mut out, alert.value);
+            push_json_f64(&mut out, alert.value);
             out.push_str(",\"threshold\":");
-            push_f64(&mut out, alert.threshold);
+            push_json_f64(&mut out, alert.threshold);
             out.push_str(",\"message\":");
-            push_str(&mut out, &alert.message);
+            push_json_str(&mut out, &alert.message);
             out.push('}');
         }
         out.push_str("]}");
@@ -189,7 +190,7 @@ impl WearState {
     pub fn to_health_json(&self) -> String {
         let critical = self.alerts.iter().filter(|a| a.severity == AlertSeverity::Critical).count();
         let mut out = String::from("{\"status\":");
-        push_str(&mut out, self.status.label());
+        push_json_str(&mut out, self.status.label());
         out.push_str(",\"session\":");
         push_opt_u64(&mut out, self.session);
         out.push_str(",\"sessions_to_failure\":");
@@ -211,11 +212,11 @@ impl WearState {
                 out.push(',');
             }
             let _ = write!(out, "{{\"tile\":{tile},\"window_fraction\":");
-            push_f64(&mut out, fit.window_fraction);
+            push_json_f64(&mut out, fit.window_fraction);
             out.push_str(",\"velocity_per_session\":");
-            push_f64(&mut out, fit.velocity_per_session);
+            push_json_f64(&mut out, fit.velocity_per_session);
             out.push_str(",\"acceleration_per_session2\":");
-            push_f64(&mut out, fit.acceleration_per_session2);
+            push_json_f64(&mut out, fit.acceleration_per_session2);
             out.push_str(",\"sessions_to_critical\":");
             push_opt_f64(&mut out, fit.sessions_to_critical);
             out.push('}');
@@ -243,7 +244,7 @@ impl WearState {
 }
 
 /// A cloneable view onto the shared [`WearState`], independent of the sink
-/// that feeds it (the sink is consumed by [`memaging_obs::Recorder::new`];
+/// that feeds it (the sink is consumed by [`crate::Recorder::new`];
 /// the handle outlives it — the same split as `MemorySink`/`MemoryHandle`).
 #[derive(Clone)]
 pub struct WearHandle {
@@ -289,7 +290,7 @@ impl MonitorState {
     }
 }
 
-/// An [`memaging_obs::Sink`] that folds recorder events into the shared
+/// An [`crate::Sink`] that folds recorder events into the shared
 /// [`WearState`].
 pub struct MonitorSink {
     wear: Arc<Mutex<WearState>>,
@@ -339,27 +340,26 @@ impl Sink for MonitorSink {
                     _ => {}
                 }
                 if let Some((base, tile)) = parse_label(name, "tile") {
-                    if base.starts_with("forecast.") {
-                        let entry = wear.forecast.entry(tile).or_default();
-                        match base {
-                            // Leads each per-tile burst; same stale-crossing
-                            // reset as the worst-tile gauges above.
-                            "forecast.window_fraction" => {
-                                entry.window_fraction = *value;
-                                entry.sessions_to_critical = None;
-                            }
-                            "forecast.velocity_per_session" => {
-                                entry.velocity_per_session = *value;
-                            }
-                            "forecast.acceleration_per_session2" => {
-                                entry.acceleration_per_session2 = *value;
-                            }
-                            "forecast.sessions_to_critical" => {
-                                entry.sessions_to_critical = Some(*value);
-                            }
-                            _ => {}
+                    let set: fn(&mut TileForecast, f64) = match base {
+                        // Leads each per-tile burst; same stale-crossing
+                        // reset as the worst-tile gauges above.
+                        "forecast.window_fraction" => |fit, v| {
+                            fit.window_fraction = v;
+                            fit.sessions_to_critical = None;
+                        },
+                        "forecast.velocity_per_session" => |fit, v| fit.velocity_per_session = v,
+                        "forecast.acceleration_per_session2" => {
+                            |fit, v| fit.acceleration_per_session2 = v
                         }
-                    }
+                        "forecast.sessions_to_critical" => {
+                            |fit, v| fit.sessions_to_critical = Some(v)
+                        }
+                        // Any other base, e.g. a replica's
+                        // `forecast.replica{r}.*`, must not leave a zeroed
+                        // phantom tile behind.
+                        _ => return,
+                    };
+                    set(wear.forecast.entry(tile).or_default(), *value);
                     return;
                 }
                 let Some((base, layer)) = parse_label(name, "layer") else { return };
@@ -398,48 +398,9 @@ impl Sink for MonitorSink {
     }
 }
 
-/// Splits `base{key=N}` into `(base, N)` for the given label key.
-fn parse_label<'a>(name: &'a str, key: &str) -> Option<(&'a str, usize)> {
-    let (base, rest) = name.split_once('{')?;
-    let index = rest.strip_suffix('}')?.strip_prefix(key)?.strip_prefix('=')?.parse().ok()?;
-    Some((base, index))
-}
-
-/// Appends a JSON string literal (RFC 8259 escaping).
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends a JSON number (`null` for non-finite values).
-fn push_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        if value == value.trunc() && value.abs() < 1e15 {
-            let _ = write!(out, "{value:.1}");
-        } else {
-            let _ = write!(out, "{value}");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_opt_f64(out: &mut String, value: Option<f64>) {
     match value {
-        Some(v) => push_f64(out, v),
+        Some(v) => push_json_f64(out, v),
         None => out.push_str("null"),
     }
 }
@@ -624,6 +585,37 @@ mod tests {
             ),
             "got: {health}"
         );
+    }
+
+    #[test]
+    fn replica_prefixed_forecast_gauges_create_no_tiles() {
+        // At >= 2 replicas each engine prefixes its forecast gauges; the
+        // sink must not turn them into zeroed phantom tiles.
+        let (mut sink, handle) = MonitorSink::new();
+        feed(
+            &mut sink,
+            &[
+                Event::Gauge {
+                    name: "forecast.replica0.window_fraction{tile=0}".into(),
+                    session: None,
+                    value: 0.8,
+                },
+                Event::Gauge {
+                    name: "forecast.replica1.window_fraction{tile=0}".into(),
+                    session: None,
+                    value: 0.7,
+                },
+                Event::Gauge {
+                    name: "forecast.replica1.sessions_to_critical{tile=1}".into(),
+                    session: None,
+                    value: 12.0,
+                },
+            ],
+        );
+        let wear = handle.snapshot();
+        assert!(wear.forecast.is_empty(), "phantom tiles: {:?}", wear.forecast);
+        assert!(wear.layers.is_empty());
+        assert_eq!(wear.to_forecast_json(), "{\"session\":null,\"tiles\":[],\"worst\":null}");
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub fn num_threads() -> usize {
 }
 
 /// How many threads a region of `total_ops` scalar operations deserves:
-/// [`num_threads`] capped so each worker gets at least [`OPS_PER_THREAD`]
+/// [`num_threads`] capped so each worker gets at least `OPS_PER_THREAD`
 /// operations. Tiny kernels (a 32×144·144×16 matmul in the tuning loop)
 /// resolve to 1 and run inline — spawn overhead would dwarf them.
 pub fn parallelism_for(total_ops: usize) -> usize {

@@ -1,6 +1,6 @@
 //! The replica fleet — the serving tier's one serving path: one admission
 //! queue, N ≥ 1 independent serving replicas (each a full
-//! [`ServeEngine`] deployment with its own wear ledger, forecaster, and
+//! `ServeEngine` deployment with its own wear ledger, forecaster, and
 //! background remap worker), and the deterministic router in between. A
 //! single-replica deployment is a fleet of one; [`crate::InferenceService`]
 //! is a thin front over exactly that.

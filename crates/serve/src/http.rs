@@ -1,5 +1,5 @@
 //! HTTP surface of the serving tier, plugged into the monitor server via
-//! [`memaging_monitor::HttpHandler`]:
+//! [`memaging_obs::monitor::HttpHandler`]:
 //!
 //! * `POST /infer` — body `{"input": [f32, ...]}` (or a bare JSON array);
 //!   blocks until the request is served and answers
@@ -24,14 +24,15 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use memaging_monitor::{HttpHandler, HttpRequest, HttpResponse};
+use memaging_obs::monitor::{HttpHandler, HttpRequest, HttpResponse};
+use memaging_obs::push_json_str;
 
 use crate::error::ServeError;
 use crate::fleet::FleetService;
 use crate::request::InferRequest;
 
 /// The serving tier's [`HttpHandler`]; register with
-/// [`memaging_monitor::MonitorServer::bind_with_handlers`].
+/// [`memaging_obs::monitor::MonitorServer::bind_with_handlers`].
 pub struct FleetHandler {
     service: Arc<FleetService>,
     /// Deadline attached to HTTP-submitted requests (`None`: no
@@ -102,18 +103,9 @@ pub(crate) fn infer_response_json(response: &crate::request::InferResponse) -> S
 /// An `{"error": "..."}` body with JSON string escaping.
 pub(crate) fn infer_error_json(message: &str) -> String {
     let mut out = String::with_capacity(message.len() + 12);
-    out.push_str("{\"error\":\"");
-    for c in message.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push_str("\"}");
+    out.push_str("{\"error\":");
+    push_json_str(&mut out, message);
+    out.push('}');
     out
 }
 
@@ -210,6 +202,6 @@ mod tests {
 
     #[test]
     fn error_json_escapes_quotes() {
-        assert_eq!(infer_error_json("a \"b\"\n"), "{\"error\":\"a \\\"b\\\"\\u000a\"}");
+        assert_eq!(infer_error_json("a \"b\"\n"), "{\"error\":\"a \\\"b\\\"\\n\"}");
     }
 }

@@ -159,7 +159,7 @@ fn act_code(v: f32, inv: f32) -> i16 {
 ///
 /// Unlike the (cold-path) weight quantizers this rounds in f32 — scaled
 /// magnitudes stay below 2048, far inside f32's exact-integer range, and
-/// the branch-free [`act_code`] kernel vectorizes. Non-finite inputs
+/// the branch-free `act_code` kernel vectorizes. Non-finite inputs
 /// saturate deterministically. The step is a pure function of the slice
 /// contents, so two callers quantizing bit-identical activations get
 /// bit-identical codes regardless of thread count or call order.

@@ -23,10 +23,10 @@ use memaging::device::{ArrheniusAging, DeviceSpec};
 use memaging::fleet::{FleetConfig, FleetHandler, FleetReport, FleetService, RouterPolicy};
 use memaging::lifetime::Strategy;
 use memaging::nn::Network;
+use memaging::obs::monitor::{HttpHandler, HttpRequest, HttpResponse};
 use memaging::obs::Recorder;
 use memaging::serve::{InferRequest, ServeConfig};
 use memaging::{par, Scenario};
-use memaging_monitor::{HttpHandler, HttpRequest, HttpResponse};
 
 /// The thread override is process-global; serialize the tests that sweep
 /// it (same discipline as `integration_serve`).

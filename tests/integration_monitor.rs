@@ -1,4 +1,4 @@
-//! Integration test for the monitoring tier (`memaging-monitor`): scrape
+//! Integration test for the monitoring tier (`memaging_obs::monitor`): scrape
 //! `/metrics` and `/wear` over real TCP while a lifetime scenario runs on a
 //! worker thread, and check the wear-health forecaster raises its `warn`
 //! alert *before* the session that exhausts the tuning budget — the paper's
@@ -10,9 +10,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use memaging::lifetime::Strategy;
+use memaging::obs::monitor::{MonitorServer, MonitorSink, MonitorState};
 use memaging::obs::{AlertSeverity, ChromeTraceSink, Event, MemorySink, Recorder};
 use memaging::Scenario;
-use memaging_monitor::{MonitorServer, MonitorSink, MonitorState};
 
 /// Minimal HTTP GET; returns (status, body).
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -29,7 +29,7 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 #[test]
 fn monitor_serves_scrapes_during_a_run_and_warns_before_failure() {
-    let dir = std::env::temp_dir().join("memaging_monitor_test");
+    let dir = std::env::temp_dir().join("memaging_obs_monitor_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let chrome_path = dir.join("run.trace.json");
 
