@@ -1,12 +1,12 @@
 //! `exp_map` — incremental range-selection engine benchmark and oracle
 //! check.
 //!
-//! Runs the instrumented quick scenario (ST+AT) six ways — naive vs
-//! incremental (f32) vs quantized-incremental candidate evaluation, each
-//! single- and multi-threaded — and asserts:
+//! Runs the instrumented quick scenario (ST+AT) four ways — f32 vs
+//! quantized candidate evaluation, each single- and multi-threaded — and
+//! asserts:
 //!
-//! * the four **f32** runs are bit-identical (the incremental engine and
-//!   the thread count must not change a single session record);
+//! * the two **f32** runs are bit-identical (the thread count must not
+//!   change a single session record);
 //! * the two **quantized** runs are bit-identical to each other (pure
 //!   integer accumulation is associative, so the thread count cannot move
 //!   a bit — the quantized trajectory may legitimately differ from f32
@@ -17,11 +17,11 @@
 //! * quantized candidate evaluation beats f32 incremental by >= 2x at one
 //!   thread (the `quant_speedup_candidate` extra in `BENCH_map.json`).
 //!
-//! The mode/thread-suffixed phase profile is written to `BENCH_map.json`:
+//! The engine's bit-identity to the naive per-candidate re-simulation is
+//! checked by the oracle proptest in `memaging-crossbar`'s unit tests, not
+//! here. The mode/thread-suffixed phase profile is written to
+//! `BENCH_map.json`:
 //!
-//! * `map.candidate_naive_1t` vs `map.candidate_incr_1t` is the headline
-//!   speedup of the incremental engine (prefix caching + quantization
-//!   memoization + matrix dedup + exact-bound pruning);
 //! * `map.candidate_incr_1t` vs `map.candidate_quant_1t` is the headline
 //!   speedup of the fixed-point kernels;
 //! * `map.sweep_incr_1t` vs `map.sweep_incr_{N}t` is the sweep wall-clock
@@ -38,24 +38,6 @@ use memaging::obs::{Event, MemorySink, Recorder};
 use memaging::{par, Scenario};
 use memaging_bench::{banner, phase_profile_json_with, profile_phases, report, PhaseProfile};
 
-/// Candidate-evaluation mode of one profiled leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    Naive,
-    Incr,
-    Quant,
-}
-
-impl EvalMode {
-    fn label(self) -> &'static str {
-        match self {
-            EvalMode::Naive => "naive",
-            EvalMode::Incr => "incr",
-            EvalMode::Quant => "quant",
-        }
-    }
-}
-
 /// One profiled run: the phase profile (span names suffixed with the mode
 /// and thread count) plus the outcome used for the determinism assertion.
 struct ProfiledRun {
@@ -70,12 +52,15 @@ struct ProfiledRun {
     skipped_cells: u64,
 }
 
-fn profiled_run(mode: EvalMode, threads: usize) -> Result<ProfiledRun, Box<dyn std::error::Error>> {
+/// One leg: f32 (`incr`) or fixed-point (`quant`) candidate evaluation.
+fn profiled_run(
+    quantized: bool,
+    threads: usize,
+) -> Result<ProfiledRun, Box<dyn std::error::Error>> {
     par::set_threads(threads);
     let (sink, handle) = MemorySink::new();
     let mut scenario = Scenario::quick();
-    scenario.framework.lifetime.incremental_eval = mode != EvalMode::Naive;
-    scenario.framework.lifetime.quantized_eval = mode == EvalMode::Quant;
+    scenario.framework.lifetime.quantized_eval = quantized;
     scenario.framework.recorder = Recorder::new(vec![Box::new(sink)]);
     let outcome = scenario.run_strategy(Strategy::StAt)?;
     let events = handle.events();
@@ -91,8 +76,9 @@ fn profiled_run(mode: EvalMode, threads: usize) -> Result<ProfiledRun, Box<dyn s
     let programmed_cells = counter_total("mapping.cells_programmed");
     let skipped_cells = counter_total("mapping.cells_skipped");
     let mut profiles = profile_phases(&events);
+    let label = if quantized { "quant" } else { "incr" };
     for p in &mut profiles {
-        p.name = format!("{}_{}_{threads}t", p.name, mode.label());
+        p.name = format!("{}_{label}_{threads}t", p.name);
     }
     Ok(ProfiledRun {
         profiles,
@@ -174,74 +160,56 @@ fn oracle_gate() -> Result<(), Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = par::num_threads().max(2);
     banner(&format!(
-        "range-selection engine profile (quick scenario, ST+AT, naive vs incremental vs quantized, 1 vs {threads} threads)"
+        "range-selection engine profile (quick scenario, ST+AT, f32 vs quantized, 1 vs {threads} threads)"
     ));
 
     oracle_gate()?;
 
     let legs = [
-        profiled_run(EvalMode::Naive, 1)?,
-        profiled_run(EvalMode::Incr, 1)?,
-        profiled_run(EvalMode::Naive, threads)?,
-        profiled_run(EvalMode::Incr, threads)?,
-        profiled_run(EvalMode::Quant, 1)?,
-        profiled_run(EvalMode::Quant, threads)?,
+        profiled_run(false, 1)?,
+        profiled_run(false, threads)?,
+        profiled_run(true, 1)?,
+        profiled_run(true, threads)?,
     ];
     par::set_threads(0);
 
-    // The whole point: neither the incremental engine nor the thread count
-    // may change a single bit of the f32 simulation.
-    for leg in &legs[1..4] {
+    // The thread count may not change a single bit of either trajectory:
+    // every parallel region preserves the serial reduction order, and
+    // integer accumulation is associative. The quantized trajectory may
+    // differ from f32 only when a near-tie candidate flips. Programming
+    // volume — written *and* delta-skipped cells — is part of the
+    // deterministic trajectory.
+    for (pair, mode) in [(&legs[0..2], "f32"), (&legs[2..4], "quantized")] {
         assert_eq!(
-            legs[0].lifetime, leg.lifetime,
-            "lifetime result differs between evaluation modes/thread counts"
+            pair[0].lifetime, pair[1].lifetime,
+            "{mode} lifetime result differs between thread counts"
         );
         assert_eq!(
-            legs[0].accuracy_bits, leg.accuracy_bits,
-            "software accuracy differs between evaluation modes/thread counts"
+            pair[0].accuracy_bits, pair[1].accuracy_bits,
+            "{mode} software accuracy differs between thread counts"
         );
-    }
-    // The quantized trajectory is bit-identical across thread counts
-    // (integer accumulation is associative); it may differ from f32 only
-    // when a near-tie candidate flips.
-    assert_eq!(
-        legs[4].lifetime, legs[5].lifetime,
-        "quantized lifetime result differs between thread counts"
-    );
-    assert_eq!(
-        legs[4].accuracy_bits, legs[5].accuracy_bits,
-        "quantized software accuracy differs between thread counts"
-    );
-    // Programming volume — written *and* delta-skipped cells — is part of
-    // the deterministic trajectory.
-    for leg in &legs[1..4] {
         assert_eq!(
-            (legs[0].programmed_cells, legs[0].skipped_cells),
-            (leg.programmed_cells, leg.skipped_cells),
-            "programmed/skipped cell counts differ between f32 evaluation modes/thread counts"
+            (pair[0].programmed_cells, pair[0].skipped_cells),
+            (pair[1].programmed_cells, pair[1].skipped_cells),
+            "programmed/skipped cell counts differ between {mode} thread counts"
         );
     }
-    assert_eq!(
-        (legs[4].programmed_cells, legs[4].skipped_cells),
-        (legs[5].programmed_cells, legs[5].skipped_cells),
-        "programmed/skipped cell counts differ between quantized thread counts"
-    );
     report(&format!(
-        "  determinism: naive/incremental x 1t/{threads}t bit-identical \
+        "  determinism: f32 1t/{threads}t bit-identical \
          ({} sessions, {} applications); quantized 1t/{threads}t bit-identical \
          ({} sessions, {} applications)",
         legs[0].lifetime.sessions.len(),
         legs[0].lifetime.lifetime_applications,
-        legs[4].lifetime.sessions.len(),
-        legs[4].lifetime.lifetime_applications,
+        legs[2].lifetime.sessions.len(),
+        legs[2].lifetime.lifetime_applications,
     ));
     report(&format!(
         "  programmed cells: {} programmed / {} delta-skipped (f32 trajectory), \
          {} programmed / {} delta-skipped (quantized trajectory)",
         legs[0].programmed_cells,
         legs[0].skipped_cells,
-        legs[4].programmed_cells,
-        legs[4].skipped_cells,
+        legs[2].programmed_cells,
+        legs[2].skipped_cells,
     ));
 
     let programmed_cells = legs[0].programmed_cells;
@@ -260,23 +228,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    // Headline 1: total candidate-evaluation time, naive vs incremental.
-    let naive_1t = total_ms(&profiles, "map.candidate_naive_1t");
-    let incr_1t = total_ms(&profiles, "map.candidate_incr_1t");
-    if naive_1t > 0.0 && incr_1t > 0.0 {
-        report(&format!(
-            "  map.candidate @1t: naive {naive_1t:.1} ms -> incremental {incr_1t:.1} ms  ({:.2}x)",
-            naive_1t / incr_1t
-        ));
-        assert!(
-            incr_1t < naive_1t,
-            "incremental candidate evaluation must beat the naive sweep at 1 thread \
-             (naive {naive_1t:.1} ms, incremental {incr_1t:.1} ms)"
-        );
-    }
-
-    // Headline 2: f32 incremental vs quantized incremental. The fixed-point
+    // Headline: f32 vs quantized candidate evaluation. The fixed-point
     // kernels must at least double candidate-evaluation throughput.
+    let incr_1t = total_ms(&profiles, "map.candidate_incr_1t");
     let quant_1t = total_ms(&profiles, "map.candidate_quant_1t");
     let quant_speedup = if quant_1t > 0.0 { incr_1t / quant_1t } else { 0.0 };
     if incr_1t > 0.0 && quant_1t > 0.0 {
@@ -313,7 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let json = phase_profile_json_with(
         &format!(
-            "quick scenario, ST+AT strategy, naive vs incremental vs quantized range selection, 1 vs {threads} threads"
+            "quick scenario, ST+AT strategy, f32 vs quantized range selection, 1 vs {threads} threads"
         ),
         &profiles,
         &[

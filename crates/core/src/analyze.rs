@@ -30,12 +30,7 @@ use memaging_obs::{
     latency_detail_json, parse_label, push_json_str, Event, LatencySnapshot, SeriesStore,
     ShardedHistogram,
 };
-use memaging_serve::LATENCY_BUCKETS;
-
-/// Fixed-point scale of the serve tier's wear series (parts-per-billion of
-/// the fresh window) — must match the engine's encoding for the forecast
-/// replay to agree with the live gauges.
-const SERIES_SCALE: f64 = 1e9;
+use memaging_serve::{to_fixed, LATENCY_BUCKETS, SERIES_SCALE};
 
 /// Aggregated timing of one span name across a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -354,9 +349,7 @@ impl TraceAnalysis {
     /// `serve.window_fraction_ppb{tile=N}` series: every tile's trend plus
     /// the worst tile, exactly as the live engine computes them.
     pub fn forecast(&self) -> (Vec<TileFit>, Option<TileFit>) {
-        let critical = (WearThresholds::default().critical_window_fraction * SERIES_SCALE)
-            .round()
-            .max(0.0) as u64;
+        let critical = to_fixed(WearThresholds::default().critical_window_fraction);
         let mut trends: Vec<TileFit> = Vec::new();
         for (name, snapshot) in self.series.snapshot_all() {
             let Some(("serve.window_fraction_ppb", tile)) = parse_label(&name, "tile") else {

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use memaging::crossbar::CrossbarNetwork;
+use memaging::crossbar::{CrossbarNetwork, MAX_REMAP_TOLERANCE};
 use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
 use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
@@ -234,8 +234,10 @@ fn parse_run_opts(
             "--flight-recorder" => opts.flight = Some(value.to_string()),
             "--remap-tolerance" => {
                 let t: f64 = value.parse().map_err(|_| format!("bad remap-tolerance `{value}`"))?;
-                if !t.is_finite() || !(0.0..=0.5).contains(&t) {
-                    return Err(format!("bad remap-tolerance `{t}` (must lie in [0, 0.5])"));
+                if !t.is_finite() || !(0.0..=MAX_REMAP_TOLERANCE).contains(&t) {
+                    return Err(format!(
+                        "bad remap-tolerance `{t}` (must lie in [0, {MAX_REMAP_TOLERANCE}])"
+                    ));
                 }
                 opts.remap_tolerance = t;
             }

@@ -430,8 +430,8 @@ impl Crossbar {
 
     /// Applies one session of read-disturb drift: each device independently
     /// drifts ±1 level with probability `probability` (recoverable by the
-    /// next reprogramming; see [`memaging_device::DriftModel`]). Returns the
-    /// number of drifted devices.
+    /// next reprogramming; see [`memaging_device::Memristor::drift_level`]).
+    /// Returns the number of drifted devices.
     pub fn apply_drift<R: rand::Rng + ?Sized>(&mut self, probability: f64, rng: &mut R) -> usize {
         let mut drifted = 0;
         for d in &mut self.devices {

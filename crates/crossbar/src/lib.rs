@@ -15,7 +15,9 @@
 //!   common (fresh or aged) resistance window;
 //! * [`trace_estimates`] / [`traced_positions`]: the 1-of-9 block-center
 //!   representative tracing of §IV-B;
-//! * [`select_range`]: the iterative common-range selection of Fig. 8;
+//! * [`select_range`]: the iterative common-range selection of Fig. 8
+//!   ([`CrossbarNetwork::map_weights`] runs it on an incremental engine
+//!   that a test-only naive oracle checks bit for bit);
 //! * [`CrossbarNetwork`]: a whole neural network on crossbars, with
 //!   [`MappingStrategy::Fresh`] (traditional) and
 //!   [`MappingStrategy::AgingAware`] (proposed) mapping;
@@ -80,9 +82,9 @@ pub use crossbar::{Crossbar, ProgramStats, TileWear};
 pub use differential::{DifferentialCrossbar, DifferentialMapping};
 pub use error::CrossbarError;
 pub use mapping::{WeightMapping, WeightRange};
-pub use network::{CrossbarNetwork, MapReport, MappingStrategy};
-pub use range_select::{select_range, select_range_par, RangeSelection};
+pub use network::{CrossbarNetwork, MapReport, MappingStrategy, MAX_REMAP_TOLERANCE};
+pub use range_select::{select_range, RangeSelection};
 pub use tile::{BlockMap, TiledMatrix};
 pub use tracer::{trace_estimates, traced_positions, traced_upper_bound_range, TracedEstimate};
 pub use tuner::{tune, tune_with_recorder, TuneConfig, TuneReport};
-pub use wear_level::{incremental_swap, wear_imbalance, wear_leveling_assignment, RowAssignment};
+pub use wear_level::{incremental_swap, wear_imbalance, RowAssignment};

@@ -1,7 +1,7 @@
 //! A neural network executed on memristor crossbar arrays.
 
 use memaging_dataset::Dataset;
-use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec, Quantizer};
+use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec};
 use memaging_nn::{LayerKind, Network};
 use memaging_tensor::Tensor;
 
@@ -9,11 +9,13 @@ use crate::crossbar::{Crossbar, ProgramStats};
 use crate::error::CrossbarError;
 use crate::incremental::{EvalEngine, SweepParams};
 use crate::mapping::WeightMapping;
-use crate::range_select::select_range_par;
 use crate::tile::BlockMap;
 use crate::tracer::{trace_estimates, TracedEstimate};
 use crate::wear_level::RowAssignment;
-use memaging_obs::names;
+
+/// Largest delta-programming tuning tolerance, in grid levels. Past half a
+/// level, a skipped cell's drifted state would alias another level code.
+pub const MAX_REMAP_TOLERANCE: f64 = 0.5;
 
 /// How trained weights are mapped onto the (possibly aged) arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +73,6 @@ pub struct CrossbarNetwork {
     /// Persistent incremental candidate-evaluation engine (per-worker
     /// network contexts, prefix caches, quantization memos).
     engine: EvalEngine,
-    /// Whether range selection uses the incremental engine (default) or the
-    /// naive per-candidate re-simulation.
-    incremental_eval: bool,
     /// Whether the incremental engine scores candidates on the fixed-point
     /// kernels instead of the f32 forward pass.
     quantized_eval: bool,
@@ -126,30 +125,19 @@ impl CrossbarNetwork {
             outlier_percentile: 0.005,
             wear_leveling: false,
             engine: EvalEngine::new(),
-            incremental_eval: true,
             quantized_eval: false,
             delta_remap: true,
             remap_tolerance: 0.0,
         })
     }
 
-    /// Selects between the incremental candidate-evaluation engine (the
-    /// default) and the naive per-candidate re-simulation for aging-aware
-    /// range selection. Both produce bit-identical [`MapReport`]s; the
-    /// naive path exists as the reference oracle and escape hatch.
-    pub fn set_incremental_eval(&mut self, enabled: bool) {
-        self.incremental_eval = enabled;
-    }
-
-    /// Selects whether the incremental engine scores candidate windows on
-    /// the fixed-point kernels (u8 level codes, `i16×i16 → i32 → i64`
+    /// Selects whether range selection scores candidate windows on the
+    /// fixed-point kernels (u8 level codes, `i16×i16 → i32 → i64`
     /// accumulation) instead of the f32 forward pass. Selection stays
     /// bit-identical at any thread count either way; quantized accuracies
     /// may differ from the f32 oracle within the quantization error bound,
-    /// so the two modes can legitimately pick different windows. Only the
-    /// incremental path is affected — the naive reference path and
-    /// [`CrossbarNetwork::evaluate`] always use f32, keeping the oracle
-    /// intact.
+    /// so the two modes can legitimately pick different windows.
+    /// [`CrossbarNetwork::evaluate`] always uses f32.
     pub fn set_quantized_eval(&mut self, enabled: bool) {
         self.quantized_eval = enabled;
     }
@@ -164,8 +152,7 @@ impl CrossbarNetwork {
     /// [`Crossbar::program_conductances_delta`]) and full reprogramming of
     /// every cell. With the default zero tolerance both produce bitwise
     /// identical device state; the full path exists as the bit-exactness
-    /// oracle and escape hatch — the same naive-vs-incremental pattern as
-    /// [`CrossbarNetwork::set_incremental_eval`].
+    /// oracle and escape hatch.
     pub fn set_delta_remap(&mut self, enabled: bool) {
         self.delta_remap = enabled;
     }
@@ -179,16 +166,16 @@ impl CrossbarNetwork {
     /// whose drifted state is within this distance of its target level is
     /// left in place instead of being chased with stressful pulses. `0.0`
     /// (the default) skips only provable no-ops, keeping delta programming
-    /// bit-identical to the full path. Beyond half a level the skipped
-    /// state would alias a different level code.
+    /// bit-identical to the full path.
     ///
     /// # Panics
     ///
-    /// Panics if `tolerance` lies outside `[0, 0.5]` (NaN included).
+    /// Panics if `tolerance` lies outside `[0, MAX_REMAP_TOLERANCE]` (NaN
+    /// included).
     pub fn set_remap_tolerance(&mut self, tolerance: f64) {
         assert!(
-            (0.0..=0.5).contains(&tolerance),
-            "remap tolerance must lie in [0, 0.5] grid levels, got {tolerance}"
+            (0.0..=MAX_REMAP_TOLERANCE).contains(&tolerance),
+            "remap tolerance must lie in [0, {MAX_REMAP_TOLERANCE}] grid levels, got {tolerance}"
         );
         self.remap_tolerance = tolerance;
     }
@@ -318,7 +305,6 @@ impl CrossbarNetwork {
             outlier_percentile,
             wear_leveling,
             engine,
-            incremental_eval,
             quantized_eval,
             delta_remap,
             remap_tolerance,
@@ -328,7 +314,6 @@ impl CrossbarNetwork {
         let spec = *spec;
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
-        let incremental = *incremental_eval;
         let quantized = *quantized_eval;
         let delta_remap = *delta_remap;
         let remap_tolerance = *remap_tolerance;
@@ -349,19 +334,7 @@ impl CrossbarNetwork {
                     let (data, batch) = calibration.ok_or(CrossbarError::InvalidMapping {
                         reason: "aging-aware mapping needs calibration data".into(),
                     })?;
-                    let estimates = trace_estimates(&arrays[idx]);
-                    // Candidate upper bounds come only from *usable* traced
-                    // devices: a worn-out block center (collapsed window)
-                    // would drag the common range down to a useless sliver.
-                    let usable_floor = 2.0 * spec.level_width();
-                    let viable: Vec<TracedEstimate> = estimates
-                        .iter()
-                        .copied()
-                        .filter(|e| e.window.r_max - spec.r_min >= usable_floor)
-                        .collect();
-                    let candidates: &[TracedEstimate] =
-                        if viable.is_empty() { &estimates } else { &viable };
-                    let blocks = BlockMap::new(arrays[idx].rows(), arrays[idx].cols(), &estimates);
+                    let (candidates, blocks) = traced_candidates(&arrays[idx], &spec);
                     let params = SweepParams {
                         trained: &trained,
                         layer: idx,
@@ -375,30 +348,7 @@ impl CrossbarNetwork {
                         percentile,
                         quantized,
                     };
-                    let selection = if incremental {
-                        engine.sweep(software, candidates, spec.r_min, &params, recorder)
-                    } else {
-                        // Naive reference path: every candidate re-simulates
-                        // the full matrix and forward pass on a per-sweep
-                        // cloned network.
-                        select_range_par(
-                            candidates,
-                            spec.r_min,
-                            |worker| {
-                                let scratch: Vec<Tensor> =
-                                    trained.iter().map(|&t| t.clone()).collect();
-                                (worker, software.clone(), scratch)
-                            },
-                            |(worker, net, scratch), cand| {
-                                let _span = recorder.worker_span(names::MAP_CANDIDATE, *worker);
-                                simulate_layer_window_accuracy(
-                                    net, scratch, &trained, idx, cand, &blocks, &spec, data, batch,
-                                    percentile,
-                                )
-                            },
-                        )
-                    };
-                    match selection {
+                    match engine.sweep(software, &candidates, spec.r_min, &params, recorder) {
                         Ok(sel) => {
                             candidates_tried += sel.candidates_tried;
                             // Hysteresis: a re-selected window moves *every*
@@ -408,29 +358,8 @@ impl CrossbarNetwork {
                             // the new one is meaningfully more accurate.
                             match last_windows[idx] {
                                 Some(prev) if prev.r_max > spec.r_min => {
-                                    let prev_acc = if incremental {
-                                        engine.evaluate_window(software, prev, &params, recorder)?
-                                    } else {
-                                        let (mut net, mut scratch) = (
-                                            software.clone(),
-                                            trained
-                                                .iter()
-                                                .map(|&t| t.clone())
-                                                .collect::<Vec<Tensor>>(),
-                                        );
-                                        simulate_layer_window_accuracy(
-                                            &mut net,
-                                            &mut scratch,
-                                            &trained,
-                                            idx,
-                                            prev,
-                                            &blocks,
-                                            &spec,
-                                            data,
-                                            batch,
-                                            percentile,
-                                        )?
-                                    };
+                                    let prev_acc = engine
+                                        .evaluate_window(software, prev, &params, recorder)?;
                                     if prev_acc + 0.01 >= sel.accuracy {
                                         prev
                                     } else {
@@ -673,56 +602,183 @@ impl CrossbarNetwork {
     }
 }
 
-/// Simulates the post-mapping accuracy of candidate window `cand` for layer
-/// `layer_idx`, holding all other layers at their trained software weights.
-///
-/// The simulation follows the physical pipeline without programming:
-/// weight → conductance (eq. 4 against `cand`) → nearest fresh quantization
-/// level → clamp into the device's *estimated* aged window (its 3×3 block
-/// center's estimate) → inverse map → evaluate.
-///
-/// `software` and `scratch` are the caller's (per-worker) evaluation state:
-/// the simulated matrix is written into `scratch[layer_idx]` in place, while
-/// the other scratch entries keep the trained values — no per-candidate
-/// matrix allocation, no save/restore of the live network.
-#[allow(clippy::too_many_arguments)]
-fn simulate_layer_window_accuracy(
-    software: &mut Network,
-    scratch: &mut [Tensor],
-    trained: &[&Tensor],
-    layer_idx: usize,
-    cand: AgedWindow,
-    blocks: &BlockMap,
-    spec: &DeviceSpec,
-    data: &Dataset,
-    batch: usize,
-    percentile: f64,
-) -> Result<f64, CrossbarError> {
-    let mapping =
-        WeightMapping::from_weights_percentile(trained[layer_idx].as_slice(), cand, percentile)?;
-    let quantizer = Quantizer::from_spec(spec)?;
-    let w = trained[layer_idx];
-    let cols = w.dims()[1];
-    for (i, slot) in scratch[layer_idx].as_mut_slice().iter_mut().enumerate() {
-        let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w.as_slice()[i] as f64);
-        // Fresh-grid quantization in the resistance domain.
-        let r = quantizer.quantize(memaging_device::Ohms::new(1.0 / g).expect("g > 0")).value();
-        // Clamp into the estimated window of this device's block.
-        let r = blocks.at(row, col).clamp(r);
-        *slot = mapping.conductance_to_weight(1.0 / r) as f32;
-    }
-    software.set_weight_matrices(scratch)?;
-    Ok(memaging_nn::evaluate(software, data, batch)?)
+/// The traced estimates of `array` that seed the candidate windows, plus
+/// the per-device block map every candidate is simulated against.
+/// Candidate upper bounds come only from *usable* traced devices: a
+/// worn-out block center (collapsed window) would drag the common range
+/// down to a useless sliver. If every center is worn out, all stay.
+fn traced_candidates(array: &Crossbar, spec: &DeviceSpec) -> (Vec<TracedEstimate>, BlockMap) {
+    let estimates = trace_estimates(array);
+    let blocks = BlockMap::new(array.rows(), array.cols(), &estimates);
+    let usable_floor = 2.0 * spec.level_width();
+    let viable: Vec<TracedEstimate> =
+        estimates.iter().copied().filter(|e| e.window.r_max - spec.r_min >= usable_floor).collect();
+    (if viable.is_empty() { estimates } else { viable }, blocks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::range_select::select_range;
     use memaging_dataset::SyntheticSpec;
+    use memaging_device::{Ohms, Quantizer};
     use memaging_nn::{models, train, NoRegularizer, TrainConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The naive range-selection oracle: the post-mapping accuracy of
+    /// candidate window `cand` for layer `p.layer`, holding all other layers
+    /// at their trained software weights, re-simulated from scratch on a
+    /// cloned network.
+    ///
+    /// The simulation follows the physical pipeline without programming:
+    /// weight → conductance (eq. 4 against `cand`) → nearest fresh
+    /// quantization level → clamp into the device's *estimated* aged window
+    /// (its 3×3 block center's estimate) → inverse map → evaluate.
+    fn simulate_layer_window_accuracy(
+        software: &Network,
+        p: &SweepParams<'_>,
+        cand: AgedWindow,
+    ) -> Result<f64, CrossbarError> {
+        let w = p.trained[p.layer];
+        let mapping = WeightMapping::from_weights_percentile(w.as_slice(), cand, p.percentile)?;
+        let quantizer = Quantizer::from_spec(p.spec)?;
+        let mut scratch: Vec<Tensor> = p.trained.iter().map(|&t| t.clone()).collect();
+        let cols = w.dims()[1];
+        for (i, slot) in scratch[p.layer].as_mut_slice().iter_mut().enumerate() {
+            let (row, col) = (i / cols, i % cols);
+            let g = mapping.weight_to_conductance(w.as_slice()[i] as f64);
+            // Fresh-grid quantization in the resistance domain.
+            let r = quantizer.quantize(Ohms::new(1.0 / g).expect("g > 0")).value();
+            // Clamp into the estimated window of this device's block.
+            let r = p.blocks.at(row, col).clamp(r);
+            *slot = mapping.conductance_to_weight(1.0 / r) as f32;
+        }
+        let mut net = software.clone();
+        net.set_weight_matrices(&scratch)?;
+        Ok(memaging_nn::evaluate(&mut net, p.data, p.batch)?)
+    }
+
+    /// Checks the two engine calls `map_weights` makes per layer against the
+    /// naive oracle, on `cn`'s current hardware — exactly the inputs the
+    /// next `map_weights` sees: the candidate sweep must return the
+    /// `RangeSelection` of [`select_range`] over the oracle, and the
+    /// hysteresis re-check of the previous window must equal the oracle's
+    /// accuracy bit for bit. Returns the oracle's total `candidates_tried`.
+    fn assert_engine_matches_oracle(
+        cn: &mut CrossbarNetwork,
+        data: &Dataset,
+        batch: usize,
+    ) -> Result<usize, TestCaseError> {
+        let spec = cn.spec;
+        let trained: Vec<&Tensor> = (0..cn.arrays.len())
+            .map(|i| cn.software.weight_matrix(i).expect("one array per mappable layer"))
+            .collect();
+        cn.engine.begin_epoch();
+        let disabled = memaging_obs::Recorder::disabled();
+        let mut tried = 0;
+        for idx in 0..cn.arrays.len() {
+            let (candidates, blocks) = traced_candidates(&cn.arrays[idx], &spec);
+            let params = SweepParams {
+                trained: &trained,
+                layer: idx,
+                net_layer: cn.software.mappable_layer_index(idx).expect("mappable"),
+                blocks: &blocks,
+                spec: &spec,
+                data,
+                batch,
+                percentile: cn.outlier_percentile,
+                quantized: false,
+            };
+            let swept = cn.engine.sweep(&cn.software, &candidates, spec.r_min, &params, &disabled);
+            let naive = select_range(&candidates, spec.r_min, &mut |w| {
+                simulate_layer_window_accuracy(&cn.software, &params, w)
+            });
+            prop_assert_eq!(&swept, &naive, "layer {} sweep diverged from the oracle", idx);
+            tried += naive.map_or(0, |sel| sel.candidates_tried);
+            if let Some(prev) = cn.last_windows[idx].filter(|w| w.r_max > spec.r_min) {
+                let rechecked =
+                    cn.engine.evaluate_window(&cn.software, prev, &params, &disabled).unwrap();
+                let naive = simulate_layer_window_accuracy(&cn.software, &params, prev).unwrap();
+                prop_assert_eq!(
+                    rechecked.to_bits(),
+                    naive.to_bits(),
+                    "layer {} hysteresis re-check diverged from the oracle",
+                    idx
+                );
+            }
+        }
+        Ok(tried)
+    }
+
+    /// Accelerated aging so a handful of cycles produces visibly distinct
+    /// per-device windows (and thus many distinct selection candidates).
+    fn fast_aging() -> ArrheniusAging {
+        ArrheniusAging { a_f: 1.0e17, a_g: 1.0e16, ..ArrheniusAging::default() }
+    }
+
+    /// Deterministically cycles every device a position-dependent number of
+    /// times: no RNG, so every rebuild from the same trained model ends up
+    /// with bitwise-identical device state.
+    fn apply_aging(cn: &mut CrossbarNetwork, base_cycles: usize) {
+        for l in 0..cn.arrays().len() {
+            let arr = cn.array_mut(l);
+            for r in 0..arr.rows() {
+                for c in 0..arr.cols() {
+                    let cycles = 1 + (base_cycles + r * 7 + c * 13 + l * 29) % (base_cycles + 4);
+                    let d = arr.device_mut(r, c);
+                    for _ in 0..cycles {
+                        if d.pulse(-1).is_err() || d.pulse(1).is_err() {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Across training seeds and irregular aging patterns, two mapping
+        /// epochs (the second exercises the hysteresis re-check) at 1, 2
+        /// and 8 threads: the incremental engine must reproduce the naive
+        /// oracle exactly. The only test in this crate that sets the
+        /// thread count — every other result is thread-count independent.
+        #[test]
+        fn incremental_engine_matches_naive_oracle_at_every_thread_count(
+            seed in 0u64..64,
+            cycles in 4usize..24,
+        ) {
+            let mut data = Dataset::gaussian_blobs(&SyntheticSpec::small(3, seed)).unwrap();
+            data.normalize();
+            let mut net = models::mlp(&[144, 8, 3], &mut StdRng::seed_from_u64(seed)).unwrap();
+            let config = TrainConfig { epochs: 6, target_accuracy: 0.95, ..TrainConfig::default() };
+            train(&mut net, &data, &config, &NoRegularizer).unwrap();
+            for threads in [1usize, 2, 8] {
+                memaging_par::set_threads(threads);
+                let mut cn = CrossbarNetwork::new(net.clone(), DeviceSpec::default(), fast_aging())
+                    .unwrap();
+                apply_aging(&mut cn, cycles);
+                for epoch in 0..2 {
+                    // The second epoch re-checks every layer's previous window.
+                    prop_assert_eq!(cn.last_windows.iter().all(Option::is_some), epoch == 1);
+                    let tried = assert_engine_matches_oracle(&mut cn, &data, 16)?;
+                    prop_assert!(tried > 0, "aging-aware sweep must evaluate candidates");
+                    let report =
+                        cn.map_weights(MappingStrategy::AgingAware, Some((&data, 16))).unwrap();
+                    prop_assert_eq!(report.candidates_tried, tried, "epoch {}", epoch);
+                    // Restore the trained weights (mapping synced the
+                    // quantized hardware view back into software), age a
+                    // little more, re-map.
+                    cn.software_mut().set_weight_matrices(&net.weight_matrices()).unwrap();
+                    apply_aging(&mut cn, 3);
+                }
+            }
+            memaging_par::set_threads(0);
+        }
+    }
 
     fn trained_setup(seed: u64) -> (Network, Dataset) {
         let mut data = Dataset::gaussian_blobs(&SyntheticSpec::small(3, seed)).unwrap();

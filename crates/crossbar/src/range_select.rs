@@ -21,9 +21,9 @@ pub(crate) const MIN_IMPROVEMENT: f64 = 0.005;
 
 /// The candidate upper bounds of a sweep: the distinct traced aged maxima,
 /// descending (widest-first), with collapsed candidates (`r_max <=
-/// fresh_r_min`) dropped. Every selection flavor — serial, parallel,
-/// incremental — derives its candidate list here, so they agree bit-for-bit
-/// on the iteration order, the dedup tolerance, and `candidates_tried`.
+/// fresh_r_min`) dropped. [`select_range`] and the incremental engine both
+/// derive their candidate list here, so they agree bit-for-bit on the
+/// iteration order, the dedup tolerance, and `candidates_tried`.
 pub(crate) fn candidate_upper_bounds(estimates: &[TracedEstimate], fresh_r_min: f64) -> Vec<f64> {
     let mut candidates: Vec<f64> = estimates.iter().map(|e| e.window.r_max).collect();
     candidates.sort_by(|a, b| b.partial_cmp(a).expect("aged bounds are finite"));
@@ -35,8 +35,9 @@ pub(crate) fn candidate_upper_bounds(estimates: &[TracedEstimate], fresh_r_min: 
 /// Folds evaluated candidates (in widest-first order) into the selection:
 /// the first candidate is adopted, and each later one only if it beats the
 /// running best by more than [`MIN_IMPROVEMENT`]. The fold is shared by
-/// every selection flavor so adoption decisions, tie-breaks and error
-/// precedence are identical whatever produced the accuracies.
+/// [`select_range`] and the incremental engine so adoption decisions,
+/// tie-breaks and error precedence are identical whatever produced the
+/// accuracies.
 pub(crate) fn fold_candidates(
     fresh_r_min: f64,
     evaluated: impl Iterator<Item = (f64, Result<f64, CrossbarError>)>,
@@ -125,61 +126,6 @@ pub fn select_range(
     )
 }
 
-/// [`select_range`] with the candidate evaluations run in parallel.
-///
-/// Candidate windows are independent software simulations, so they fan out
-/// across the `memaging-par` worker threads; the winner is then folded
-/// serially in widest-first candidate order, reproducing [`select_range`]'s
-/// result (window, accuracy, tie-breaks, first evaluator error) **exactly**
-/// at every thread count.
-///
-/// `init(worker_index)` builds one evaluation state per worker (worker 0 is
-/// the calling thread) — typically a cloned network plus reusable mapping
-/// scratch — and `evaluate` receives that state with each candidate window.
-///
-/// # Errors
-///
-/// Returns [`CrossbarError::InvalidMapping`] if `estimates` is empty, and
-/// propagates the widest-candidate-first evaluator error.
-///
-/// # Examples
-///
-/// ```
-/// use memaging_crossbar::{select_range_par, TracedEstimate};
-/// use memaging_device::AgedWindow;
-///
-/// # fn main() -> Result<(), memaging_crossbar::CrossbarError> {
-/// let estimates = vec![
-///     TracedEstimate { row: 1, col: 1, window: AgedWindow { r_min: 9e3, r_max: 9e4 } },
-///     TracedEstimate { row: 1, col: 4, window: AgedWindow { r_min: 9e3, r_max: 7e4 } },
-/// ];
-/// let sel = select_range_par(&estimates, 1e4, |_worker| (), |(), w| Ok(1.0 - w.r_max / 1e6))?;
-/// assert_eq!(sel.candidates_tried, 2);
-/// assert!((sel.window.r_max - 7e4).abs() < 1.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn select_range_par<S>(
-    estimates: &[TracedEstimate],
-    fresh_r_min: f64,
-    init: impl Fn(usize) -> S + Sync,
-    evaluate: impl Fn(&mut S, AgedWindow) -> Result<f64, CrossbarError> + Sync,
-) -> Result<RangeSelection, CrossbarError> {
-    traced_upper_bound_range(estimates).ok_or(CrossbarError::InvalidMapping {
-        reason: "range selection needs at least one traced estimate".into(),
-    })?;
-    let candidates = candidate_upper_bounds(estimates, fresh_r_min);
-
-    let results = memaging_par::par_map_init(candidates.len(), init, |state, i| {
-        evaluate(state, AgedWindow { r_min: fresh_r_min, r_max: candidates[i] })
-    });
-
-    // Serial widest-first fold: identical adoption decisions (and identical
-    // error precedence) to the serial loop, whatever order the workers
-    // finished in.
-    fold_candidates(fresh_r_min, candidates.into_iter().zip(results))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,56 +189,6 @@ mod tests {
             Err(CrossbarError::InvalidMapping { reason: "boom".into() })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn parallel_selection_matches_serial_at_every_thread_count() {
-        let estimates = vec![est(9e4), est(7e4), est(5e4), est(3e4), est(8.5e4)];
-        let acc = |w: AgedWindow| Ok(1.0 - ((w.r_max - 7e4).abs() / 1e5));
-        let serial = select_range(&estimates, 1e4, &mut acc.clone()).unwrap();
-        for threads in [1, 2, 8] {
-            memaging_par::set_threads(threads);
-            let par = select_range_par(&estimates, 1e4, |_worker| (), |(), w| acc(w)).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        memaging_par::set_threads(0);
-    }
-
-    #[test]
-    fn parallel_selection_propagates_widest_candidate_error_first() {
-        let estimates = vec![est(9e4), est(7e4)];
-        let result = select_range_par(
-            &estimates,
-            1e4,
-            |_worker| (),
-            |(), w| {
-                Err(CrossbarError::InvalidMapping { reason: format!("boom at {:.0}", w.r_max) })
-            },
-        );
-        match result {
-            Err(CrossbarError::InvalidMapping { reason }) => {
-                assert_eq!(reason, "boom at 90000");
-            }
-            other => panic!("expected widest-first error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_selection_builds_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let estimates = vec![est(9e4), est(8e4), est(7e4), est(6e4)];
-        let inits = AtomicUsize::new(0);
-        let sel = select_range_par(
-            &estimates,
-            1e4,
-            |_worker| {
-                inits.fetch_add(1, Ordering::SeqCst);
-            },
-            |(), _w| Ok(0.5),
-        )
-        .unwrap();
-        assert_eq!(sel.candidates_tried, 4);
-        assert!(inits.load(Ordering::SeqCst) <= memaging_par::num_threads().min(4));
     }
 
     #[test]

@@ -104,51 +104,6 @@ impl RowAssignment {
     }
 }
 
-/// Computes the wear-leveling assignment of ref. \[12\]: physical rows are
-/// ranked by accumulated stress (most-worn first) and logical rows by the
-/// programming power their targets draw (lowest mean conductance first);
-/// the most-worn physical row hosts the least-demanding logical row.
-///
-/// # Errors
-///
-/// Returns [`CrossbarError::DimensionMismatch`] if `targets` does not match
-/// the array shape.
-pub fn wear_leveling_assignment(
-    array: &Crossbar,
-    targets: &Tensor,
-) -> Result<RowAssignment, CrossbarError> {
-    let (rows, cols) = (array.rows(), array.cols());
-    if targets.dims() != [rows, cols] {
-        return Err(CrossbarError::DimensionMismatch {
-            what: "wear-leveling targets",
-            expected: (rows, cols),
-            actual: (if targets.rank() == 2 { targets.dims()[0] } else { targets.len() }, 0),
-        });
-    }
-    // Physical wear: mean accumulated stress per row, most worn first.
-    let mut physical_by_wear: Vec<(usize, f64)> = (0..rows)
-        .map(|r| {
-            let stress: f64 = (0..cols).map(|c| array.device(r, c).stress()).sum();
-            (r, stress)
-        })
-        .collect();
-    physical_by_wear.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("stress is finite"));
-    // Logical demand: mean target conductance per row (power ∝ g), lowest first.
-    let t = targets.as_slice();
-    let mut logical_by_demand: Vec<(usize, f64)> = (0..rows)
-        .map(|r| {
-            let g: f64 = t[r * cols..(r + 1) * cols].iter().map(|&x| x as f64).sum();
-            (r, g)
-        })
-        .collect();
-    logical_by_demand.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("conductance is finite"));
-    let mut assignment = vec![0usize; rows];
-    for ((logical, _), (physical, _)) in logical_by_demand.iter().zip(&physical_by_wear) {
-        assignment[*logical] = *physical;
-    }
-    RowAssignment::new(assignment)
-}
-
 /// The ratio of the most-worn row's stress to the median row stress — the
 /// trigger signal for a swap. `1.0` means perfectly level wear; large values
 /// mean a few rows are burning out ahead of the rest. Returns `1.0` for a
@@ -266,22 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_leveling_pairs_worn_rows_with_cold_targets() {
-        let mut array =
-            Crossbar::new(3, 2, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        // Wear physical row 0 heavily.
-        for _ in 0..300 {
-            array.device_mut(0, 0).pulse(1).unwrap();
-            array.device_mut(0, 0).pulse(-1).unwrap();
-        }
-        // Logical row 2 has the lowest-conductance (coldest) targets.
-        let targets =
-            Tensor::from_vec(vec![9e-5, 9e-5, 5e-5, 5e-5, 1.1e-5, 1.1e-5], [3, 2]).unwrap();
-        let a = wear_leveling_assignment(&array, &targets).unwrap();
-        assert_eq!(a.physical(2), 0, "coldest logical row must host the most-worn physical row");
-    }
-
-    #[test]
     fn incremental_swap_moves_one_pair() {
         let mut array =
             Crossbar::new(4, 2, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
@@ -311,16 +250,5 @@ mod tests {
         let id = RowAssignment::identity(1);
         let next = incremental_swap(&array, &Tensor::full([1, 2], 5e-5), &id).unwrap();
         assert_eq!(next, id);
-    }
-
-    #[test]
-    fn wear_leveling_on_fresh_array_is_stable() {
-        let array = Crossbar::new(4, 2, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        let targets = Tensor::full([4, 2], 5e-5);
-        let a = wear_leveling_assignment(&array, &targets).unwrap();
-        // All-equal wear and demand: any permutation is valid; check it IS one.
-        let mut seen: Vec<usize> = (0..4).map(|l| a.physical(l)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 }

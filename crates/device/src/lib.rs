@@ -18,9 +18,7 @@
 //!   programmed at large resistance (small current) age slower;
 //! * [`Memristor`]: a stateful cell — programming steps one level per pulse,
 //!   each pulse stresses the device, targets outside the aged window clip
-//!   (the Fig. 4 "Level 7 → Level 2" failure);
-//! * [`DriftModel`]: the *recoverable* read-disturb drift the paper
-//!   distinguishes from irreversible aging.
+//!   (the Fig. 4 "Level 7 → Level 2" failure).
 //!
 //! # Example
 //!
@@ -44,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 mod aging;
-mod drift;
 mod error;
 mod memristor;
 mod quantizer;
@@ -52,7 +49,6 @@ mod spec;
 mod units;
 
 pub use aging::{AgedWindow, AgingModel, ArrheniusAging, NoAging, BOLTZMANN_EV};
-pub use drift::DriftModel;
 pub use error::DeviceError;
 pub use memristor::{Memristor, ProgramOutcome};
 pub use quantizer::Quantizer;

@@ -8,7 +8,9 @@
 //! before a maintenance session fails to reach the target accuracy within
 //! the tuning budget (150 iterations in the paper).
 
-use memaging_crossbar::{tune_with_recorder, CrossbarNetwork, ProgramStats, TuneConfig};
+use memaging_crossbar::{
+    tune_with_recorder, CrossbarNetwork, ProgramStats, TuneConfig, MAX_REMAP_TOLERANCE,
+};
 use memaging_dataset::Dataset;
 use memaging_device::{ArrheniusAging, DeviceSpec};
 use memaging_nn::Network;
@@ -55,20 +57,16 @@ pub struct LifetimeConfig {
     /// Enables the row-swapping wear-leveling baseline of the paper's
     /// ref. \[12\] on top of the selected strategy (prior-work comparison).
     pub wear_leveling: bool,
-    /// Uses the incremental candidate-evaluation engine for aging-aware
-    /// range selection (default). The naive per-candidate re-simulation is
-    /// kept as a reference oracle; both produce identical map reports.
-    pub incremental_eval: bool,
     /// Scores aging-aware candidate windows on the fixed-point kernels
     /// (u8 level codes + integer accumulation) instead of the f32 forward
     /// pass. Deterministic at any thread count; the selected windows may
-    /// differ from f32 mode within the quantization error bound. Only
-    /// meaningful with `incremental_eval`.
+    /// differ from f32 mode within the quantization error bound.
     pub quantized_eval: bool,
-    /// Delta-remap tuning tolerance in grid levels (`[0, 0.5]`): every
-    /// (re-)map programs only cells whose target level changed, and drift
-    /// within this distance of the target level is left in place instead
-    /// of being chased with stressful pulses. At `0.0` delta programming
+    /// Delta-remap tuning tolerance in grid levels, in
+    /// `[0, MAX_REMAP_TOLERANCE]`: every (re-)map programs only cells whose
+    /// target level changed, and drift within this distance of the target
+    /// level is left in place instead of being chased with stressful
+    /// pulses. At `0.0` delta programming
     /// is bitwise identical to full reprogramming (the oracle stays
     /// reachable through [`CrossbarNetwork::set_delta_remap`]).
     pub remap_tolerance: f64,
@@ -92,7 +90,6 @@ impl Default for LifetimeConfig {
             seed: 0,
             remap_trigger: 0.3,
             wear_leveling: false,
-            incremental_eval: true,
             quantized_eval: false,
             remap_tolerance: 0.0,
             health: HealthConfig::default(),
@@ -137,9 +134,14 @@ impl LifetimeConfig {
                 reason: format!("remap trigger {} not in [0, 1]", self.remap_trigger),
             });
         }
-        if !self.remap_tolerance.is_finite() || !(0.0..=0.5).contains(&self.remap_tolerance) {
+        if !self.remap_tolerance.is_finite()
+            || !(0.0..=MAX_REMAP_TOLERANCE).contains(&self.remap_tolerance)
+        {
             return Err(LifetimeError::InvalidConfig {
-                reason: format!("remap tolerance {} not in [0, 0.5]", self.remap_tolerance),
+                reason: format!(
+                    "remap tolerance {} not in [0, {MAX_REMAP_TOLERANCE}]",
+                    self.remap_tolerance
+                ),
             });
         }
         self.health.validate()?;
@@ -267,7 +269,6 @@ pub fn run_lifetime_with_recorder(
         HealthMonitor::new(spec.r_min, spec.r_max, config.max_tuning_iterations, config.health);
     let mut hw = CrossbarNetwork::new(network, spec, aging)?;
     hw.set_wear_leveling(config.wear_leveling);
-    hw.set_incremental_eval(config.incremental_eval);
     hw.set_quantized_eval(config.quantized_eval);
     hw.set_remap_tolerance(config.remap_tolerance);
     let mut rng = StdRng::seed_from_u64(config.seed);

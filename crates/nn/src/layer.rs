@@ -4,11 +4,11 @@ use memaging_tensor::Tensor;
 
 use crate::error::NnError;
 
-/// Whether a forward pass is part of training (dropout active, activations
-/// cached for backprop) or pure inference.
+/// Whether a forward pass is part of training (activations cached for
+/// backprop) or pure inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: stochastic layers are active and activations are cached.
+    /// Training: activations are cached for backprop.
     Train,
     /// Inference: deterministic, no gradient bookkeeping required.
     Eval,
@@ -26,8 +26,6 @@ pub enum LayerKind {
     Activation,
     /// Spatial pooling.
     Pooling,
-    /// Stochastic regularization (dropout).
-    Regularization,
 }
 
 /// Distinguishes weight tensors (mapped onto memristors, regularized) from
@@ -112,19 +110,18 @@ pub trait Layer: Send + Sync {
     /// Applies this layer's [`Mode::Eval`] forward pass element-wise in
     /// place on a flat activation buffer, returning `true` when supported.
     ///
-    /// Shape-preserving, stateless layers (activations; dropout, which is
-    /// the identity at inference) override this so the quantized forward
-    /// path can run without materializing intermediate tensors. Layers that
-    /// change the feature count or need structural context keep the default
-    /// and fall back to [`Layer::forward`].
+    /// Shape-preserving, stateless layers (activations) override this so the
+    /// quantized forward path can run without materializing intermediate
+    /// tensors. Layers that change the feature count or need structural
+    /// context keep the default and fall back to [`Layer::forward`].
     fn eval_in_place(&self, data: &mut [f32]) -> bool {
         let _ = data;
         false
     }
 
-    /// Clones this layer behind a fresh box, preserving parameters and any
-    /// stochastic state (networks are cloned into parallel evaluation
-    /// workers, so cached activations need not survive the copy).
+    /// Clones this layer behind a fresh box, preserving its parameters
+    /// (networks are cloned into parallel evaluation workers, so cached
+    /// activations need not survive the copy).
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 

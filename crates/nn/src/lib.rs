@@ -12,9 +12,8 @@
 //! implements exactly what's required:
 //!
 //! * [`Layer`] implementations: [`Dense`], [`Conv2d`], [`Pool2d`],
-//!   [`Activation`], [`Dropout`] — all operating on flattened
-//!   `[batch, features]` matrices, whose weight matrices are the objects a
-//!   crossbar stores;
+//!   [`Activation`] — all operating on flattened `[batch, features]`
+//!   matrices, whose weight matrices are the objects a crossbar stores;
 //! * [`Network`]: a validated sequential container with forward/backward and
 //!   weight export/import for hardware mapping;
 //! * [`loss`]: softmax cross-entropy (eq. 1) and accuracy;
@@ -52,10 +51,8 @@
 #![forbid(unsafe_code)]
 
 mod activation;
-mod checkpoint;
 mod conv;
 mod dense;
-mod dropout;
 mod error;
 mod layer;
 mod network;
@@ -63,17 +60,14 @@ mod optimizer;
 mod pool;
 mod qforward;
 mod regularizer;
-mod schedule;
 mod trainer;
 
 pub mod loss;
 pub mod models;
 
 pub use activation::{Activation, ActivationFn};
-pub use checkpoint::{read_tensors, write_tensors};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use layer::{Layer, LayerKind, Mode, ParamKind};
 pub use network::Network;
@@ -83,5 +77,4 @@ pub use qforward::{QuantScratch, QuantizedNet};
 pub use regularizer::{
     applies_to, NoRegularizer, PerLayer, Regularizer, SkewedL2, WeightPenalty, L2,
 };
-pub use schedule::LrSchedule;
 pub use trainer::{evaluate, train, train_with_recorder, EpochStats, TrainConfig, TrainReport};

@@ -63,11 +63,6 @@ impl Sgd {
         self.learning_rate
     }
 
-    /// Changes the learning rate (for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.learning_rate = lr;
-    }
-
     /// Applies one update to every parameter from its accumulated gradient,
     /// then zeroes the gradients.
     ///

@@ -6,7 +6,7 @@
 //! the determinism argument) together with its f32 bias. The forward loop
 //! ping-pongs activations between two scratch buffers: dense layers run the
 //! integer kernel with fused dequantization + bias, shape-preserving layers
-//! (activations, inference-time dropout) apply in place via
+//! (activations) apply in place via
 //! [`Layer::eval_in_place`], and anything else (convolutions, pooling)
 //! falls back to the layer's f32 [`Layer::forward`] — the quantized path
 //! accelerates the FC-dominated evaluation loops without needing to model

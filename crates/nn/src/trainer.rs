@@ -9,7 +9,6 @@ use crate::error::NnError;
 use crate::network::Network;
 use crate::optimizer::Sgd;
 use crate::regularizer::Regularizer;
-use crate::schedule::LrSchedule;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,8 +25,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Stop early once this training accuracy is reached (1.0 disables).
     pub target_accuracy: f64,
-    /// Learning-rate schedule applied per epoch on top of `learning_rate`.
-    pub schedule: LrSchedule,
 }
 
 impl Default for TrainConfig {
@@ -39,7 +36,6 @@ impl Default for TrainConfig {
             momentum: 0.9,
             seed: 0,
             target_accuracy: 1.0,
-            schedule: LrSchedule::Constant,
         }
     }
 }
@@ -127,7 +123,6 @@ pub fn train_with_recorder<R: Regularizer + ?Sized>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut history = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {
-        optimizer.set_learning_rate(config.schedule.rate(config.learning_rate, epoch));
         let shuffled = data.shuffled(&mut rng);
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
@@ -254,20 +249,6 @@ mod tests {
         let a = evaluate(&mut net, &data, 7).unwrap();
         let b = evaluate(&mut net, &data, 64).unwrap();
         assert!((a - b).abs() < 1e-9, "batch size must not change accuracy");
-    }
-
-    #[test]
-    fn cosine_schedule_trains_and_decays() {
-        use crate::schedule::LrSchedule;
-        let data = blobs(3, 13);
-        let mut net = models::mlp(&[144, 16, 3], &mut StdRng::seed_from_u64(14)).unwrap();
-        let config = TrainConfig {
-            epochs: 8,
-            schedule: LrSchedule::Cosine { total_epochs: 8, floor: 0.05 },
-            ..TrainConfig::default()
-        };
-        let report = train(&mut net, &data, &config, &NoRegularizer).unwrap();
-        assert!(report.final_accuracy > 0.8, "schedule must not break training");
     }
 
     #[test]

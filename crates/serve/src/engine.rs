@@ -40,8 +40,10 @@ use crate::stats::{ServeStats, WorstTileForecast};
 
 /// Fixed-point scale for series values: fractions are recorded in
 /// parts-per-billion and stress in nanoseconds, so series folds are pure
-/// integer math (the bit-determinism contract of the series store).
-const SERIES_SCALE: f64 = 1e9;
+/// integer math (the bit-determinism contract of the series store). The
+/// offline analyzer decodes replayed series with the same scale, so its
+/// forecast matches the live one byte for byte.
+pub const SERIES_SCALE: f64 = 1e9;
 
 /// Calibration batch size handed to the aging-aware range selection.
 const CALIB_BATCH: usize = 64;
@@ -51,7 +53,7 @@ const CALIB_BATCH: usize = 64;
 const TUNING_BUDGET: usize = 150;
 
 /// Converts a non-negative float to its fixed-point series value.
-fn to_fixed(value: f64) -> u64 {
+pub fn to_fixed(value: f64) -> u64 {
     (value * SERIES_SCALE).round().max(0.0) as u64
 }
 
@@ -117,10 +119,6 @@ impl ServeEngine {
     ) -> Result<(ServeEngine, Arc<MappingGeneration>), ServeError> {
         config.validate()?;
         let prefix = replica.map(|r| format!("replica{r}.")).unwrap_or_default();
-        // The live remap must go through the incremental candidate-eval
-        // engine: persistent worker contexts across map epochs are exactly
-        // the serving-time reuse it was built for.
-        network.set_incremental_eval(true);
         network
             .map_weights_with_recorder(
                 MappingStrategy::AgingAware,

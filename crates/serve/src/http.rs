@@ -50,9 +50,7 @@ impl FleetHandler {
     fn infer(&self, body: &[u8]) -> HttpResponse {
         let input = match parse_infer_input(body) {
             Ok(input) => input,
-            Err(reason) => {
-                return HttpResponse::json(400, infer_error_json(&format!("bad input: {reason}")))
-            }
+            Err(e) => return HttpResponse::json(400, infer_error_json(&e.to_string())),
         };
         let request = InferRequest { input, deadline: self.default_deadline };
         match self.service.infer(request) {

@@ -65,6 +65,7 @@ mod trace;
 mod worker;
 
 pub use config::ServeConfig;
+pub use engine::{to_fixed, SERIES_SCALE};
 pub use error::ServeError;
 pub use generation::MappingGeneration;
 pub use request::{InferRequest, InferResponse};

@@ -289,7 +289,7 @@ fn http_handler_serves_one_row_per_replica() {
         }
         let bad = request(&handler, "POST", "/infer", "[1, two]");
         assert_eq!(bad.status, 400, "{}", bad.body);
-        assert!(bad.body.starts_with("{\"error\":\"bad input:"), "{}", bad.body);
+        assert_eq!(bad.body, r#"{"error":"bad input: not a number: \"two\""}"#);
 
         let rows = |body: &str, key: &str| body.matches(key).count();
         for (path, key) in [

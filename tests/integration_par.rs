@@ -1,19 +1,11 @@
 //! Parallel-runtime determinism: the worker-thread count is a pure
-//! performance knob. The full lifetime pipeline and the aging-aware range
-//! search must produce **bit-identical** results at 1, 2 and 8 threads —
-//! every parallel region in the workspace preserves the serial reduction
-//! order, so this is an exact equality check, not a tolerance check.
+//! performance knob. The full lifetime pipeline must produce
+//! **bit-identical** results at 1, 2 and 8 threads — every parallel region
+//! in the workspace preserves the serial reduction order, so this is an
+//! exact equality check, not a tolerance check.
 
-use std::sync::Mutex;
-
-use memaging::crossbar::{select_range_par, RangeSelection, TracedEstimate};
-use memaging::device::AgedWindow;
 use memaging::lifetime::{LifetimeResult, Strategy};
 use memaging::{par, Scenario};
-
-/// The thread override is process-global; serialize the tests that sweep it
-/// so one test's sweep cannot overlap another's reference run.
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
 /// A trimmed quick scenario so the pipeline runs three times in test time.
 fn small_scenario() -> Scenario {
@@ -31,7 +23,6 @@ fn run_pipeline() -> (LifetimeResult, u64) {
 
 #[test]
 fn lifetime_pipeline_is_bit_identical_across_thread_counts() {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     par::set_threads(1);
     let reference = run_pipeline();
     for threads in [2, 8] {
@@ -42,32 +33,6 @@ fn lifetime_pipeline_is_bit_identical_across_thread_counts() {
             run.1, reference.1,
             "software accuracy diverged between 1 and {threads} threads"
         );
-    }
-    par::set_threads(0);
-}
-
-#[test]
-fn range_selection_is_bit_identical_across_thread_counts() {
-    // A synthetic accuracy landscape with a clear interior optimum: wide
-    // windows lose quantization levels, narrow windows clip aged devices.
-    let estimates: Vec<TracedEstimate> = (0..40)
-        .map(|i| TracedEstimate {
-            row: i,
-            col: i,
-            window: AgedWindow { r_min: 50_000.0, r_max: 60_000.0 + 2_000.0 * i as f64 },
-        })
-        .collect();
-    let evaluate = |r_max: f64| -> f64 { 0.9 - ((r_max - 100_000.0) / 60_000.0).powi(2) };
-
-    let select = || -> RangeSelection {
-        select_range_par(&estimates, 50_000.0, |_| (), |_, w| Ok(evaluate(w.r_max))).unwrap()
-    };
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
-    par::set_threads(1);
-    let reference = select();
-    for threads in [2, 8] {
-        par::set_threads(threads);
-        assert_eq!(select(), reference, "range selection diverged at {threads} threads");
     }
     par::set_threads(0);
 }

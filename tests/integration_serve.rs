@@ -299,7 +299,6 @@ fn delta_remap_ledger_attributes_strictly_less_remap_stress() {
     // in place — so its ledger must attribute *strictly less* remap wear.
     let run = |delta: bool| -> (WearLedger, memaging::crossbar::ProgramStats) {
         let mut hw = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
-        hw.set_incremental_eval(true);
         hw.set_delta_remap(delta);
         hw.set_remap_tolerance(0.0);
         hw.map_weights(MappingStrategy::AgingAware, Some((calib, 16))).expect("deploy");
