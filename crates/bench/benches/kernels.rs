@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use memaging::crossbar::{Crossbar, DifferentialCrossbar, TiledMatrix, WeightMapping};
 use memaging::dataset::{Dataset, SyntheticSpec};
-use memaging::device::{AgedWindow, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer};
+use memaging::device::{
+    AgedWindow, AgingModel, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer,
+};
 use memaging::nn::{models, Mode, NoRegularizer, Sgd};
 use memaging::tensor::{init, ops, Tensor};
 use rand::rngs::StdRng;
@@ -69,6 +71,44 @@ fn bench_device_pulse(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+}
+
+fn bench_levels_within(c: &mut Criterion) {
+    // The usable-level count behind every worn-out check, over 64 aged
+    // windows from fresh to nearly dead.
+    let spec = DeviceSpec::default();
+    let aging = ArrheniusAging::default();
+    let quantizer = Quantizer::from_spec(&spec).expect("valid");
+    let dead = aging.stress_for_degradation(spec.temperature, spec.r_max - spec.r_min);
+    let windows: Vec<AgedWindow> =
+        (0..64).map(|k| aging.aged_window(&spec, dead * k as f64 / 64.0)).collect();
+    c.bench_function("device/levels_within", |bench| {
+        bench.iter(|| {
+            windows
+                .iter()
+                .map(|w| quantizer.levels_within(black_box(w.r_min), black_box(w.r_max)))
+                .sum::<usize>()
+        })
+    });
+}
+
+fn bench_wear_snapshot(c: &mut Criterion) {
+    // The per-tile read-out of every maintenance boundary on a programmed,
+    // read-disturbed 128×128 array.
+    let spec = DeviceSpec::default();
+    let aging = ArrheniusAging::default();
+    let mut xbar = Crossbar::new(128, 128, spec, aging).expect("valid");
+    xbar.program_conductances(&Tensor::from_fn([128, 128], |i| {
+        (1.0 / (spec.r_min + (i % 97) as f64 * 900.0)) as f32
+    }))
+    .expect("programmable");
+    xbar.apply_read_disturb(
+        1,
+        aging.stress_for_degradation(spec.temperature, 0.3 * (spec.r_max - spec.r_min)),
+    );
+    c.bench_function("crossbar/wear_snapshot", |bench| {
+        bench.iter(|| black_box(&xbar).wear_snapshot())
     });
 }
 
@@ -157,6 +197,8 @@ criterion_group!(
     bench_tiled_vmm,
     bench_programming,
     bench_device_pulse,
+    bench_levels_within,
+    bench_wear_snapshot,
     bench_mapping_quantization,
     bench_train_step,
     bench_conv_forward,

@@ -512,18 +512,22 @@ impl Crossbar {
         let mut mean_r_max = 0.0;
         let mut mean_r_min = 0.0;
         let mut min_width = f64::INFINITY;
+        let mut worn_out = 0;
         for device in &self.devices {
+            // One aged-window evaluation per device: the worn-out test is
+            // `Memristor::is_worn_out` on the window already in hand.
             let w = device.aged_window();
             mean_r_max += w.r_max;
             mean_r_min += w.r_min;
             min_width = min_width.min(w.width());
+            worn_out += usize::from(device.quantizer().levels_within(w.r_min, w.r_max) < 2);
         }
         mean_r_max /= n;
         mean_r_min /= n;
         TileWear {
             rows: self.rows,
             cols: self.cols,
-            worn_out: self.worn_out_count(),
+            worn_out,
             mean_r_max,
             mean_r_min,
             min_window_width: min_width,
@@ -727,6 +731,79 @@ mod tests {
         // Faulted devices reject programming, healthy ones accept it.
         let stats = x.program_conductances(&Tensor::full([10, 10], 5e-5)).unwrap();
         assert_eq!(stats.dead, injected);
+    }
+
+    #[test]
+    fn fused_wear_snapshot_matches_a_naive_recount() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let spec = DeviceSpec::default();
+        let aging = ArrheniusAging::default();
+        let mut x = xbar(12, 12);
+        let mut rng = StdRng::seed_from_u64(17);
+        let injected = x.inject_stuck_faults(0.1, &mut rng);
+        assert!(injected > 0);
+        // Uneven stress: each cell swings over a different share of the
+        // window and takes a different number of extra pulses, then every
+        // cell takes the same read disturb, sized so that only the
+        // hardest-cycled cells go over the edge.
+        let swing = Tensor::from_fn([12, 12], |i| (1.0 / (spec.r_min + i as f64 * 600.0)) as f32);
+        let rest = Tensor::full([12, 12], (1.0 / spec.r_min) as f32);
+        for _ in 0..12 {
+            x.program_conductances(&swing).unwrap();
+            x.program_conductances(&rest).unwrap();
+        }
+        for i in 0..144 {
+            let d = x.device_mut(i / 12, i % 12);
+            for _ in 0..(i % 9) * 60 {
+                let _ = d.pulse(1);
+                let _ = d.pulse(-1);
+            }
+        }
+        let span = spec.r_max - spec.r_min;
+        x.apply_read_disturb(1, aging.stress_for_degradation(spec.temperature, 0.94 * span));
+
+        let snap = x.wear_snapshot();
+        assert_eq!(snap.worn_out, x.worn_out_count());
+        // Worn out: fewer than 2 fresh-grid levels inside the aged window,
+        // counted level by level.
+        let worn = x
+            .iter()
+            .filter(|(_, _, d)| {
+                let w = d.aged_window();
+                let levels = d.quantizer().level_resistances();
+                let inside = levels
+                    .iter()
+                    .filter(|r| r.value() >= w.r_min - 1e-9 && r.value() <= w.r_max + 1e-9);
+                inside.count() < 2
+            })
+            .count();
+        assert_eq!(snap.worn_out, worn);
+        assert!(worn > injected, "wear must kill some cells beyond the stuck ones");
+        assert!(worn < 144, "some cells must survive");
+
+        let n = 144.0;
+        let (mut r_max, mut r_min, mut min_width) = (0.0, 0.0, f64::INFINITY);
+        for (_, _, d) in x.iter() {
+            let w = d.aged_window();
+            r_max += w.r_max;
+            r_min += w.r_min;
+            min_width = min_width.min(w.width());
+        }
+        r_max /= n;
+        r_min /= n;
+        let fraction = ((r_max - r_min) / span.max(1e-12)).clamp(0.0, 1.0);
+        let stress: f64 = x.iter().map(|(_, _, d)| d.stress()).sum();
+        for (field, got, want) in [
+            ("mean_r_max", snap.mean_r_max, r_max),
+            ("mean_r_min", snap.mean_r_min, r_min),
+            ("min_window_width", snap.min_window_width, min_width),
+            ("mean_window_fraction", snap.mean_window_fraction, fraction),
+            ("total_stress", snap.total_stress, stress),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{field}: {got} vs {want}");
+        }
+        assert_eq!(snap.total_pulses, x.iter().map(|(_, _, d)| d.pulse_count()).sum::<u64>());
     }
 
     #[test]

@@ -129,13 +129,38 @@ impl Quantizer {
 
     /// Number of this quantizer's levels whose resistance lies within
     /// `[lo, hi]` — the paper's "usable levels after aging" (Fig. 4).
+    ///
+    /// O(1): level resistances are monotone in the index, so the levels
+    /// inside `[lo − 1e-9, hi + 1e-9]` form one contiguous run. Each end of
+    /// the run is estimated arithmetically and then settled by evaluating
+    /// the exact per-level predicate on its neighbours, so the count equals
+    /// a scan over every level bit for bit. A NaN bound counts 0, and so
+    /// does a window inverted by more than the tolerance.
     pub fn levels_within(&self, lo: f64, hi: f64) -> usize {
-        (0..self.levels)
-            .filter(|&i| {
-                let r = self.level_resistance(i).value();
-                r >= lo - 1e-9 && r <= hi + 1e-9
-            })
-            .count()
+        let (lo, hi) = (lo - 1e-9, hi + 1e-9);
+        if lo.is_nan() || hi.is_nan() {
+            return 0;
+        }
+        let width = self.level_width();
+        let r = |i: usize| self.r_min + i as f64 * width;
+        let estimate = |t: f64| ((t - self.r_min) / width).ceil().clamp(0.0, self.levels as f64);
+        // First level with r >= lo.
+        let mut first = estimate(lo) as usize;
+        while first > 0 && r(first - 1) >= lo {
+            first -= 1;
+        }
+        while first < self.levels && r(first) < lo {
+            first += 1;
+        }
+        // One past the last level with r <= hi.
+        let mut end = estimate(hi) as usize;
+        while end > 0 && r(end - 1) > hi {
+            end -= 1;
+        }
+        while end < self.levels && r(end) <= hi {
+            end += 1;
+        }
+        end.saturating_sub(first)
     }
 }
 
@@ -221,6 +246,161 @@ mod tests {
         assert_eq!(q.levels_within(1e4, 3.5e4), 3); // 10k, 20k, 30k
         assert_eq!(q.levels_within(2.5e4, 8e4), 6);
         assert_eq!(q.levels_within(9e4, 1e5), 0);
+        // Collapsed on a level, inverted, unbounded and NaN windows.
+        assert_eq!(q.levels_within(2e4, 2e4), 1);
+        assert_eq!(q.levels_within(5e4, 2e4), 0);
+        assert_eq!(q.levels_within(f64::NEG_INFINITY, f64::INFINITY), 8);
+        assert_eq!(q.levels_within(f64::INFINITY, f64::NEG_INFINITY), 0);
+        assert_eq!(q.levels_within(f64::NAN, f64::INFINITY), 0);
+        assert_eq!(q.levels_within(1e4, f64::NAN), 0);
+    }
+
+    /// The reference count for [`Quantizer::levels_within`]: a scan of
+    /// every level against the exact predicate.
+    fn levels_within_scan(q: &Quantizer, lo: f64, hi: f64) -> usize {
+        (0..q.levels())
+            .filter(|&i| {
+                let r = q.level_resistance(i).value();
+                r >= lo - 1e-9 && r <= hi + 1e-9
+            })
+            .count()
+    }
+
+    /// An interval end `x` with `x + shift == target` exactly (when the
+    /// float grid has one), then moved `ulps` representable values up or
+    /// down: puts the 1e-9 tolerance exactly on, or an ulp either side
+    /// of, a level.
+    fn on_edge(target: f64, shift: f64, ulps: i32) -> f64 {
+        let mut x = target - shift;
+        for _ in 0..8 {
+            let y = x + shift;
+            if y == target {
+                break;
+            }
+            x = if y < target { x.next_up() } else { x.next_down() };
+        }
+        for _ in 0..ulps.unsigned_abs() {
+            x = if ulps > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    /// A window over `q`'s grid of one of eight kinds, from the raw draws
+    /// `a`, `b` in `[0, 1)`, level indices `k`, `j` and offsets `d`, `e` in
+    /// `[-3e-9, 3e-9]`.
+    #[allow(clippy::too_many_arguments)]
+    fn window(
+        q: &Quantizer,
+        kind: usize,
+        a: f64,
+        b: f64,
+        k: usize,
+        j: usize,
+        d: f64,
+        e: f64,
+    ) -> (f64, f64) {
+        let span = q.r_max - q.r_min;
+        let level = |i: usize| q.level_resistance(i % q.levels()).value();
+        match kind {
+            // Inside the grid.
+            0 => {
+                let lo = q.r_min + a * span;
+                (lo, lo + b * (q.r_max - lo))
+            }
+            // Straddling one or both ends of the grid.
+            1 => (q.r_min - a * span, q.r_min + b * 2.0 * span),
+            // Entirely below or above the grid.
+            2 if k.is_multiple_of(2) => (q.r_min * a * 0.5, q.r_min * (0.5 + b * 0.49)),
+            2 => (q.r_max * (1.01 + a), q.r_max * (2.01 + b)),
+            // Collapsed, on a level or between levels.
+            3 => {
+                let x = if j.is_multiple_of(2) { level(k) } else { q.r_min + a * span };
+                (x, x)
+            }
+            // Inverted.
+            4 => {
+                let lo = q.r_min + a * span;
+                (lo, lo - b * span)
+            }
+            // Within ±3e-9 of a level at each end, straddling the 1e-9
+            // tolerance.
+            5 => (level(k) + d, level(j) + e),
+            // ±∞ at one or both ends.
+            6 => match k % 4 {
+                0 => (f64::NEG_INFINITY, level(j) + e),
+                1 => (level(j) + d, f64::INFINITY),
+                2 => (f64::NEG_INFINITY, f64::INFINITY),
+                _ => (f64::INFINITY, f64::NEG_INFINITY),
+            },
+            // NaN at one or both ends.
+            _ => match k % 3 {
+                0 => (f64::NAN, level(j)),
+                1 => (level(j), f64::NAN),
+                _ => (f64::NAN, f64::NAN),
+            },
+        }
+    }
+
+    fn quantizer(levels: usize, r_min: f64, ratio: f64) -> Quantizer {
+        Quantizer::new(Ohms::new(r_min).unwrap(), Ohms::new(r_min * ratio).unwrap(), levels)
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn levels_within_equals_the_scan(
+            levels in 2usize..=256,
+            r_min in 1.0e3f64..5.0e4,
+            ratio in 1.5f64..20.0,
+            kind in 0usize..8,
+            a in 0.0f64..1.0,
+            b in 0.0f64..1.0,
+            k in 0usize..256,
+            j in 0usize..256,
+            d in -3.0e-9f64..=3.0e-9,
+            e in -3.0e-9f64..=3.0e-9,
+        ) {
+            let q = quantizer(levels, r_min, ratio);
+            let (lo, hi) = window(&q, kind, a, b, k, j, d, e);
+            proptest::prop_assert_eq!(
+                q.levels_within(lo, hi),
+                levels_within_scan(&q, lo, hi),
+                "levels {} window [{}, {}] (kind {})", levels, lo, hi, kind
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Both ends on, or an ulp from, the tolerance edge of the first,
+        /// second, middle, second-to-last or last level: the cases where
+        /// the arithmetic estimate is off by one and the settling loops
+        /// decide the count.
+        #[test]
+        fn levels_within_equals_the_scan_on_tolerance_edges(
+            levels in 2usize..=256,
+            r_min in 1.0e3f64..5.0e4,
+            ratio in 1.5f64..20.0,
+        ) {
+            let q = quantizer(levels, r_min, ratio);
+            let ends = [0, 1, levels / 2, levels - 2, levels - 1];
+            for k in ends {
+                for j in ends {
+                    for (u, v) in (-1..=1).flat_map(|u| (-1..=1).map(move |v| (u, v))) {
+                        let lo = on_edge(q.level_resistance(k).value(), -1e-9, u);
+                        let hi = on_edge(q.level_resistance(j).value(), 1e-9, v);
+                        proptest::prop_assert_eq!(
+                            q.levels_within(lo, hi),
+                            levels_within_scan(&q, lo, hi),
+                            "levels {} window [{}, {}]", levels, lo, hi
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

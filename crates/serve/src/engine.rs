@@ -9,8 +9,9 @@
 //! 1. at boundary `b`, accrue the previous interval's read-disturb wear
 //!    (one multiply-add per device, so only the admitted-request *count*
 //!    matters — not batching, timing, or worker count);
-//! 2. read back the effective weights and publish them as generation `b`;
-//! 3. run the wear-health forecaster on the fresh snapshots;
+//! 2. take one wear snapshot and run the wear-health forecaster on it;
+//! 3. read back the effective weights as generation `b`, which the caller
+//!    publishes once [`ServeEngine::boundary`] returns;
 //! 4. if the shared [`WearThresholds`] warn rule fires *and* the active
 //!    mapping has drifted from the observed aged windows, re-run the
 //!    paper's aging-aware range selection (the PR-4 incremental engine)
@@ -26,7 +27,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use memaging_crossbar::{CrossbarNetwork, MappingStrategy};
+use memaging_crossbar::{CrossbarNetwork, MappingStrategy, TileWear};
 use memaging_dataset::Dataset;
 use memaging_lifetime::{
     trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger, DEFAULT_FORECAST_WINDOW,
@@ -159,7 +160,8 @@ impl ServeEngine {
             replica,
             prefix,
         };
-        let generation = engine.read_generation(0)?;
+        let wear = engine.network.wear_snapshots();
+        let generation = engine.read_generation(0, &wear)?;
         Ok((engine, generation))
     }
 
@@ -197,16 +199,24 @@ impl ServeEngine {
         );
         self.charge(WearCause::InferenceRead { batch_seq: id });
         self.last_boundary = id;
+        let phase = self.recorder.trace_span("serve.boundary.wear", id);
         let wear = self.network.wear_snapshots();
+        drop(phase);
+        let phase = self.recorder.trace_span("serve.boundary.health", id);
         let report = self.health.observe(id, &wear, 0);
         report.emit(&self.recorder);
-        let generation = self.read_generation(id)?;
+        drop(phase);
+        let phase = self.recorder.trace_span("serve.boundary.readback", id);
+        let generation = self.read_generation(id, &wear)?;
         self.recorder.gauge(
             &format!("serve.{}window_fraction_worst", self.prefix),
             generation.worst_window_fraction,
         );
+        drop(phase);
+        let phase = self.recorder.trace_span("serve.boundary.forecast", id);
         self.record_series(id, &wear);
         self.update_forecast(wear.len());
+        drop(phase);
 
         // The remap trigger: exactly the forecaster's warn rule (shared
         // thresholds — satellite of this PR), gated by mapping staleness
@@ -287,15 +297,16 @@ impl ServeEngine {
         self.replica
     }
 
-    /// Reads back the effective hardware weights as generation `id`.
-    fn read_generation(&mut self, id: u64) -> Result<Arc<MappingGeneration>, ServeError> {
+    /// Reads back the effective hardware weights as generation `id`; `wear`
+    /// is the network's current per-tile snapshot.
+    fn read_generation(
+        &mut self,
+        id: u64,
+        wear: &[TileWear],
+    ) -> Result<Arc<MappingGeneration>, ServeError> {
         let weights = self.network.read_weights().map_err(internal)?;
-        let worst_window_fraction = self
-            .network
-            .wear_snapshots()
-            .iter()
-            .map(|tile| tile.mean_window_fraction)
-            .fold(1.0_f64, f64::min);
+        let worst_window_fraction =
+            wear.iter().map(|tile| tile.mean_window_fraction).fold(1.0_f64, f64::min);
         // Tile-order sum: the deterministic stress snapshot the fleet
         // router differentiates for per-replica burn rates.
         let total_stress = self.network.tile_stress().iter().sum();
@@ -342,7 +353,7 @@ impl ServeEngine {
     /// nanoseconds, keyed by boundary id so the series is bit-identical at
     /// any worker/client count. Alloc-free unless a series store is
     /// attached.
-    fn record_series(&self, id: u64, wear: &[memaging_crossbar::TileWear]) {
+    fn record_series(&self, id: u64, wear: &[TileWear]) {
         if !self.recorder.has_series() {
             return;
         }

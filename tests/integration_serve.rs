@@ -10,6 +10,7 @@
 //! 8 threads and requires identical per-request outputs and an identical
 //! final wear state.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -18,7 +19,7 @@ use memaging::dataset::Dataset;
 use memaging::device::{ArrheniusAging, DeviceSpec};
 use memaging::lifetime::{Strategy, WearCause, WearLedger};
 use memaging::nn::Network;
-use memaging::obs::Recorder;
+use memaging::obs::{Event, MemorySink, Recorder, SeriesStore, DEFAULT_SERIES_CAPACITY};
 use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeError, ServeReport};
 use memaging::{par, Scenario};
 
@@ -486,5 +487,79 @@ fn concurrent_clients_preserve_the_wear_state() {
         digests.push(wear_digest(&report));
     }
     assert_eq!(digests[0], digests[1], "same request multiset, same final wear");
+    par::set_threads(0);
+}
+
+/// The four phases of a maintenance boundary, each a child span of
+/// `serve.boundary` carrying the boundary id as its trace.
+const BOUNDARY_PHASES: [&str; 4] = [
+    "serve.boundary.wear",
+    "serve.boundary.health",
+    "serve.boundary.readback",
+    "serve.boundary.forecast",
+];
+
+#[test]
+fn boundary_phase_spans_nest_inside_each_boundary() {
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    par::set_threads(2);
+    let (network, calib, spec, aging) = trained();
+    let total = 64;
+    let config = ServeConfig {
+        maintenance_interval: 8,
+        stress_per_read: stress_per_read(spec, aging, 0.55, total as u64 / 2),
+        remap_drift_fraction: 0.01,
+        ..ServeConfig::default()
+    };
+    let (sink, handle) = MemorySink::new();
+    // A series store, so the forecast phase does its full work.
+    let series = Arc::new(SeriesStore::with_capacity(DEFAULT_SERIES_CAPACITY));
+    let recorder = Recorder::with_series(vec![Box::new(sink)], series);
+    let hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
+    let service =
+        InferenceService::deploy(hardware, calib.clone(), config, recorder).expect("deploy");
+    for k in 0..total {
+        service.infer(InferRequest::new(sample(calib, k))).expect("served");
+    }
+    let report = service.shutdown();
+    assert_eq!(report.served, total as u64);
+
+    // Per boundary id: the parent's duration, and each phase's count and
+    // summed duration.
+    let mut parents: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut phases: BTreeMap<u64, BTreeMap<&str, (usize, u64)>> = BTreeMap::new();
+    for event in handle.events() {
+        let Event::Span { name, trace, duration_us, .. } = event else { continue };
+        if name == "serve.boundary" {
+            let id = trace.expect("boundary spans carry the boundary id");
+            assert!(parents.insert(id, duration_us).is_none(), "boundary {id} traced twice");
+        } else if let Some(&phase) = BOUNDARY_PHASES.iter().find(|&&p| p == name) {
+            let id = trace.expect("phase spans carry the boundary id");
+            let entry = phases.entry(id).or_default().entry(phase).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += duration_us;
+        }
+    }
+    assert!(parents.len() >= 4, "the run must cross several boundaries: {parents:?}");
+    assert_eq!(
+        phases.keys().collect::<Vec<_>>(),
+        parents.keys().collect::<Vec<_>>(),
+        "every phase span belongs to a traced boundary"
+    );
+    for (id, parent_us) in &parents {
+        let children = &phases[id];
+        for phase in BOUNDARY_PHASES {
+            assert_eq!(
+                children.get(phase).map(|c| c.0),
+                Some(1),
+                "boundary {id}: {phase} must appear exactly once"
+            );
+        }
+        let children_us: u64 = children.values().map(|c| c.1).sum();
+        assert!(
+            children_us <= *parent_us,
+            "boundary {id}: phases take {children_us} us of a {parent_us} us boundary"
+        );
+    }
     par::set_threads(0);
 }
