@@ -1,7 +1,7 @@
 //! `exp_serve` — serving-tier benchmark: closed-loop load against the
 //! batched inference service with aging-aware live remapping.
 //!
-//! Six legs over the same deployment recipe (quick-scenario MLP,
+//! Four legs over the same deployment recipe (quick-scenario MLP,
 //! aging-aware mapping, read-disturb wear calibrated so the warn
 //! threshold crosses mid-run):
 //!
@@ -13,20 +13,10 @@
 //!   admission interleaving is racy, but wear accrues from the
 //!   admitted-request *count*, so the final hardware state must still be
 //!   bit-identical to the reference;
-//! * the same single-submitter pair again in **quantized** mode — the
-//!   integer forward path must be bit-identical across worker counts,
-//!   must agree with the f32 reference's prediction on every request
-//!   whose logit margin exceeds the fixed-point error bound, and must
-//!   land the exact same wear state (wear is count-keyed, never
-//!   arithmetic-keyed);
-//! * 16 concurrent clients @ N worker threads in **quantized** mode —
-//!   the quantized dispatcher forwards each admitted batch as one
-//!   integer matmul with per-row quantization steps (row `i` of a batch
-//!   is bit-for-bit the result of serving request `i` alone, so batch
-//!   composition stays a pure performance knob). This leg carries the
-//!   headline perf gate: its total `serve.forward` span time must be at
-//!   least 2x below the f32 concurrent-client leg's (the
-//!   `quant_speedup_forward` extra).
+//! * single submitter @ 1 worker thread with delta remapping off — the
+//!   full-reprogram oracle: it must match the reference bit for bit, and
+//!   the reference's remaps must beat it on wall clock (the
+//!   `delta_remap_speedup` extra).
 //!
 //! Every leg must observe at least one aging-triggered live remap and
 //! zero queue-full rejections, its wear-attribution ledger must account
@@ -61,9 +51,8 @@ use memaging_bench::{
     banner, phase_profile_json_with, profile_phases, report, results_dir, PhaseProfile,
 };
 
-/// Requests per leg. Sized so the concurrent quantized leg dispatches
-/// ~100 batched forwards — a large enough sample that the perf-gate ratio
-/// is not at the mercy of a single scheduler hiccup.
+/// Requests per leg: enough boundaries that the warn threshold crosses
+/// mid-run and several steady-state remaps follow.
 const TOTAL: usize = 1536;
 /// Maintenance boundary every this many admitted requests.
 const INTERVAL: u64 = 32;
@@ -129,7 +118,7 @@ fn trained() -> (Network, Dataset, DeviceSpec, ArrheniusAging) {
     (model.network, calib, scenario.framework.spec, scenario.framework.aging)
 }
 
-fn serve_config(spec: &DeviceSpec, aging: &ArrheniusAging, quantized: bool) -> ServeConfig {
+fn serve_config(spec: &DeviceSpec, aging: &ArrheniusAging) -> ServeConfig {
     // Calibrated so the shared warn threshold (half the fresh window)
     // crosses near the midpoint of the run: the bench must observe the
     // full live-remap path, not just steady-state forwards.
@@ -139,7 +128,6 @@ fn serve_config(spec: &DeviceSpec, aging: &ArrheniusAging, quantized: bool) -> S
         stress_per_read: aging.stress_for_degradation(spec.temperature, 0.55 * width)
             / (TOTAL as f64 / 2.0),
         remap_drift_fraction: 0.01,
-        quantized,
         // The single-submitter legs otherwise pay the full linger per
         // request (batch size is 1 by construction); the concurrent legs
         // fill whole batches long before this expires either way.
@@ -167,7 +155,6 @@ fn run_leg(
     label: &str,
     threads: usize,
     clients: usize,
-    quantized: bool,
     delta: bool,
     seed_model: &(Network, Dataset, DeviceSpec, ArrheniusAging),
 ) -> Leg {
@@ -194,13 +181,8 @@ fn run_leg(
     // equality.
     hardware.set_delta_remap(delta);
     let service = Arc::new(
-        InferenceService::deploy(
-            hardware,
-            calib.clone(),
-            serve_config(spec, aging, quantized),
-            recorder,
-        )
-        .expect("deploy"),
+        InferenceService::deploy(hardware, calib.clone(), serve_config(spec, aging), recorder)
+            .expect("deploy"),
     );
 
     let started = Instant::now();
@@ -409,64 +391,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = par::num_threads().max(2);
     banner(&format!(
         "inference service under load (quick MLP, {TOTAL} requests, boundary every {INTERVAL}, \
-         1 vs {threads} worker threads, f32 vs quantized)"
+         1 vs {threads} worker threads)"
     ));
     let seed_model = trained();
 
-    let mut reference = run_leg("1t", 1, 1, false, true, &seed_model);
-    let scaled = run_leg(&format!("{threads}t"), threads, 1, false, true, &seed_model);
-    let mut batched =
-        run_leg(&format!("{threads}t_{CLIENTS}c"), threads, CLIENTS, false, true, &seed_model);
-    let quant = run_leg("1t_q", 1, 1, true, true, &seed_model);
-    let quant_scaled = run_leg(&format!("{threads}t_q"), threads, 1, true, true, &seed_model);
-    let mut quant_batched =
-        run_leg(&format!("{threads}t_{CLIENTS}c_q"), threads, CLIENTS, true, true, &seed_model);
+    let mut reference = run_leg("1t", 1, 1, true, &seed_model);
+    let scaled = run_leg(&format!("{threads}t"), threads, 1, true, &seed_model);
+    let batched = run_leg(&format!("{threads}t_{CLIENTS}c"), threads, CLIENTS, true, &seed_model);
     // The full-reprogram oracle: identical load, delta programming off.
     // Every steady-state remap rewrites all cells, and the delta reference
     // leg must match it bit for bit (outputs, wear state, ledger).
-    let mut oracle = run_leg("1t_full", 1, 1, false, false, &seed_model);
-    // Each leg's `serve.forward` total is a one-shot sample of ~24 batch
-    // spans, and shared-machine timing noise routinely swings such a small
-    // sample by 2x. The perf gate therefore re-measures the two concurrent
-    // legs (up to twice) and keeps the best-ratio pair — the bench-side
-    // analogue of a min-of-rounds microbenchmark. Every attempt runs the
-    // full determinism / wear / oracle asserts inside `run_leg`, and the
-    // digest asserts below hold for whichever attempt is kept.
-    let forward_ms = |leg: &Leg| {
-        leg.profiles
-            .iter()
-            .find(|p| p.name.starts_with("serve.forward"))
-            .map_or(0.0, |p| p.total_us as f64 / 1e3)
-    };
-    let fwd_ratio = |f32_leg: &Leg, quant_leg: &Leg| {
-        let q = forward_ms(quant_leg);
-        if q > 0.0 {
-            forward_ms(f32_leg) / q
-        } else {
-            0.0
-        }
-    };
-    for attempt in 1..=2 {
-        if fwd_ratio(&batched, &quant_batched) >= 2.2 {
-            break;
-        }
-        report(&format!(
-            "  (perf-gate sample {attempt} at {:.2}x — re-measuring the concurrent legs)",
-            fwd_ratio(&batched, &quant_batched),
-        ));
-        let b =
-            run_leg(&format!("{threads}t_{CLIENTS}c"), threads, CLIENTS, false, true, &seed_model);
-        let qb =
-            run_leg(&format!("{threads}t_{CLIENTS}c_q"), threads, CLIENTS, true, true, &seed_model);
-        if fwd_ratio(&b, &qb) > fwd_ratio(&batched, &quant_batched) {
-            batched = b;
-            quant_batched = qb;
-        }
-    }
-    // Delta-remap perf gate, same min-of-rounds shape: `serve.remap` wraps
-    // the whole background remap (candidate sweep + programming + resync),
-    // so the ratio understates the programming-only win — but it is the
-    // end-to-end number the serve tier actually feels.
+    let mut oracle = run_leg("1t_full", 1, 1, false, &seed_model);
+    // Delta-remap perf gate. A leg's `serve.remap` total is a one-shot
+    // sample of a few spans, and shared-machine timing noise can swing it
+    // widely, so the gate re-measures the two 1t legs (up to twice) and
+    // keeps the best-ratio pair — the bench-side analogue of a
+    // min-of-rounds microbenchmark. Every attempt runs the full
+    // determinism asserts, and the digest asserts below hold for whichever
+    // attempt is kept. `serve.remap` wraps the whole background remap
+    // (candidate sweep + programming + resync), so the ratio understates
+    // the programming-only win — but it is the end-to-end number the
+    // serve tier actually feels.
     let remap_ms = |leg: &Leg| {
         leg.profiles
             .iter()
@@ -489,8 +434,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  (delta-remap gate sample {attempt} at {:.2}x — re-measuring the 1t legs)",
             remap_ratio(&oracle, &reference),
         ));
-        let r = run_leg("1t", 1, 1, false, true, &seed_model);
-        let o = run_leg("1t_full", 1, 1, false, false, &seed_model);
+        let r = run_leg("1t", 1, 1, true, &seed_model);
+        let o = run_leg("1t_full", 1, 1, false, &seed_model);
         if remap_ratio(&o, &r) > remap_ratio(&oracle, &reference) {
             reference = r;
             oracle = o;
@@ -535,84 +480,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batched.digest.ledger, reference.digest.ledger,
         "concurrent-client leg's attribution ledger drifted from the reference"
     );
-    // Quantized determinism: the integer forward path is pure fixed-point
-    // accumulation, so worker count stays a performance knob there too.
-    assert_eq!(
-        quant_scaled.digest, quant.digest,
-        "quantized per-request outputs or final wear diverged between 1 and {threads} \
-         worker threads"
-    );
-    // Wear accrues from the admitted-request count, never from forward
-    // arithmetic: the quantized deployment must land the hardware — and
-    // its attribution ledger — in the exact same state as the f32 legs.
-    assert_eq!(
-        (&quant.digest.tiles, quant.digest.boundaries, quant.digest.remaps),
-        (&reference.digest.tiles, reference.digest.boundaries, reference.digest.remaps),
-        "quantized leg drifted from the f32 reference wear state"
-    );
-    assert_eq!(
-        quant.digest.ledger, reference.digest.ledger,
-        "quantized leg's attribution ledger drifted from the f32 reference"
-    );
-    // The quantized concurrent-client leg batches admitted requests into
-    // single integer matmuls, but wear stays count-keyed: the hardware
-    // and ledger must land exactly where every other leg lands them.
-    assert_eq!(
-        (&quant_batched.digest.tiles, quant_batched.digest.boundaries, quant_batched.digest.remaps),
-        (&reference.digest.tiles, reference.digest.boundaries, reference.digest.remaps),
-        "quantized concurrent-client leg drifted from the reference wear state"
-    );
-    assert_eq!(
-        quant_batched.digest.ledger, reference.digest.ledger,
-        "quantized concurrent-client leg's attribution ledger drifted from the reference"
-    );
-    // The f32-oracle gate, under live serving: every request whose f32
-    // logit margin exceeds the fixed-point error bound (one quantization
-    // step per tensor per layer, as a fraction of the logit peak) must
-    // classify identically on the quantized deployment.
-    let peak = reference
-        .digest
-        .outputs
-        .iter()
-        .flat_map(|(.., bits)| bits.iter().map(|&b| f32::from_bits(b).abs() as f64))
-        .fold(0.0f64, f64::max);
-    let mut agree = 0usize;
-    let mut gated = 0usize;
-    for ((seq_f, _, pred_f, bits), (seq_q, _, pred_q, _)) in
-        reference.digest.outputs.iter().zip(&quant.digest.outputs)
-    {
-        assert_eq!(seq_f, seq_q, "f32 and quantized legs must share the admission sequence");
-        let mut sorted: Vec<f64> = bits.iter().map(|&b| f32::from_bits(b) as f64).collect();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite logits"));
-        let margin = sorted[0] - sorted[1];
-        if pred_f == pred_q {
-            agree += 1;
-        }
-        if margin > 0.02 * peak {
-            gated += 1;
-            assert_eq!(
-                pred_q, pred_f,
-                "quantized prediction differs from the f32 oracle on request {seq_f} \
-                 (margin {margin:.4} exceeds the fixed-point error bound)"
-            );
-        }
-    }
-    assert!(gated > 0, "oracle gate vacuous: no served request cleared the margin");
-    report(&format!(
-        "  oracle gate: {agree}/{} served predictions identical to f32 \
-         ({gated} margin-gated requests all asserted equal)",
-        reference.digest.outputs.len()
-    ));
     // The wear time-series and the per-tile lifetime forecast derived from
     // it are keyed by admitted-request sequence, never wall clock — so the
     // dump must be byte-identical across worker counts, client counts and
-    // forward arithmetic.
+    // remap programming modes.
     for (leg, what) in [
         (&scaled, "worker-scaled"),
         (&batched, "concurrent-client"),
-        (&quant, "quantized"),
-        (&quant_scaled, "quantized worker-scaled"),
-        (&quant_batched, "quantized concurrent-client"),
         (&oracle, "full-reprogram oracle"),
     ] {
         assert_eq!(
@@ -656,13 +530,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     summarize(&reference, "1t x 1 client");
     summarize(&scaled, &format!("{threads}t x 1 client"));
     summarize(&batched, &format!("{threads}t x {CLIENTS} clients"));
-    summarize(&quant, "1t quantized");
-    summarize(&quant_scaled, &format!("{threads}t quantized"));
-    summarize(&quant_batched, &format!("{threads}t x {CLIENTS}c quant"));
     summarize(&oracle, "1t full reprogram");
 
     let mut profiles = Vec::new();
-    for leg in [&reference, &scaled, &batched, &quant, &quant_scaled, &quant_batched, &oracle] {
+    for leg in [&reference, &scaled, &batched, &oracle] {
         profiles.extend(leg.profiles.iter().cloned());
     }
     for p in &profiles {
@@ -674,41 +545,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.max_us as f64 / 1e3,
         ));
     }
-    // The headline perf gate: under concurrent clients the quantized
-    // dispatcher collapses each admitted batch into one integer matmul
-    // with per-row quantization steps, so the total `serve.forward` span
-    // time (sync + forward arithmetic, per-request delivery excluded)
-    // must drop by at least 2x against the per-request f32 dispatcher on
-    // the identical concurrent-client load.
-    let total_ms = |name: &str| {
-        profiles.iter().find(|p| p.name == name).map_or(0.0, |p| p.total_us as f64 / 1e3)
-    };
     let span_count = |name: &str| profiles.iter().find(|p| p.name == name).map_or(0, |p| p.count);
-    let f32_fwd = total_ms(&format!("serve.forward_{threads}t_{CLIENTS}c"));
-    let quant_fwd = total_ms(&format!("serve.forward_{threads}t_{CLIENTS}c_q"));
-    let quant_speedup = if quant_fwd > 0.0 { f32_fwd / quant_fwd } else { 0.0 };
-    let quant_batches = span_count(&format!("serve.forward_{threads}t_{CLIENTS}c_q"));
-    let mean_batch = if quant_batches > 0 { TOTAL as f64 / quant_batches as f64 } else { 0.0 };
-    report(&format!(
-        "  serve.forward @{threads}t x {CLIENTS} clients: f32 {f32_fwd:.1} ms ({TOTAL} forwards) \
-         -> quantized {quant_fwd:.1} ms ({quant_batches} batched forwards, mean batch \
-         {mean_batch:.1})  ({quant_speedup:.2}x)"
-    ));
-    // Single-submitter diagnostic (ungated): batches degenerate to size 1
-    // there, so this isolates the pure per-request arithmetic delta.
-    let f32_1t = total_ms("serve.forward_1t");
-    let quant_1t = total_ms("serve.forward_1t_q");
-    report(&format!(
-        "  serve.forward @1t x 1 client: f32 {f32_1t:.1} ms -> quantized {quant_1t:.1} ms  \
-         ({:.2}x, ungated diagnostic)",
-        if quant_1t > 0.0 { f32_1t / quant_1t } else { 0.0 },
-    ));
-    assert!(
-        quant_speedup >= 2.0,
-        "batched quantized serving must spend >= 2x less forward time than per-request f32 \
-         on the {CLIENTS}-client load (f32 {f32_fwd:.1} ms, quantized {quant_fwd:.1} ms, \
-         {quant_speedup:.2}x)"
-    );
     // The delta-remap efficiency numbers: wall-clock remap win against the
     // in-run full-reprogram oracle, and the cell-skip fraction that drives
     // it (with zero tolerance, both bit-identical to full reprogramming).
@@ -746,7 +583,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("series_points", series_points as f64),
         ("forecast_tiles", forecast_tiles.len() as f64),
         ("forecast_worst_velocity", worst_trend.velocity),
-        ("quant_speedup_forward", quant_speedup),
         ("remap_cells_skipped_frac", skipped_frac),
         ("delta_remap_speedup", delta_remap_speedup),
     ];
@@ -767,8 +603,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = phase_profile_json_with(
         &format!(
             "quick MLP inference service, {TOTAL} requests, maintenance every {INTERVAL}, \
-             single submitter @ 1/{threads} threads (f32 and quantized) + {CLIENTS} concurrent \
-             clients @ {threads} threads (f32 and batched quantized)"
+             single submitter @ 1/{threads} threads + {CLIENTS} concurrent clients @ {threads} \
+             threads + full-reprogram oracle @ 1 thread"
         ),
         &profiles,
         &extras,

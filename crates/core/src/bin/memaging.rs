@@ -104,12 +104,6 @@ struct RunOpts {
     /// Disable series retention entirely: no store is attached, and the
     /// serve tier's per-boundary series path is allocation-free.
     no_series: bool,
-    /// Fixed-point inference kernels: the lifetime study scores remap
-    /// candidates with integer accumulation
-    /// ([`memaging::lifetime::LifetimeConfig::quantized_eval`]) and the
-    /// inference service forwards requests through the quantized path
-    /// ([`ServeConfig::quantized`]). Bit-identical at any thread count.
-    quantized: bool,
     /// Delta-remap tuning tolerance in grid levels (`--remap-tolerance`,
     /// `[0, 0.5]`): drift within this distance of the target level is left
     /// in place instead of being chased with stressful pulses.
@@ -128,7 +122,6 @@ impl Default for RunOpts {
             flight: None,
             metrics: false,
             no_series: false,
-            quantized: false,
             remap_tolerance: 0.0,
         }
     }
@@ -190,10 +183,6 @@ fn parse_run_opts(
         }
         if flag == "--no-series" {
             opts.no_series = true;
-            continue;
-        }
-        if flag == "--quantized" {
-            opts.quantized = true;
             continue;
         }
         let known = [
@@ -331,7 +320,7 @@ fn print_help() {
          USAGE:\n\
          \u{20}   memaging scenario <quick|lenet|vgg> [--strategy tt|stt|stat|all]\n\
          \u{20}                                       [--seed N] [--sessions N] [--threads N]\n\
-         \u{20}                                       [--quantized] [--trace out.jsonl]\n\
+         \u{20}                                       [--trace out.jsonl]\n\
          \u{20}                                       [--trace-chrome out.json] [--metrics]\n\
          \u{20}                                       [--flight-recorder out.jsonl]\n\
          \u{20}                                       [--remap-tolerance F (0..=0.5, default 0)]\n\
@@ -344,16 +333,12 @@ fn print_help() {
          \u{20}                       prints a metrics summary after the run;\n\
          \u{20}                       --flight-recorder keeps a ring of recent events\n\
          \u{20}                       and dumps it to JSONL when an alert or live\n\
-         \u{20}                       remap fires; --quantized scores remap candidates\n\
-         \u{20}                       (and, with --infer, serves requests) on the\n\
-         \u{20}                       fixed-point kernels — bit-identical at any\n\
-         \u{20}                       thread count, f32 stays the accuracy oracle;\n\
-         \u{20}                       --remap-tolerance leaves drift within F grid\n\
-         \u{20}                       levels of the target in place, trading exactness\n\
-         \u{20}                       for pulse savings (re-maps program only cells\n\
-         \u{20}                       whose target level changed)\n\
+         \u{20}                       remap fires; --remap-tolerance leaves drift\n\
+         \u{20}                       within F grid levels of the target in place,\n\
+         \u{20}                       trading exactness for pulse savings (re-maps\n\
+         \u{20}                       program only cells whose target level changed)\n\
          \u{20}   memaging serve <quick|lenet|vgg>    [--port N (default 9464)] [--linger]\n\
-         \u{20}                                       [--strategy tt|stt|stat|all] [--quantized]\n\
+         \u{20}                                       [--strategy tt|stt|stat|all]\n\
          \u{20}                                       [--seed N] [--sessions N] [--threads N]\n\
          \u{20}                                       [--trace out.jsonl]\n\
          \u{20}                                       [--trace-chrome out.json] [--metrics]\n\
@@ -417,7 +402,6 @@ fn configured_scenario(name: &str, opts: &RunOpts) -> Scenario {
     if let Some(sessions) = opts.sessions {
         scenario.framework.lifetime.max_sessions = sessions;
     }
-    scenario.framework.lifetime.quantized_eval = opts.quantized;
     scenario.framework.lifetime.remap_tolerance = opts.remap_tolerance;
     scenario
 }
@@ -572,7 +556,6 @@ fn run_infer(
             .aging
             .stress_for_degradation(framework.spec.temperature, 0.3 * width)
             / 50_000.0,
-        quantized: opts.quantized,
         ..ServeConfig::default()
     };
 
@@ -1024,27 +1007,6 @@ mod tests {
         assert!(parse_args(&argv("serve quick --infer --replicas abc")).is_err());
         let err = parse_args(&argv("serve quick --infer --router random")).unwrap_err();
         assert!(err.contains("unknown router policy"), "got: {err}");
-    }
-
-    #[test]
-    fn parses_quantized_flag() {
-        let cmd = parse_args(&argv("scenario quick --quantized")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Scenario {
-                name: "quick".into(),
-                opts: RunOpts { quantized: true, ..RunOpts::default() },
-            }
-        );
-        // `serve` (both study and --infer) accepts it too.
-        assert!(parse_args(&argv("serve quick --quantized")).is_ok());
-        assert!(parse_args(&argv("serve quick --infer --quantized")).is_ok());
-        // The flag flows into the lifetime config.
-        let scenario = configured_scenario("quick", &RunOpts::default());
-        assert!(!scenario.framework.lifetime.quantized_eval);
-        let opts = RunOpts { quantized: true, ..RunOpts::default() };
-        let scenario = configured_scenario("quick", &opts);
-        assert!(scenario.framework.lifetime.quantized_eval);
     }
 
     #[test]

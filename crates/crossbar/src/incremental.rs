@@ -39,29 +39,14 @@
 //!    bound unsoundly — so the fold's adoption sequence, the selected
 //!    window, its accuracy, and `candidates_tried` are unchanged (see the
 //!    safety argument on [`PruneGate`]).
-//!
-//! With [`SweepParams::quantized`] set, candidate replay additionally runs
-//! on the fixed-point kernels of `memaging_tensor::quant`: each unique
-//! candidate matrix is built once as u8 codes into its distinct
-//! (window, level) value table, quantized via
-//! [`QuantizedMatrix::from_level_codes`], and evaluated with
-//! `i16×i16 → i32 → i64` accumulation through
-//! [`Network::forward_from_quantized`]. Integer accumulation is exact, so
-//! quantized selection is still bit-identical at every thread count — but
-//! its accuracies (and hence possibly the selected window) may differ from
-//! the f32 oracle within the quantization error bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use memaging_dataset::Dataset;
 use memaging_device::{AgedWindow, DeviceSpec, Ohms, Quantizer};
-use memaging_nn::{Mode, Network, QuantScratch, QuantizedNet};
+use memaging_nn::{Mode, Network};
 use memaging_obs::{names, Recorder};
 use memaging_par::{SlotLease, SlotPool};
-use memaging_tensor::quant::{
-    max_abs, qdelta_apply_t, qmm_pre_t_into, qt_diff_within, quantize_acts_into, transpose_codes,
-    weight_step, QCellDelta, QuantizedMatrix, K_CHUNK,
-};
 use memaging_tensor::scratch::ScratchArena;
 use memaging_tensor::Tensor;
 
@@ -96,12 +81,6 @@ pub(crate) struct SweepParams<'a> {
     pub batch: usize,
     /// Outlier percentile for the weight-range derivation.
     pub percentile: f64,
-    /// Evaluate candidates on the fixed-point kernels (u8 level codes into
-    /// the per-(window, level) LUT, `i16×i16 → i32 → i64` accumulation)
-    /// instead of the f32 forward pass. Selection stays deterministic at
-    /// any thread count; accuracies may differ from the f32 oracle by the
-    /// quantization error bound.
-    pub quantized: bool,
 }
 
 /// One worker's persistent evaluation state.
@@ -111,52 +90,11 @@ struct EvalContext {
     generation: u64,
     /// Mappable layer whose matrix currently holds candidate values.
     dirty: Option<usize>,
-    /// Fixed-point snapshot of `net` (empty until the first quantized
-    /// sweep; kept in lockstep with the f32 weights from then on).
-    qsnap: QuantizedNet,
-    /// Per-worker quantized-forward scratch buffers.
-    qscratch: QuantScratch,
-    /// The last fully evaluated candidate of the current sweep: its codes
-    /// and its exact integer pre-activation per prefix batch. Subsequent
-    /// candidates replay as sparse deltas against it (bit-identical to the
-    /// full product — see `memaging_tensor::quant::qdelta_apply_t`).
-    qbase: Option<QBase>,
-    /// Scratch for the current candidate's sparse diff vs `qbase`.
-    deltas: Vec<QCellDelta>,
-    /// Per-batch pre-activation scratch; swapped into `qbase` whenever a
-    /// candidate completes all batches.
-    pre_tmp: Vec<Vec<i32>>,
-}
-
-/// A worker's sparse-delta anchor: one candidate's quantized codes plus its
-/// exact transposed integer pre-activations for every cached prefix batch.
-/// Valid only within the sweep that produced it (`sweep` tag): a new sweep
-/// means new prefix activations, a new layer, and a new shared step.
-struct QBase {
-    sweep: u64,
-    layer: usize,
-    scale_bits: u64,
-    qt: Vec<i16>,
-    pre: Vec<Vec<i32>>,
-    /// The anchor candidate's full (never truncated) accuracy: candidates
-    /// whose codes are bit-identical to the anchor — distinct f32 matrices
-    /// can collapse on the shared integer grid — report it directly, the
-    /// exact value their own replay would produce.
-    accuracy: f64,
 }
 
 impl EvalContext {
     fn new(software: &Network) -> Self {
-        EvalContext {
-            net: software.clone(),
-            generation: 0,
-            dirty: None,
-            qsnap: QuantizedNet::default(),
-            qscratch: QuantScratch::new(),
-            qbase: None,
-            deltas: Vec::new(),
-            pre_tmp: Vec::new(),
-        }
+        EvalContext { net: software.clone(), generation: 0, dirty: None }
     }
 }
 
@@ -170,9 +108,6 @@ pub(crate) struct EvalEngine {
     prefix: Option<EvalContext>,
     /// Bumped per map epoch; contexts lazily re-sync trained weights.
     generation: u64,
-    /// Bumped per sweep (and per hysteresis re-check): tags the validity
-    /// window of each worker's sparse-delta anchor.
-    sweep_seq: u64,
     /// Arena for the serial candidate-matrix build on the driving thread.
     arena: ScratchArena,
 }
@@ -183,7 +118,6 @@ impl EvalEngine {
             pool: SlotPool::new(),
             prefix: None,
             generation: 0,
-            sweep_seq: 0,
             arena: ScratchArena::new(),
         }
     }
@@ -205,8 +139,6 @@ impl EvalEngine {
         recorder: &Recorder,
     ) -> Result<RangeSelection, CrossbarError> {
         let _sweep_span = recorder.span(names::MAP_SWEEP);
-        self.sweep_seq += 1;
-        let sweep_seq = self.sweep_seq;
         if estimates.is_empty() {
             return Err(CrossbarError::InvalidMapping {
                 reason: "range selection needs at least one traced estimate".into(),
@@ -228,17 +160,7 @@ impl EvalEngine {
         // bitwise deduplication: adjacent candidate bounds frequently
         // quantize to the same matrix, and equal matrices evaluate equal.
         let n_cells = p.trained[p.layer].len();
-        let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
         let mut uniques: Vec<Vec<f32>> = Vec::new();
-        // In quantized mode, the coded form of each unique candidate (codes
-        // + value table, `None` for the rare >256-distinct-values fallback)
-        // and the running peak magnitude across every unique — all
-        // candidates of a sweep quantize with one *shared* step so their
-        // integer codes live on one grid and replay as sparse deltas.
-        let mut coded_uniques: Vec<Option<(Vec<u8>, Vec<f32>)>> = Vec::new();
-        let mut sweep_peak = 0.0f64;
-        let mut codes: Vec<u8> = Vec::new();
-        let mut code_values: Vec<f32> = Vec::new();
         let mut hashes: Vec<u64> = Vec::new();
         let mut first_pos: Vec<usize> = Vec::new();
         let mut groups: Vec<Result<usize, CrossbarError>> = Vec::with_capacity(candidates.len());
@@ -252,20 +174,7 @@ impl EvalEngine {
                 }
             };
             let mut buf = self.arena.take(n_cells);
-            let coded = if p.quantized {
-                build_candidate_matrix_coded(
-                    &mapping,
-                    &quantizer,
-                    &level_r,
-                    p,
-                    &mut buf,
-                    &mut codes,
-                    &mut code_values,
-                )
-            } else {
-                build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
-                false
-            };
+            build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
             let hash = fnv1a(&buf);
             let existing = hashes
                 .iter()
@@ -277,20 +186,6 @@ impl EvalEngine {
                     self.arena.give(buf);
                 }
                 None => {
-                    if p.quantized {
-                        sweep_peak = sweep_peak.max(if coded {
-                            // The coded builder's value table holds exactly
-                            // the referenced values.
-                            max_abs(&code_values)
-                        } else {
-                            max_abs(&buf)
-                        });
-                        coded_uniques.push(if coded {
-                            Some((codes.clone(), code_values.clone()))
-                        } else {
-                            None
-                        });
-                    }
                     groups.push(Ok(uniques.len()));
                     hashes.push(hash);
                     first_pos.push(pos);
@@ -298,25 +193,6 @@ impl EvalEngine {
                 }
             }
         }
-
-        // Second pass of quantized mode: build every unique's fixed-point
-        // matrix with the sweep-shared step, making all candidate codes
-        // directly subtractable for the delta replay.
-        let shared_step = weight_step(sweep_peak);
-        let quniques: Vec<QuantizedMatrix> = coded_uniques
-            .iter()
-            .enumerate()
-            .map(|(u, cd)| match cd {
-                Some((c, v)) => {
-                    QuantizedMatrix::from_level_codes_with_step(c, v, m_rows, m_cols, shared_step)
-                        .expect("codes index into their value table")
-                }
-                None => {
-                    QuantizedMatrix::from_f32_with_step(&uniques[u], m_rows, m_cols, shared_step)
-                        .expect("candidate matrix sized rows × cols")
-                }
-            })
-            .collect();
 
         // Parallel evaluation of the unique matrices on the persistent
         // worker contexts, with exact-bound pruning.
@@ -332,10 +208,8 @@ impl EvalEngine {
                 evaluate_matrix(
                     ctx,
                     &uniques[u],
-                    quniques.get(u),
                     &prefix,
                     p,
-                    sweep_seq,
                     Some((first_pos[u], u, &gate)),
                     recorder,
                     *worker,
@@ -376,8 +250,6 @@ impl EvalEngine {
         p: &SweepParams<'_>,
         recorder: &Recorder,
     ) -> Result<f64, CrossbarError> {
-        self.sweep_seq += 1;
-        let sweep_seq = self.sweep_seq;
         let prefix = self.prefix_activations(software, p, recorder)?;
         let range =
             WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
@@ -386,45 +258,18 @@ impl EvalEngine {
         let level_r: Vec<f64> =
             (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
         let mut buf = self.arena.take(p.trained[p.layer].len());
-        let qmat = if p.quantized {
-            let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
-            let mut codes = Vec::new();
-            let mut code_values = Vec::new();
-            let coded = build_candidate_matrix_coded(
-                &mapping,
-                &quantizer,
-                &level_r,
-                p,
-                &mut buf,
-                &mut codes,
-                &mut code_values,
-            );
-            Some(if coded {
-                QuantizedMatrix::from_level_codes(&codes, &code_values, m_rows, m_cols)
-                    .expect("codes index into their value table")
-            } else {
-                QuantizedMatrix::from_f32(&buf, m_rows, m_cols)
-                    .expect("candidate matrix sized rows × cols")
-            })
-        } else {
-            build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
-            None
-        };
+        build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
         self.pool.ensure_slots(1);
         let mut lease = lease_synced(&self.pool, 0, self.generation, software, p);
         let ctx = lease.as_mut().expect("populated by lease_synced");
-        let acc =
-            evaluate_matrix(ctx, &buf, qmat.as_ref(), &prefix, p, sweep_seq, None, recorder, 0);
+        let acc = evaluate_matrix(ctx, &buf, &prefix, p, None, recorder, 0);
         drop(lease);
         self.arena.give(buf);
         acc
     }
 
     /// Forwards the calibration batches through the unchanged layers
-    /// `0..net_layer` once, from fully trained weights. In quantized mode
-    /// each batch's activation is also quantized once here — every
-    /// candidate replays the same integer codes, so the mapped layer's
-    /// activation quantization leaves the per-candidate hot path.
+    /// `0..net_layer` once, from fully trained weights.
     fn prefix_activations(
         &mut self,
         software: &Network,
@@ -442,40 +287,17 @@ impl EvalEngine {
         let mut out = Vec::new();
         for (input, labels) in p.data.batches(p.batch.max(1)) {
             let act = ctx.net.forward_prefix(p.net_layer, &input, Mode::Eval)?;
-            let qcodes = if p.quantized {
-                let mut codes = Vec::new();
-                let step = quantize_acts_into(act.as_slice(), &mut codes);
-                let mut codes_t = Vec::new();
-                let m = labels.len();
-                if m > 0 && codes.len() % m == 0 {
-                    transpose_codes(&codes, m, codes.len() / m, &mut codes_t);
-                }
-                Some(QuantizedBatch { codes, codes_t, step })
-            } else {
-                None
-            };
-            out.push(PrefixBatch { act, labels: labels.to_vec(), qcodes });
+            out.push(PrefixBatch { act, labels: labels.to_vec() });
         }
         Ok(out)
     }
 }
 
-/// One cached calibration batch of the sweep: the f32 prefix activation,
-/// its labels, and (in quantized mode) the integer activation codes shared
-/// by every candidate replay.
+/// One cached calibration batch of the sweep: the prefix activation and
+/// its labels.
 struct PrefixBatch {
     act: Tensor,
     labels: Vec<usize>,
-    qcodes: Option<QuantizedBatch>,
-}
-
-/// The quantized form of one prefix batch: row-major codes for the dense
-/// kernels, the `k × m` transpose for the sparse-delta kernel, and the
-/// shared dequantization step.
-struct QuantizedBatch {
-    codes: Vec<i16>,
-    codes_t: Vec<i16>,
-    step: f64,
 }
 
 /// Leases worker `worker`'s persistent context, creating it on first use
@@ -499,25 +321,13 @@ fn lease_synced<'pool>(
         }
         ctx.generation = generation;
         ctx.dirty = None;
-        if p.quantized {
-            ctx.qsnap = ctx.net.quantize_weights();
-        }
     } else if let Some(d) = ctx.dirty {
         if d != p.layer {
             ctx.net
                 .set_weight_matrix(d, p.trained[d].as_slice())
                 .expect("trained weights match the cloned architecture");
             ctx.dirty = None;
-            if p.quantized && ctx.qsnap.num_layers() == ctx.net.num_layers() {
-                let EvalContext { net, qsnap, .. } = &mut *ctx;
-                net.requantize_layer(qsnap, d).expect("dirty layer is mappable");
-            }
         }
-    }
-    // Quantized mode switched on after this context last synced: build the
-    // snapshot from the (now trained-consistent) f32 weights.
-    if p.quantized && ctx.qsnap.num_layers() != ctx.net.num_layers() {
-        ctx.qsnap = ctx.net.quantize_weights();
     }
     lease
 }
@@ -560,185 +370,38 @@ fn build_candidate_matrix(
     }
 }
 
-/// [`build_candidate_matrix`] that additionally emits the per-cell u8 codes
-/// into the candidate's distinct-value table (`codes[i]` indexes
-/// `values`), letting the quantized path call
-/// [`QuantizedMatrix::from_level_codes`] — each distinct (window, level)
-/// value is quantized once instead of once per cell. Returns `false` when
-/// the candidate references more than 256 distinct values (possible on
-/// very heterogeneously aged arrays); the caller then falls back to
-/// [`QuantizedMatrix::from_f32`] on the dense matrix, which is exact but
-/// slower. `out` is always filled identically to the uncoded builder.
-#[allow(clippy::too_many_arguments)]
-fn build_candidate_matrix_coded(
-    mapping: &WeightMapping,
-    quantizer: &Quantizer,
-    level_r: &[f64],
-    p: &SweepParams<'_>,
-    out: &mut [f32],
-    codes: &mut Vec<u8>,
-    values: &mut Vec<f32>,
-) -> bool {
-    let w = p.trained[p.layer].as_slice();
-    let cols = p.trained[p.layer].dims()[1];
-    let n_windows = p.blocks.windows().len();
-    let levels = level_r.len();
-    let mut table = vec![f32::NAN; n_windows * levels];
-    // Parallel code table: u16::MAX marks "no u8 code assigned".
-    let mut table_code = vec![u16::MAX; n_windows * levels];
-    codes.clear();
-    codes.resize(out.len(), 0);
-    values.clear();
-    let mut complete = true;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w[i] as f64);
-        let k = quantizer.nearest_level(Ohms::new(1.0 / g).expect("g > 0"));
-        let wi = p.blocks.window_index(row, col) as usize;
-        let ti = wi * levels + k;
-        if table[ti].is_nan() {
-            let r = p.blocks.windows()[wi].clamp(level_r[k]);
-            table[ti] = mapping.conductance_to_weight(1.0 / r) as f32;
-            if values.len() < 256 {
-                table_code[ti] = values.len() as u16;
-                values.push(table[ti]);
-            }
-        }
-        *slot = table[ti];
-        if table_code[ti] == u16::MAX {
-            complete = false;
-        } else {
-            codes[i] = table_code[ti] as u8;
-        }
-    }
-    complete
-}
-
 /// Runs the accuracy pass of one simulated weight matrix on a worker
 /// context, replaying cached prefix activations through the suffix layers.
 /// With `prune` set, the pass aborts once the remaining samples provably
 /// cannot clear the candidate's certified adoption bound; the truncated
 /// accuracy (unprocessed samples counted wrong) is reported instead.
-///
-/// The quantized replay keeps the mapped layer's exact integer
-/// pre-activations of the worker's *last fully evaluated candidate*
-/// (`EvalContext::qbase`). When the current candidate shares that base's
-/// quantization step — guaranteed within a sweep by the shared-step build —
-/// and differs in at most a third of its cells, only the changed cells are
-/// multiplied (`qdelta_apply_t`); integer distributivity makes the result
-/// bit-identical to the full product, so the selection is unchanged no
-/// matter which candidates take the shortcut. The anchor advances only
-/// after a candidate completes every batch, so prune-aborted candidates
-/// (whose later batches were never computed) never pollute it.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_matrix(
     ctx: &mut EvalContext,
     matrix: &[f32],
-    qmat: Option<&QuantizedMatrix>,
     prefix: &[PrefixBatch],
     p: &SweepParams<'_>,
-    sweep_seq: u64,
     prune: Option<(usize, usize, &PruneGate)>,
     recorder: &Recorder,
     worker: usize,
 ) -> Result<f64, CrossbarError> {
     let _span = recorder.worker_span(names::MAP_CANDIDATE, worker);
-    if qmat.is_none() {
-        // Only the f32 replay reads the mapped layer's f32 weights; the
-        // quantized paths leave the network untouched (and clean).
-        ctx.net.set_weight_matrix(p.layer, matrix)?;
-        ctx.dirty = Some(p.layer);
-    }
-    // The pre-activation path needs integer codes for every scored batch
-    // and an `i32`-safe contraction depth; anything else (deep layers,
-    // uncoded batches) falls back to the fused kernels, which read the
-    // candidate from the snapshot.
-    let pre_path = qmat.is_some_and(|q| q.rows() <= K_CHUNK)
-        && prefix.iter().all(|b| b.labels.is_empty() || b.qcodes.is_some());
-    let mut use_delta = false;
-    if pre_path {
-        let q = qmat.expect("pre_path implies a quantized candidate");
-        ctx.pre_tmp.resize_with(prefix.len(), Vec::new);
-        use_delta = match &ctx.qbase {
-            Some(b)
-                if b.sweep == sweep_seq
-                    && b.layer == p.layer
-                    && b.scale_bits == q.scale().to_bits()
-                    && b.qt.len() == q.qt().len()
-                    && b.pre.len() == prefix.len() =>
-            {
-                qt_diff_within(&b.qt, q.qt(), q.rows(), q.qt().len() / 3, &mut ctx.deltas)
-            }
-            _ => false,
-        };
-        if use_delta && ctx.deltas.is_empty() {
-            // Bit-identical codes evaluate bit-identically: report the
-            // anchor's exact full accuracy without replaying a single
-            // batch. Reporting a full (never truncated) accuracy can only
-            // tighten other candidates' prune bounds soundly.
-            let accuracy = ctx.qbase.as_ref().expect("use_delta implies an anchor").accuracy;
-            if let Some((_, u, gate)) = prune {
-                gate.complete(u, accuracy);
-            }
-            return Ok(accuracy);
-        }
-    } else if let Some(q) = qmat {
-        // Install the pre-built fixed-point candidate; the suffix layers
-        // already hold the trained quantized weights (lease_synced).
-        ctx.qsnap.set_layer_weights(p.net_layer, q.clone())?;
-        ctx.dirty = Some(p.layer);
-    }
+    ctx.net.set_weight_matrix(p.layer, matrix)?;
+    ctx.dirty = Some(p.layer);
     let n_total: usize = prefix.iter().map(|b| b.labels.len()).sum();
     if n_total == 0 {
         return Ok(0.0);
     }
     let mut correct = 0.0f64;
     let mut processed = 0usize;
-    for (bi, PrefixBatch { act, labels, qcodes }) in prefix.iter().enumerate() {
+    for PrefixBatch { act, labels } in prefix {
         if labels.is_empty() {
             continue;
         }
-        let m = labels.len();
-        let acc = if let Some(q) = qmat {
+        let logits = {
             let _replay = recorder.worker_span(names::MAP_REPLAY, worker);
-            let EvalContext { net, qsnap, qscratch, qbase, deltas, pre_tmp, .. } = &mut *ctx;
-            let logits: &[f32] = if pre_path {
-                let qb = qcodes.as_ref().expect("pre_path requires coded batches");
-                let pre = &mut pre_tmp[bi];
-                pre.clear();
-                if use_delta {
-                    let base = qbase.as_ref().expect("use_delta implies a valid anchor");
-                    pre.extend_from_slice(&base.pre[bi]);
-                    qdelta_apply_t(&qb.codes_t, m, deltas, pre);
-                } else {
-                    pre.resize(q.cols() * m, 0);
-                    qmm_pre_t_into(&qb.codes, m, q, pre);
-                }
-                net.forward_from_pre(p.net_layer, qsnap, pre, qb.step * q.scale(), m, qscratch)?
-            } else {
-                match qcodes {
-                    Some(qb) => net.forward_from_prequantized(
-                        p.net_layer,
-                        qsnap,
-                        &qb.codes,
-                        qb.step,
-                        m,
-                        qscratch,
-                    )?,
-                    None => {
-                        net.forward_from_quantized(p.net_layer, qsnap, act.as_slice(), m, qscratch)?
-                    }
-                }
-            };
-            let width = logits.len() / m;
-            memaging_nn::loss::accuracy_slice(logits, width, labels)?
-        } else {
-            let logits = {
-                let _replay = recorder.worker_span(names::MAP_REPLAY, worker);
-                ctx.net.forward_from(p.net_layer, act, Mode::Eval)?
-            };
-            memaging_nn::loss::accuracy(&logits, labels)?
+            ctx.net.forward_from(p.net_layer, act, Mode::Eval)?
         };
+        let acc = memaging_nn::loss::accuracy(&logits, labels)?;
         correct += acc * labels.len() as f64;
         processed += labels.len();
         if let Some((pos, u, gate)) = prune {
@@ -753,27 +416,6 @@ fn evaluate_matrix(
         }
     }
     let accuracy = correct / n_total as f64;
-    // Every batch completed, so `pre_tmp` holds this candidate's exact
-    // integer pre-activations: advance the worker's delta anchor (the old
-    // anchor's buffers are recycled through `pre_tmp`).
-    if pre_path {
-        let q = qmat.expect("pre_path implies a quantized candidate");
-        let base = ctx.qbase.get_or_insert_with(|| QBase {
-            sweep: 0,
-            layer: 0,
-            scale_bits: 0,
-            qt: Vec::new(),
-            pre: Vec::new(),
-            accuracy: 0.0,
-        });
-        base.sweep = sweep_seq;
-        base.layer = p.layer;
-        base.scale_bits = q.scale().to_bits();
-        base.qt.clear();
-        base.qt.extend_from_slice(q.qt());
-        base.accuracy = accuracy;
-        std::mem::swap(&mut base.pre, &mut ctx.pre_tmp);
-    }
     if let Some((_, u, gate)) = prune {
         gate.complete(u, accuracy);
     }

@@ -27,8 +27,6 @@
 //! Beyond the paper's core flow, the crate models the production
 //! non-idealities and alternatives a deployment would weigh:
 //!
-//! * analog execution ([`CrossbarNetwork::forward_analog`]) with the
-//!   reference-column offset correction;
 //! * write variability and read noise ([`Crossbar::program_conductances_noisy`],
 //!   [`Crossbar::vmm_noisy`]);
 //! * interconnect IR drop ([`Crossbar::vmm_with_ir_drop`]);
@@ -63,7 +61,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod analog;
 mod crossbar;
 mod differential;
 mod error;

@@ -73,9 +73,6 @@ pub struct CrossbarNetwork {
     /// Persistent incremental candidate-evaluation engine (per-worker
     /// network contexts, prefix caches, quantization memos).
     engine: EvalEngine,
-    /// Whether the incremental engine scores candidates on the fixed-point
-    /// kernels instead of the f32 forward pass.
-    quantized_eval: bool,
     /// Whether programming diffs targets against device state and writes
     /// only changed cells (default) or reprograms every cell.
     delta_remap: bool,
@@ -125,26 +122,9 @@ impl CrossbarNetwork {
             outlier_percentile: 0.005,
             wear_leveling: false,
             engine: EvalEngine::new(),
-            quantized_eval: false,
             delta_remap: true,
             remap_tolerance: 0.0,
         })
-    }
-
-    /// Selects whether range selection scores candidate windows on the
-    /// fixed-point kernels (u8 level codes, `i16×i16 → i32 → i64`
-    /// accumulation) instead of the f32 forward pass. Selection stays
-    /// bit-identical at any thread count either way; quantized accuracies
-    /// may differ from the f32 oracle within the quantization error bound,
-    /// so the two modes can legitimately pick different windows.
-    /// [`CrossbarNetwork::evaluate`] always uses f32.
-    pub fn set_quantized_eval(&mut self, enabled: bool) {
-        self.quantized_eval = enabled;
-    }
-
-    /// Whether quantized candidate evaluation is enabled.
-    pub fn quantized_eval(&self) -> bool {
-        self.quantized_eval
     }
 
     /// Selects between delta programming (the default: targets are diffed
@@ -305,7 +285,6 @@ impl CrossbarNetwork {
             outlier_percentile,
             wear_leveling,
             engine,
-            quantized_eval,
             delta_remap,
             remap_tolerance,
             ..
@@ -314,7 +293,6 @@ impl CrossbarNetwork {
         let spec = *spec;
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
-        let quantized = *quantized_eval;
         let delta_remap = *delta_remap;
         let remap_tolerance = *remap_tolerance;
         // New mapping epoch: worker contexts lazily re-sync the (possibly
@@ -346,7 +324,6 @@ impl CrossbarNetwork {
                         data,
                         batch,
                         percentile,
-                        quantized,
                     };
                     match engine.sweep(software, &candidates, spec.r_min, &params, recorder) {
                         Ok(sel) => {
@@ -689,7 +666,6 @@ mod tests {
                 data,
                 batch,
                 percentile: cn.outlier_percentile,
-                quantized: false,
             };
             let swept = cn.engine.sweep(&cn.software, &candidates, spec.r_min, &params, &disabled);
             let naive = select_range(&candidates, spec.r_min, &mut |w| {

@@ -57,11 +57,6 @@ pub struct LifetimeConfig {
     /// Enables the row-swapping wear-leveling baseline of the paper's
     /// ref. \[12\] on top of the selected strategy (prior-work comparison).
     pub wear_leveling: bool,
-    /// Scores aging-aware candidate windows on the fixed-point kernels
-    /// (u8 level codes + integer accumulation) instead of the f32 forward
-    /// pass. Deterministic at any thread count; the selected windows may
-    /// differ from f32 mode within the quantization error bound.
-    pub quantized_eval: bool,
     /// Delta-remap tuning tolerance in grid levels, in
     /// `[0, MAX_REMAP_TOLERANCE]`: every (re-)map programs only cells whose
     /// target level changed, and drift within this distance of the target
@@ -90,7 +85,6 @@ impl Default for LifetimeConfig {
             seed: 0,
             remap_trigger: 0.3,
             wear_leveling: false,
-            quantized_eval: false,
             remap_tolerance: 0.0,
             health: HealthConfig::default(),
         }
@@ -269,7 +263,6 @@ pub fn run_lifetime_with_recorder(
         HealthMonitor::new(spec.r_min, spec.r_max, config.max_tuning_iterations, config.health);
     let mut hw = CrossbarNetwork::new(network, spec, aging)?;
     hw.set_wear_leveling(config.wear_leveling);
-    hw.set_quantized_eval(config.quantized_eval);
     hw.set_remap_tolerance(config.remap_tolerance);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut sessions = Vec::new();

@@ -130,14 +130,6 @@ impl Layer for Activation {
     fn out_features(&self) -> usize {
         self.features
     }
-
-    fn eval_in_place(&self, data: &mut [f32]) -> bool {
-        let f = self.func;
-        for x in data {
-            *x = f.apply(*x);
-        }
-        true
-    }
 }
 
 #[cfg(test)]

@@ -262,10 +262,6 @@ impl Layer for Conv2d {
     fn weight_matrix_mut(&mut self) -> Option<&mut Tensor> {
         Some(&mut self.kernels)
     }
-
-    fn bias_vector(&self) -> Option<&Tensor> {
-        Some(&self.bias)
-    }
 }
 
 #[cfg(test)]

@@ -168,10 +168,6 @@ impl Layer for Dense {
     fn weight_matrix_mut(&mut self) -> Option<&mut Tensor> {
         Some(&mut self.weights)
     }
-
-    fn bias_vector(&self) -> Option<&Tensor> {
-        Some(&self.bias)
-    }
 }
 
 #[cfg(test)]

@@ -100,25 +100,6 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// The layer's bias vector, if it has one (biases live in digital
-    /// peripheral logic; the analog execution path adds them after the
-    /// crossbar's column currents are read out).
-    fn bias_vector(&self) -> Option<&Tensor> {
-        None
-    }
-
-    /// Applies this layer's [`Mode::Eval`] forward pass element-wise in
-    /// place on a flat activation buffer, returning `true` when supported.
-    ///
-    /// Shape-preserving, stateless layers (activations) override this so the
-    /// quantized forward path can run without materializing intermediate
-    /// tensors. Layers that change the feature count or need structural
-    /// context keep the default and fall back to [`Layer::forward`].
-    fn eval_in_place(&self, data: &mut [f32]) -> bool {
-        let _ = data;
-        false
-    }
-
     /// Clones this layer behind a fresh box, preserving its parameters
     /// (networks are cloned into parallel evaluation workers, so cached
     /// activations need not survive the copy).

@@ -58,7 +58,6 @@ mod layer;
 mod network;
 mod optimizer;
 mod pool;
-mod qforward;
 mod regularizer;
 mod trainer;
 
@@ -73,7 +72,6 @@ pub use layer::{Layer, LayerKind, Mode, ParamKind};
 pub use network::Network;
 pub use optimizer::Sgd;
 pub use pool::{Pool2d, PoolKind};
-pub use qforward::{QuantScratch, QuantizedNet};
 pub use regularizer::{
     applies_to, NoRegularizer, PerLayer, Regularizer, SkewedL2, WeightPenalty, L2,
 };

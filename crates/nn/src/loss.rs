@@ -97,41 +97,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f64, NnError> {
     Ok(correct as f64 / labels.len() as f64)
 }
 
-/// [`accuracy`] over a flat row-major `[labels.len() × width]` logits slice,
-/// with the same first-index-wins argmax tie-break. The quantized forward
-/// path returns borrowed slices rather than tensors; this avoids
-/// materializing one just to score it.
-///
-/// # Errors
-///
-/// Returns [`NnError::BadInput`] if `logits.len() != labels.len() * width`
-/// or `width` is zero with nonempty labels.
-pub fn accuracy_slice(logits: &[f32], width: usize, labels: &[usize]) -> Result<f64, NnError> {
-    if labels.is_empty() {
-        return Ok(0.0);
-    }
-    if width == 0 || logits.len() != labels.len() * width {
-        return Err(NnError::BadInput {
-            layer: "accuracy",
-            expected: labels.len() * width,
-            actual: logits.len(),
-        });
-    }
-    let mut correct = 0usize;
-    for (row, &label) in logits.chunks_exact(width).zip(labels) {
-        let mut best = 0;
-        for (j, &x) in row.iter().enumerate() {
-            if x > row[best] {
-                best = j;
-            }
-        }
-        if best == label {
-            correct += 1;
-        }
-    }
-    Ok(correct as f64 / labels.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

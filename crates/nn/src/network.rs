@@ -102,11 +102,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable layer access for the in-crate quantized forward path.
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Runs a forward pass over a `[batch, in_features]` input.
     ///
     /// # Errors
@@ -177,26 +172,6 @@ impl Network {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
-    }
-
-    /// Runs a single layer's forward pass — the hook the analog crossbar
-    /// executor uses to run the digital periphery (activations, pooling)
-    /// around its own handling of the mappable layers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the layer's error; index out of range is an
-    /// [`NnError::InvalidConfig`].
-    pub fn forward_layer(
-        &mut self,
-        index: usize,
-        input: &Tensor,
-        mode: Mode,
-    ) -> Result<Tensor, NnError> {
-        let layer = self.layers.get_mut(index).ok_or(NnError::InvalidConfig {
-            reason: format!("layer index {index} out of range"),
-        })?;
-        layer.forward(input, mode)
     }
 
     /// Runs a backward pass from a `[batch, out_features]` logit gradient,

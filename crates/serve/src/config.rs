@@ -47,14 +47,6 @@ pub struct ServeConfig {
     /// Without it the (monotone) wear would re-trigger a remap at every
     /// boundary past the warn threshold.
     pub remap_drift_fraction: f64,
-    /// Serve inference on the fixed-point kernels: each worker quantizes
-    /// its generation snapshot once at resync and forwards requests with
-    /// integer accumulation (bit-identical at any thread count). The
-    /// hardware trajectory — wear, boundaries, remap decisions — is
-    /// unchanged; only the per-request forward arithmetic differs from the
-    /// f32 oracle, within the quantization error bound. CLI flag:
-    /// `--quantized`.
-    pub quantized: bool,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +59,6 @@ impl Default for ServeConfig {
             stress_per_read: 0.0,
             thresholds: WearThresholds::default(),
             remap_drift_fraction: 0.02,
-            quantized: false,
         }
     }
 }

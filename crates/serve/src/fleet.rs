@@ -695,16 +695,7 @@ fn dispatch_loop(
             rt.next_boundary += 1;
         }
         let generation = rt.generations.wait_for(local_interval);
-        dispatch_batch(
-            batch,
-            target,
-            &generation,
-            &mut pool,
-            base,
-            &rt.stats,
-            recorder,
-            config.serve.quantized,
-        );
+        dispatch_batch(batch, target, &generation, &mut pool, base, &rt.stats, recorder);
     }
     // Queue closed and drained: resolve in-flight retires, then flush each
     // replica's final partial interval's wear so the reported hardware

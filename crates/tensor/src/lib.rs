@@ -18,9 +18,6 @@
 //!   He);
 //! * [`stats`]: distribution summaries and histograms used to reproduce the
 //!   paper's weight/resistance/conductance figures;
-//! * [`quant`]: fixed-point `i16`/`i32` quantized matmul kernels with exact
-//!   (thread-count-independent) integer accumulation — the fast path behind
-//!   the `--quantized` mode, gated against the f32 oracle;
 //! * [`scratch`]: reusable per-worker buffer arenas keeping allocation off
 //!   hot evaluation loops.
 //!
@@ -51,7 +48,6 @@ mod tensor;
 pub mod conv;
 pub mod init;
 pub mod ops;
-pub mod quant;
 pub mod scratch;
 pub mod stats;
 

@@ -26,12 +26,10 @@
 //! assert!(again.capacity() >= 128);
 //! ```
 
-/// A pool of reusable `f32` (and, for the quantized path, `i16`) buffers
-/// (see the module docs).
+/// A pool of reusable `f32` buffers (see the module docs).
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     free: Vec<Vec<f32>>,
-    free_i16: Vec<Vec<i16>>,
 }
 
 impl ScratchArena {
@@ -63,27 +61,6 @@ impl ScratchArena {
     pub fn give(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
             self.free.push(buf);
-        }
-    }
-
-    /// Hands out a zeroed `i16` buffer of exactly `len` elements — the
-    /// integer-code twin of [`ScratchArena::take`], used by the quantized
-    /// evaluation path for activation and candidate-code buffers.
-    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
-        match self.free_i16.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0; len],
-        }
-    }
-
-    /// Returns an `i16` buffer to the arena for later reuse.
-    pub fn give_i16(&mut self, buf: Vec<i16>) {
-        if buf.capacity() > 0 {
-            self.free_i16.push(buf);
         }
     }
 }

@@ -21,9 +21,9 @@ cargo test -q
 # profile, and the extras the committed baseline must carry.
 #
 # * obs (exp_all), par (exp_par): phase timings only.
-# * map (exp_map): the quantized-vs-f32 candidate-scoring speedup — exp_map
-#   asserts the >= 2x gate when it runs; this keeps the extra from silently
-#   vanishing from the baseline.
+# * map (exp_map): the programmed and delta-skipped cell counts of the
+#   range-selection trajectory; this keeps them from silently vanishing
+#   from the baseline.
 # * serve (exp_serve): the wear-attribution / latency extras. bench-diff
 #   fails on drifted or vanished extras, and unlike wall-clock times the
 #   extras are deterministic (pure FP over a fixed admission sequence), so
@@ -40,10 +40,10 @@ cargo test -q
 manifest=(
     "BENCH_obs.json   MEMAGING_BENCH_CANDIDATE"
     "BENCH_par.json   MEMAGING_BENCH_CANDIDATE_PAR"
-    "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   quant_speedup_candidate"
+    "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   programmed_cells skipped_cells"
     "BENCH_serve.json MEMAGING_BENCH_CANDIDATE_SERVE wear_total_stress wear_inference_read_stress
         wear_remap_stress wear_ledger_entries latency_e2e_count series_points forecast_tiles
-        forecast_worst_velocity quant_speedup_forward remap_cells_skipped_frac delta_remap_speedup"
+        forecast_worst_velocity remap_cells_skipped_frac delta_remap_speedup"
     "BENCH_fleet.json MEMAGING_BENCH_CANDIDATE_FLEET fleet_wear_imbalance
         fleet_wear_imbalance_round_robin fleet_scaling fleet_retires"
 )

@@ -167,7 +167,7 @@ fn analyzer_reproduces_live_documents_bit_identically_at_1_2_8_threads() {
 /// workspace root.
 fn flight_dumps() -> Vec<PathBuf> {
     let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    ["1t", "2t", "2t_16c", "1t_q", "2t_q", "2t_16c_q"]
+    ["1t", "2t", "2t_16c"]
         .iter()
         .map(|leg| results.join(format!("flight_serve_{leg}.jsonl")))
         .collect()

@@ -368,7 +368,7 @@ fn engine_keeps_the_networks_remap_programming_settings() {
 }
 
 #[test]
-fn quantized_batches_replay_solo_responses_bit_for_bit() {
+fn batched_responses_replay_solo_responses_bit_for_bit() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     let (_, calib, spec, aging) = trained();
     let total: usize = 64;
@@ -379,11 +379,10 @@ fn quantized_batches_replay_solo_responses_bit_for_bit() {
         remap_drift_fraction: 0.01,
         max_linger: Duration::from_micros(300),
         max_batch: clients,
-        quantized: true,
         ..ServeConfig::default()
     };
     // Solo run: every request is its own batch, so this pins the
-    // per-generation response bytes of the per-request quantized path.
+    // per-generation response bytes of a one-request batch.
     par::set_threads(1);
     let service = deploy(config);
     let input = sample(calib, 0);
@@ -403,11 +402,11 @@ fn quantized_batches_replay_solo_responses_bit_for_bit() {
     let solo_report = service.shutdown();
     assert!(solo_report.remaps >= 1, "the load must trigger a live remap");
 
-    // Concurrent run: the dispatcher now fuses admitted requests into
-    // multi-row integer forwards (the batched quantized path). Per-row
-    // quantization steps + exact integer accumulation mean every response
+    // Concurrent run: the dispatcher now groups admitted requests into
+    // multi-request batches fanned out over two workers. Every response
     // must be byte-identical to the solo run's for the same generation, no
-    // matter how the racy admission stream grouped into batches.
+    // matter how the racy admission stream grouped into batches or which
+    // worker context served it.
     par::set_threads(2);
     let service = Arc::new(deploy(config));
     let batched: Vec<(u64, Vec<u32>)> = std::thread::scope(|scope| {
@@ -442,7 +441,7 @@ fn quantized_batches_replay_solo_responses_bit_for_bit() {
             .unwrap_or_else(|| panic!("generation {generation} never observed in the solo run"));
         assert_eq!(
             expected, bits,
-            "batched quantized response diverged from the solo path at generation {generation}"
+            "batched response diverged from the solo path at generation {generation}"
         );
     }
     // Wear is keyed to the admitted-request count, so both runs land the
