@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the workspace's performance-critical
-//! kernels: the analog VMM, array programming, weight mapping/quantization,
-//! software training steps and the sign-based tuning primitive.
+//! kernels: array programming, device pulses and wear snapshots, weight
+//! mapping/quantization, software training steps and the forward pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use memaging::crossbar::{Crossbar, DifferentialCrossbar, TiledMatrix, WeightMapping};
+use memaging::crossbar::{Crossbar, WeightMapping};
 use memaging::dataset::{Dataset, SyntheticSpec};
 use memaging::device::{
     AgedWindow, AgingModel, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer,
@@ -20,28 +20,6 @@ fn bench_matmul(c: &mut Criterion) {
     let b = init::gaussian([128, 128], 0.0, 1.0, &mut rng);
     c.bench_function("tensor/matmul_128", |bench| {
         bench.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("valid dims"))
-    });
-}
-
-fn bench_vmm(c: &mut Criterion) {
-    let mut xbar =
-        Crossbar::new(128, 128, DeviceSpec::default(), ArrheniusAging::default()).expect("valid");
-    let targets = Tensor::full([128, 128], 5.0e-5);
-    xbar.program_conductances(&targets).expect("programmable");
-    let input: Vec<f32> = (0..128).map(|i| (i as f32 * 0.1).sin()).collect();
-    c.bench_function("crossbar/vmm_128x128", |bench| {
-        bench.iter(|| xbar.vmm(black_box(&input)).expect("valid input"))
-    });
-}
-
-fn bench_tiled_vmm(c: &mut Criterion) {
-    let mut tiled =
-        TiledMatrix::new(256, 256, 128, DeviceSpec::default(), ArrheniusAging::default())
-            .expect("valid");
-    tiled.program_conductances(&Tensor::full([256, 256], 5.0e-5)).expect("programmable");
-    let input: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).cos()).collect();
-    c.bench_function("crossbar/tiled_vmm_256x256_tile128", |bench| {
-        bench.iter(|| tiled.vmm(black_box(&input)).expect("valid input"))
     });
 }
 
@@ -156,45 +134,9 @@ fn bench_conv_forward(c: &mut Criterion) {
     });
 }
 
-fn bench_noisy_vmm(c: &mut Criterion) {
-    let mut xbar =
-        Crossbar::new(128, 128, DeviceSpec::default(), ArrheniusAging::default()).expect("valid");
-    xbar.program_conductances(&Tensor::full([128, 128], 5.0e-5)).expect("programmable");
-    let input: Vec<f32> = (0..128).map(|i| (i as f32 * 0.1).sin()).collect();
-    let mut rng = StdRng::seed_from_u64(7);
-    c.bench_function("crossbar/vmm_noisy_128x128", |bench| {
-        bench.iter(|| xbar.vmm_noisy(black_box(&input), 0.01, &mut rng).expect("valid input"))
-    });
-}
-
-fn bench_ir_drop_vmm(c: &mut Criterion) {
-    let mut xbar =
-        Crossbar::new(128, 128, DeviceSpec::default(), ArrheniusAging::default()).expect("valid");
-    xbar.program_conductances(&Tensor::full([128, 128], 5.0e-5)).expect("programmable");
-    let input: Vec<f32> = (0..128).map(|i| (i as f32 * 0.1).cos()).collect();
-    c.bench_function("crossbar/vmm_ir_drop_128x128", |bench| {
-        bench.iter(|| xbar.vmm_with_ir_drop(black_box(&input), 1.0).expect("valid input"))
-    });
-}
-
-fn bench_differential_vmm(c: &mut Criterion) {
-    let mut pair =
-        DifferentialCrossbar::new(128, 128, DeviceSpec::default(), ArrheniusAging::default())
-            .expect("valid");
-    let mut rng = StdRng::seed_from_u64(8);
-    let weights = init::gaussian([128, 128], 0.0, 0.2, &mut rng);
-    pair.program_weights(&weights).expect("programmable");
-    let input: Vec<f32> = (0..128).map(|i| (i as f32 * 0.2).sin()).collect();
-    c.bench_function("crossbar/differential_vmm_128x128", |bench| {
-        bench.iter(|| pair.vmm(black_box(&input)).expect("valid input"))
-    });
-}
-
 criterion_group!(
     benches,
     bench_matmul,
-    bench_vmm,
-    bench_tiled_vmm,
     bench_programming,
     bench_device_pulse,
     bench_levels_within,
@@ -202,8 +144,5 @@ criterion_group!(
     bench_mapping_quantization,
     bench_train_step,
     bench_conv_forward,
-    bench_noisy_vmm,
-    bench_ir_drop_vmm,
-    bench_differential_vmm,
 );
 criterion_main!(benches);

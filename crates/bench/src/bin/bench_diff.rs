@@ -3,17 +3,17 @@
 //! ```text
 //! bench-diff BENCH_obs.json BENCH_new.json                 # default 1.5x
 //! bench-diff BENCH_obs.json BENCH_new.json --tolerance 3.0 # cross-machine
-//! bench-diff BENCH_obs.json BENCH_new.json --min-ms 0.1
 //! ```
 //!
 //! Compares the candidate profile's per-phase mean wall-clock times against
 //! the baseline and exits `1` when any phase regressed beyond the
 //! tolerance, `2` on usage/parse errors, `0` otherwise — so CI can gate on
-//! it directly (`scripts/check.sh` does).
+//! it directly (`scripts/check.sh` does). Phases under the 0.05 ms noise
+//! floor in both profiles are skipped.
 
 use std::path::PathBuf;
 
-use memaging_bench::profile::{compare, BenchProfile, DiffConfig};
+use memaging_bench::profile::{compare, BenchProfile, DiffConfig, NOISE_FLOOR_MS};
 
 struct Args {
     baseline: PathBuf,
@@ -27,7 +27,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut config = DiffConfig::default();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tolerance" | "--min-ms" | "--extra-tolerance" => {
+            "--tolerance" | "--extra-tolerance" => {
                 let value = it.next().ok_or_else(|| format!("flag {arg} needs a value"))?;
                 let parsed: f64 =
                     value.parse().map_err(|_| format!("bad value for {arg}: `{value}`"))?;
@@ -36,7 +36,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 }
                 match arg.as_str() {
                     "--tolerance" => config.tolerance = parsed,
-                    "--min-ms" => config.min_ms = parsed,
                     _ => config.extra_rel_tolerance = parsed,
                 }
             }
@@ -63,7 +62,7 @@ fn run(args: &[String]) -> i32 {
             eprintln!("bench-diff: {e}");
             eprintln!(
                 "usage: bench-diff <baseline.json> <candidate.json> \
-                 [--tolerance R] [--min-ms M] [--extra-tolerance R]"
+                 [--tolerance R] [--extra-tolerance R]"
             );
             return 2;
         }
@@ -78,7 +77,7 @@ fn run(args: &[String]) -> i32 {
         };
     println!(
         "bench-diff: `{}` vs `{}` (tolerance {:.2}x, floor {:.3} ms)",
-        baseline.benchmark, candidate.benchmark, args.config.tolerance, args.config.min_ms
+        baseline.benchmark, candidate.benchmark, args.config.tolerance, NOISE_FLOOR_MS
     );
     for base in &baseline.phases {
         match candidate.phase(&base.phase) {
@@ -87,7 +86,7 @@ fn run(args: &[String]) -> i32 {
                 base.phase,
                 base.mean_ms,
                 cand.mean_ms,
-                cand.mean_ms / base.mean_ms.max(args.config.min_ms),
+                cand.mean_ms / base.mean_ms.max(NOISE_FLOOR_MS),
             ),
             None => println!("  {:<10} mean {:>9.3} ms -> (phase gone)", base.phase, base.mean_ms),
         }
@@ -143,13 +142,19 @@ mod tests {
 
     #[test]
     fn parses_flags_and_rejects_bad_usage() {
-        let args =
-            parse_args(&argv(&["a.json", "b.json", "--tolerance", "3.0", "--min-ms", "0.1"]))
-                .unwrap();
+        let args = parse_args(&argv(&[
+            "a.json",
+            "b.json",
+            "--tolerance",
+            "3.0",
+            "--extra-tolerance",
+            "0.2",
+        ]))
+        .unwrap();
         assert_eq!(args.baseline, PathBuf::from("a.json"));
         assert_eq!(args.candidate, PathBuf::from("b.json"));
         assert_eq!(args.config.tolerance, 3.0);
-        assert_eq!(args.config.min_ms, 0.1);
+        assert_eq!(args.config.extra_rel_tolerance, 0.2);
         assert!(parse_args(&argv(&["only-one.json"])).is_err());
         assert!(parse_args(&argv(&["a", "b", "c"])).is_err());
         assert!(parse_args(&argv(&["a", "b", "--tolerance"])).is_err());

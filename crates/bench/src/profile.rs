@@ -15,7 +15,7 @@
 //! *counts* legitimately differ between runs (a lifetime ends when aging
 //! says so), while the per-invocation cost of `train`/`map`/`tune`/
 //! `evaluate` is what regresses when someone pessimizes a kernel. Phases
-//! faster than a floor (`min_ms`) are ignored — they are timer noise.
+//! faster than [`NOISE_FLOOR_MS`] are ignored — they are timer noise.
 
 use std::fmt;
 use std::path::Path;
@@ -102,14 +102,16 @@ impl BenchProfile {
     }
 }
 
+/// Phases whose mean is below this many milliseconds in both profiles are
+/// skipped by [`compare`] (timer noise); a smaller baseline mean is raised
+/// to it before the ratio is formed.
+pub const NOISE_FLOOR_MS: f64 = 0.05;
+
 /// Tolerances for [`compare`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
     /// Maximum allowed candidate/baseline mean-time ratio per phase.
     pub tolerance: f64,
-    /// Phases whose mean is below this many milliseconds in both profiles
-    /// are skipped (timer noise).
-    pub min_ms: f64,
     /// Maximum allowed relative difference for `extras` scalars. These are
     /// deterministic quantities (histogram counts, attribution totals),
     /// not timings, so the default is tight — it only absorbs the decimal
@@ -121,7 +123,7 @@ impl Default for DiffConfig {
     fn default() -> Self {
         // 1.5x absorbs scheduler jitter on one machine while still
         // catching a genuine 2x pessimization.
-        DiffConfig { tolerance: 1.5, min_ms: 0.05, extra_rel_tolerance: 1e-3 }
+        DiffConfig { tolerance: 1.5, extra_rel_tolerance: 1e-3 }
     }
 }
 
@@ -151,7 +153,7 @@ impl fmt::Display for Regression {
 /// Compares two profiles phase by phase; returns every phase whose mean
 /// time regressed beyond `config.tolerance`. A phase present in only one
 /// profile is not a regression (pipelines gain and lose phases), and
-/// phases under `config.min_ms` in both profiles are ignored.
+/// phases under [`NOISE_FLOOR_MS`] in both profiles are ignored.
 ///
 /// `extras` scalars are held to `config.extra_rel_tolerance` instead:
 /// they are deterministic, so an extra that drifts — or disappears from
@@ -164,12 +166,12 @@ pub fn compare(
     let mut regressions = Vec::new();
     for base in &baseline.phases {
         let Some(cand) = candidate.phase(&base.phase) else { continue };
-        if base.mean_ms < config.min_ms && cand.mean_ms < config.min_ms {
+        if base.mean_ms < NOISE_FLOOR_MS && cand.mean_ms < NOISE_FLOOR_MS {
             continue;
         }
         // A baseline mean at/below the floor cannot form a meaningful
         // ratio; require the candidate to clear the floor on its own.
-        let effective_base = base.mean_ms.max(config.min_ms);
+        let effective_base = base.mean_ms.max(NOISE_FLOOR_MS);
         let ratio = cand.mean_ms / effective_base;
         if ratio > config.tolerance {
             regressions.push(Regression {

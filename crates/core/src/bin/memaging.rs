@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use memaging::crossbar::{CrossbarNetwork, MAX_REMAP_TOLERANCE};
+use memaging::crossbar::CrossbarNetwork;
 use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
 use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
@@ -104,10 +104,6 @@ struct RunOpts {
     /// Disable series retention entirely: no store is attached, and the
     /// serve tier's per-boundary series path is allocation-free.
     no_series: bool,
-    /// Delta-remap tuning tolerance in grid levels (`--remap-tolerance`,
-    /// `[0, 0.5]`): drift within this distance of the target level is left
-    /// in place instead of being chased with stressful pulses.
-    remap_tolerance: f64,
 }
 
 impl Default for RunOpts {
@@ -122,7 +118,6 @@ impl Default for RunOpts {
             flight: None,
             metrics: false,
             no_series: false,
-            remap_tolerance: 0.0,
         }
     }
 }
@@ -193,7 +188,6 @@ fn parse_run_opts(
             "--trace",
             "--trace-chrome",
             "--flight-recorder",
-            "--remap-tolerance",
         ];
         let known = known.contains(&flag.as_str())
             || (serve
@@ -221,15 +215,6 @@ fn parse_run_opts(
             "--trace" => opts.trace = Some(value.to_string()),
             "--trace-chrome" => opts.trace_chrome = Some(value.to_string()),
             "--flight-recorder" => opts.flight = Some(value.to_string()),
-            "--remap-tolerance" => {
-                let t: f64 = value.parse().map_err(|_| format!("bad remap-tolerance `{value}`"))?;
-                if !t.is_finite() || !(0.0..=MAX_REMAP_TOLERANCE).contains(&t) {
-                    return Err(format!(
-                        "bad remap-tolerance `{t}` (must lie in [0, {MAX_REMAP_TOLERANCE}])"
-                    ));
-                }
-                opts.remap_tolerance = t;
-            }
             "--port" => {
                 flags.port = value.parse().map_err(|_| format!("bad port `{value}`"))?;
             }
@@ -323,7 +308,6 @@ fn print_help() {
          \u{20}                                       [--trace out.jsonl]\n\
          \u{20}                                       [--trace-chrome out.json] [--metrics]\n\
          \u{20}                                       [--flight-recorder out.jsonl]\n\
-         \u{20}                                       [--remap-tolerance F (0..=0.5, default 0)]\n\
          \u{20}                       --threads N sizes the worker pool (default:\n\
          \u{20}                       MEMAGING_THREADS, then available cores); results\n\
          \u{20}                       are bit-identical at any thread count\n\
@@ -333,10 +317,8 @@ fn print_help() {
          \u{20}                       prints a metrics summary after the run;\n\
          \u{20}                       --flight-recorder keeps a ring of recent events\n\
          \u{20}                       and dumps it to JSONL when an alert or live\n\
-         \u{20}                       remap fires; --remap-tolerance leaves drift\n\
-         \u{20}                       within F grid levels of the target in place,\n\
-         \u{20}                       trading exactness for pulse savings (re-maps\n\
-         \u{20}                       program only cells whose target level changed)\n\
+         \u{20}                       remap fires; re-maps program only cells whose\n\
+         \u{20}                       target level changed\n\
          \u{20}   memaging serve <quick|lenet|vgg>    [--port N (default 9464)] [--linger]\n\
          \u{20}                                       [--strategy tt|stt|stat|all]\n\
          \u{20}                                       [--seed N] [--sessions N] [--threads N]\n\
@@ -402,7 +384,6 @@ fn configured_scenario(name: &str, opts: &RunOpts) -> Scenario {
     if let Some(sessions) = opts.sessions {
         scenario.framework.lifetime.max_sessions = sessions;
     }
-    scenario.framework.lifetime.remap_tolerance = opts.remap_tolerance;
     scenario
 }
 
@@ -562,12 +543,7 @@ fn run_infer(
     // N ≥ 1 independent crossbar replicas behind the deterministic
     // wear-balancing fleet router.
     let networks = (0..flags.replicas)
-        .map(|_| {
-            let mut network =
-                CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging)?;
-            network.set_remap_tolerance(opts.remap_tolerance);
-            Ok(network)
-        })
+        .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
         .collect::<Result<Vec<_>, memaging::crossbar::CrossbarError>>()?;
     let fleet_config =
         FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
@@ -1007,31 +983,6 @@ mod tests {
         assert!(parse_args(&argv("serve quick --infer --replicas abc")).is_err());
         let err = parse_args(&argv("serve quick --infer --router random")).unwrap_err();
         assert!(err.contains("unknown router policy"), "got: {err}");
-    }
-
-    #[test]
-    fn parses_remap_tolerance_flag() {
-        let cmd = parse_args(&argv("serve quick --infer --remap-tolerance 0.25")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve {
-                name: "quick".into(),
-                opts: RunOpts {
-                    strategy: StrategyArg::One(Strategy::StAt),
-                    remap_tolerance: 0.25,
-                    ..RunOpts::default()
-                },
-                flags: ServeFlags { infer: true, ..ServeFlags::default() },
-            }
-        );
-        let err = parse_args(&argv("scenario quick --remap-tolerance 0.7")).unwrap_err();
-        assert!(err.contains("bad remap-tolerance"), "got: {err}");
-        let err = parse_args(&argv("scenario quick --remap-tolerance nan")).unwrap_err();
-        assert!(err.contains("bad remap-tolerance"), "got: {err}");
-        // The tolerance flows into the lifetime config.
-        let opts = RunOpts { remap_tolerance: 0.1, ..RunOpts::default() };
-        let scenario = configured_scenario("quick", &opts);
-        assert_eq!(scenario.framework.lifetime.remap_tolerance, 0.1);
     }
 
     #[test]

@@ -136,8 +136,8 @@ pub struct Framework {
     /// per run).
     pub lifetime: LifetimeConfig,
     /// Observability handle threaded through training, mapping, tuning and
-    /// the lifetime loop. Disabled (free) by default; see
-    /// [`Framework::with_recorder`].
+    /// the lifetime loop. Disabled (free) by default; assign an enabled
+    /// recorder to make every stage report through it.
     pub recorder: Recorder,
 }
 
@@ -153,14 +153,6 @@ impl Framework {
             lifetime: LifetimeConfig::default(),
             recorder: Recorder::disabled(),
         }
-    }
-
-    /// Attaches an observability recorder; every subsequent training,
-    /// mapping, tuning and lifetime stage reports through it.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// Runs the software-training stage for `strategy`.
@@ -300,20 +292,6 @@ impl Framework {
             lifetime,
             layer_kinds,
         })
-    }
-
-    /// Runs all three paper strategies (`T+T`, `ST+T`, `ST+AT`) with the
-    /// same seed, in Table-I order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first strategy failure.
-    pub fn run_all_strategies(
-        &self,
-        data: &Dataset,
-        seed: u64,
-    ) -> Result<Vec<StrategyOutcome>, FrameworkError> {
-        Strategy::ALL.iter().map(|&s| self.run_strategy(data, s, seed)).collect()
     }
 
     /// Trains with and without the skewed penalty and reports both software

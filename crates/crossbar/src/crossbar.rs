@@ -1,9 +1,15 @@
-//! The memristor crossbar array: device grid, programming, analog VMM.
+//! The memristor crossbar array: device grid, programming, wear telemetry.
 
 use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec, Memristor, Siemens};
 use memaging_tensor::Tensor;
 
 use crate::error::CrossbarError;
+
+/// Largest distance, in grid levels, between a device's raw position and
+/// its target level at which the delta path treats the cell as already on
+/// target. At this floor the skipped set is exactly the cells full
+/// programming would move by zero pulses.
+const DELTA_NOOP_SLACK: f64 = 1e-9;
 
 /// Aggregate statistics of one programming operation over an array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,10 +26,6 @@ pub struct ProgramStats {
     /// level (within the no-op threshold — programming them would apply
     /// zero pulses).
     pub skipped_unchanged: usize,
-    /// Delta path: cells skipped because their drifted state is within the
-    /// caller's tuning tolerance of the target level (programming them
-    /// *would* pulse — the wear the delta path saves).
-    pub skipped_tolerance: usize,
     /// Delta path: cells that failed the skip predicate and went through
     /// full program-and-verify (always equal to `programmed` on the delta
     /// path; zero on the full path, which distinguishes the two in merged
@@ -39,13 +41,12 @@ impl ProgramStats {
         self.dead += other.dead;
         self.programmed += other.programmed;
         self.skipped_unchanged += other.skipped_unchanged;
-        self.skipped_tolerance += other.skipped_tolerance;
         self.rewritten += other.rewritten;
     }
 
-    /// Total cells the delta path skipped (unchanged + within tolerance).
+    /// Total cells the delta path skipped.
     pub fn skipped(&self) -> usize {
-        self.skipped_unchanged + self.skipped_tolerance
+        self.skipped_unchanged
     }
 }
 
@@ -53,12 +54,9 @@ impl std::fmt::Display for ProgramStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "programmed={} skipped={}(unchanged={} tolerance={}) rewritten={} \
-             pulses={} clipped={} dead={}",
+            "programmed={} skipped={} rewritten={} pulses={} clipped={} dead={}",
             self.programmed,
             self.skipped(),
-            self.skipped_unchanged,
-            self.skipped_tolerance,
             self.rewritten,
             self.pulses,
             self.clipped,
@@ -103,7 +101,9 @@ impl TileWear {
 ///
 /// Row voltages drive the array; each column output is the current
 /// `I_j = Σᵢ Vᵢ·gᵢⱼ`. Devices are stateful [`Memristor`]s that age with
-/// every programming pulse.
+/// every programming pulse. The network reads the programmed
+/// conductances back ([`Crossbar::conductances`]) and computes that sum
+/// in software.
 ///
 /// # Examples
 ///
@@ -116,9 +116,9 @@ impl TileWear {
 /// let mut xbar = Crossbar::new(2, 2, DeviceSpec::default(), ArrheniusAging::default())?;
 /// let targets = Tensor::full([2, 2], 5.0e-5); // 20 kΩ each
 /// xbar.program_conductances(&targets)?;
-/// let currents = xbar.vmm(&[1.0, 1.0])?;
+/// let g = xbar.conductances();
 /// // Quantization to the 32-level grid costs a few percent.
-/// assert!((currents[0] - 1.0e-4).abs() / 1.0e-4 < 0.1);
+/// assert!((g.as_slice()[0] - 5.0e-5).abs() / 5.0e-5 < 0.1);
 /// # Ok(())
 /// # }
 /// ```
@@ -269,14 +269,12 @@ impl Crossbar {
     ///
     /// A cell is skipped iff both hold:
     ///
-    /// 1. Its raw grid position is within `max(tolerance, 1e-9)` levels of
-    ///    the target level code. At the `1e-9` floor this is exactly the set
-    ///    of cells full programming would move by zero pulses, so with
-    ///    `tolerance == 0.0` the device state after this call is **bitwise
-    ///    identical** to [`Crossbar::program_conductances`] — the full path
-    ///    stays available as the bit-exactness oracle. A positive tolerance
-    ///    additionally leaves stress-free drift within that many levels
-    ///    in place rather than chasing it with stressful pulses.
+    /// 1. Its raw grid position is within `1e-9` levels of the target
+    ///    level code. That is exactly the set of cells full programming
+    ///    would move by zero pulses, so the device state after this call is
+    ///    **bitwise identical** to [`Crossbar::program_conductances`] — the
+    ///    full path stays available as the bit-exactness oracle. Drift of
+    ///    any size is chased with pulses.
     /// 2. Its accumulated stress is at or below a per-level ceiling proving
     ///    the aged window still covers both its position and the target
     ///    (so the raw position *is* the effective position, the target is
@@ -286,8 +284,8 @@ impl Crossbar {
     ///    evaluation and no `conductances()` readback for the diff.
     ///
     /// Cells that fail the predicate — target level changed, window bounds
-    /// moved (which shifts every target conductance), drifted beyond the
-    /// tolerance, near a window edge, or previously dead/clipped — take the
+    /// moved (which shifts every target conductance), drifted, near a
+    /// window edge, or previously dead/clipped — take the
     /// unchanged full program-and-verify path and are counted in
     /// [`ProgramStats::rewritten`].
     ///
@@ -297,7 +295,6 @@ impl Crossbar {
     pub fn program_conductances_delta(
         &mut self,
         targets: &Tensor,
-        tolerance: f64,
     ) -> Result<ProgramStats, CrossbarError> {
         if targets.dims() != [self.rows, self.cols] {
             return Err(CrossbarError::DimensionMismatch {
@@ -324,7 +321,6 @@ impl Crossbar {
             })
             .collect();
         let top = (spec.levels - 1) as f64;
-        let slack = tolerance.max(1e-9);
         let mut stats = ProgramStats::default();
         for (i, device) in self.devices.iter_mut().enumerate() {
             let g = match Siemens::new(targets.as_slice()[i] as f64) {
@@ -342,17 +338,13 @@ impl Crossbar {
             let k = quantizer.nearest_level(g.to_ohms());
             let pos = device.grid_position();
             let dist = (pos - k as f64).abs();
-            if dist <= slack {
+            if dist <= DELTA_NOOP_SLACK {
                 // The ceiling must cover the higher of {position, target}
                 // (never below level 1, so a skipped device provably keeps
                 // >= 2 usable levels, i.e. is alive).
                 let needed = (pos.max(k as f64).ceil().max(1.0).min(top)) as usize;
                 if device.stress() <= limits[needed] {
-                    if dist < 1e-9 {
-                        stats.skipped_unchanged += 1;
-                    } else {
-                        stats.skipped_tolerance += 1;
-                    }
+                    stats.skipped_unchanged += 1;
                     continue;
                 }
             }
@@ -375,57 +367,6 @@ impl Crossbar {
     /// tensor.
     pub fn conductances(&self) -> Tensor {
         Tensor::from_fn([self.rows, self.cols], |i| self.devices[i].conductance().value() as f32)
-    }
-
-    /// Analog vector–matrix multiplication: column currents
-    /// `I_j = Σᵢ Vᵢ·gᵢⱼ` for row voltages `input` (paper Fig. 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::DimensionMismatch`] if `input.len()` differs
-    /// from the row count.
-    pub fn vmm(&self, input: &[f32]) -> Result<Vec<f64>, CrossbarError> {
-        let mut out = vec![0.0f64; self.cols];
-        self.vmm_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Crossbar::vmm`] into a caller-provided output buffer: `out` is
-    /// overwritten with the column currents. Lets hot loops (serve forward,
-    /// candidate sweeps) reuse one scratch vector instead of allocating per
-    /// call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::DimensionMismatch`] if `input.len()` differs
-    /// from the row count or `out.len()` from the column count.
-    pub fn vmm_into(&self, input: &[f32], out: &mut [f64]) -> Result<(), CrossbarError> {
-        if input.len() != self.rows {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "vmm input",
-                expected: (self.rows, 1),
-                actual: (input.len(), 1),
-            });
-        }
-        if out.len() != self.cols {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "vmm output",
-                expected: (self.cols, 1),
-                actual: (out.len(), 1),
-            });
-        }
-        out.fill(0.0);
-        for (r, &vin) in input.iter().enumerate() {
-            let v = vin as f64;
-            if v == 0.0 {
-                continue;
-            }
-            let row = &self.devices[r * self.cols..(r + 1) * self.cols];
-            for (o, d) in out.iter_mut().zip(row.iter()) {
-                *o += v * d.conductance().value();
-            }
-        }
-        Ok(())
     }
 
     /// Applies one session of read-disturb drift: each device independently
@@ -647,30 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn vmm_matches_dense_math() {
-        let mut x = xbar(3, 2);
-        let spec = DeviceSpec::default();
-        let width = spec.level_width();
-        let targets =
-            Tensor::from_fn([3, 2], |i| (1.0 / (spec.r_min + (3 * i) as f64 * width)) as f32);
-        x.program_conductances(&targets).unwrap();
-        let v = [0.5f32, -1.0, 0.25];
-        let out = x.vmm(&v).unwrap();
-        // Reference: dense dot products with the read conductances.
-        let g = x.conductances();
-        for (j, &o) in out.iter().enumerate() {
-            let mut expected = 0.0f64;
-            for (i, &vi) in v.iter().enumerate() {
-                expected += vi as f64 * g.as_slice()[i * 2 + j] as f64;
-            }
-            // f32 cast of the reference conductances costs ~1e-11 absolute
-            // at these current magnitudes.
-            assert!((o - expected).abs() < 1e-10, "col {j}: {o} vs {expected}");
-        }
-        assert!(x.vmm(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn programming_ages_the_array() {
         let mut x = xbar(2, 2);
         assert_eq!(x.total_pulses(), 0);
@@ -827,8 +744,7 @@ mod tests {
             clipped: 1,
             dead: 0,
             programmed: 4,
-            skipped_unchanged: 7,
-            skipped_tolerance: 1,
+            skipped_unchanged: 8,
             rewritten: 4,
         };
         a.merge(ProgramStats {
@@ -836,8 +752,7 @@ mod tests {
             clipped: 0,
             dead: 2,
             programmed: 2,
-            skipped_unchanged: 3,
-            skipped_tolerance: 2,
+            skipped_unchanged: 5,
             rewritten: 0,
         });
         assert_eq!(
@@ -847,15 +762,14 @@ mod tests {
                 clipped: 1,
                 dead: 2,
                 programmed: 6,
-                skipped_unchanged: 10,
-                skipped_tolerance: 3,
+                skipped_unchanged: 13,
                 rewritten: 4,
             }
         );
         assert_eq!(a.skipped(), 13);
         let rendered = a.to_string();
         assert!(rendered.contains("programmed=6"));
-        assert!(rendered.contains("skipped=13(unchanged=10 tolerance=3)"));
+        assert!(rendered.contains("skipped=13"));
         assert!(rendered.contains("rewritten=4"));
     }
 
@@ -869,14 +783,14 @@ mod tests {
         });
         // First programming from fresh: the delta path must do the same work.
         let s_full = full.program_conductances(&tg).unwrap();
-        let s_delta = delta.program_conductances_delta(&tg, 0.0).unwrap();
+        let s_delta = delta.program_conductances_delta(&tg).unwrap();
         assert_eq!(s_full.pulses, s_delta.pulses);
         assert_eq!(s_full.programmed, s_delta.programmed + s_delta.skipped_unchanged);
         assert_eq!(s_delta.rewritten, s_delta.programmed);
         // Second pass with identical targets: everything skips, zero pulses,
         // and device state stays bitwise identical to the full path.
         let s2_full = full.program_conductances(&tg).unwrap();
-        let s2_delta = delta.program_conductances_delta(&tg, 0.0).unwrap();
+        let s2_delta = delta.program_conductances_delta(&tg).unwrap();
         assert_eq!(s2_full.pulses, 0);
         assert_eq!(s2_delta.pulses, 0);
         assert_eq!(s2_delta.skipped_unchanged, 12);
@@ -900,7 +814,7 @@ mod tests {
                 (1.0 / (spec.r_min + level as f64 * spec.level_width())) as f32
             });
             let s_full = full.program_conductances(&tg).unwrap();
-            let s_delta = delta.program_conductances_delta(&tg, 0.0).unwrap();
+            let s_delta = delta.program_conductances_delta(&tg).unwrap();
             assert_eq!(s_full.pulses, s_delta.pulses, "epoch {epoch}");
             assert_eq!(s_full.clipped, s_delta.clipped, "epoch {epoch}");
             assert_eq!(s_full.dead, s_delta.dead, "epoch {epoch}");
@@ -908,12 +822,14 @@ mod tests {
         for (r, c, d) in full.iter() {
             assert_eq!(d, delta.device(r, c), "device ({r},{c}) state diverged");
         }
-        let v: Vec<f32> = (0..4).map(|i| (i as f32 * 0.71).cos()).collect();
-        assert_eq!(full.vmm(&v).unwrap(), delta.vmm(&v).unwrap());
+        let bits = |x: &Crossbar| -> Vec<u32> {
+            x.conductances().as_slice().iter().map(|g| g.to_bits()).collect()
+        };
+        assert_eq!(bits(&full), bits(&delta));
     }
 
     #[test]
-    fn delta_tolerance_leaves_drift_in_place() {
+    fn delta_reprogram_chases_drift_with_pulses() {
         let mut x = xbar(2, 2);
         let tg = Tensor::full([2, 2], (1.0 / 5.5e4) as f32);
         x.program_conductances(&tg).unwrap();
@@ -925,15 +841,9 @@ mod tests {
                 x.device_mut(r, c).drift_conductance(0.004);
             }
         }
-        // Within tolerance: drift is left in place, no pulses, no stress.
-        let stats = x.program_conductances_delta(&tg, 0.45).unwrap();
-        assert_eq!(stats.skipped_tolerance, 4);
-        assert_eq!(stats.programmed, 0);
-        assert_eq!(x.total_pulses(), pulses_before);
-        assert_eq!(x.total_stress(), stress_before);
-        // Zero tolerance: the same drift is chased with pulses.
-        let stats = x.program_conductances_delta(&tg, 0.0).unwrap();
+        let stats = x.program_conductances_delta(&tg).unwrap();
         assert_eq!(stats.programmed, 4);
+        assert_eq!(stats.skipped(), 0);
         assert!(x.total_pulses() > pulses_before);
         assert!(x.total_stress() > stress_before);
     }
@@ -942,7 +852,7 @@ mod tests {
     fn delta_reprogram_counts_dead_cells_like_full() {
         let mut x = xbar(1, 2);
         x.device_mut(0, 0).force_worn_out();
-        let stats = x.program_conductances_delta(&Tensor::full([1, 2], 5e-5), 0.0).unwrap();
+        let stats = x.program_conductances_delta(&Tensor::full([1, 2], 5e-5)).unwrap();
         assert_eq!(stats.dead, 1);
         assert!(stats.programmed + stats.skipped_unchanged == 1);
     }
@@ -951,7 +861,7 @@ mod tests {
     fn delta_reprogram_validates_shape() {
         let mut x = xbar(2, 2);
         assert!(matches!(
-            x.program_conductances_delta(&Tensor::full([2, 3], 1e-4), 0.0),
+            x.program_conductances_delta(&Tensor::full([2, 3], 1e-4)),
             Err(CrossbarError::DimensionMismatch { .. })
         ));
     }

@@ -10,7 +10,7 @@
 //! ```text
 //! w ≥ 0:  g⁺ = g_min + a·w,  g⁻ = g_min
 //! w < 0:  g⁻ = g_min + a·|w|, g⁺ = g_min
-//! I_j = I⁺_j − I⁻_j = a·Σᵢ xᵢ·wᵢⱼ        (offsets cancel exactly)
+//! w = (g⁺ − g⁻)/a                        (offsets cancel exactly)
 //! ```
 //!
 //! Two aging-relevant properties fall out: near-zero weights park **both**
@@ -174,22 +174,6 @@ impl DifferentialCrossbar {
         }))
     }
 
-    /// Differential VMM: `y = (I⁺ − I⁻)/scale` — the weight-domain product
-    /// with no offset correction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidMapping`] if unprogrammed, plus array
-    /// dimension errors.
-    pub fn vmm(&self, input: &[f32]) -> Result<Vec<f64>, CrossbarError> {
-        let mapping = self.mapping.ok_or(CrossbarError::InvalidMapping {
-            reason: "differential pair has not been programmed yet".into(),
-        })?;
-        let plus = self.positive.vmm(input)?;
-        let minus = self.negative.vmm(input)?;
-        Ok(plus.iter().zip(&minus).map(|(p, m)| (p - m) / mapping.scale()).collect())
-    }
-
     /// Total programming pulses over both arrays.
     pub fn total_pulses(&self) -> u64 {
         self.positive.total_pulses() + self.negative.total_pulses()
@@ -208,7 +192,6 @@ impl DifferentialCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_tensor::ops;
 
     fn spec() -> DeviceSpec {
         DeviceSpec::default()
@@ -262,26 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn differential_vmm_matches_matmul() {
-        let mut pair = DifferentialCrossbar::new(5, 4, spec(), ArrheniusAging::default()).unwrap();
-        let w = Tensor::from_fn([5, 4], |i| ((i as f32) * 0.37).sin() * 0.5);
-        pair.program_weights(&w).unwrap();
-        let x: Vec<f32> = (0..5).map(|i| ((i as f32) * 0.7).cos()).collect();
-        let analog = pair.vmm(&x).unwrap();
-        // Reference with the *read-back* weights (quantization included).
-        let read = pair.read_weights().unwrap();
-        let xm = Tensor::from_vec(x.clone(), [1, 5]).unwrap();
-        let reference = ops::matmul(&xm, &read).unwrap();
-        for (a, r) in analog.iter().zip(reference.as_slice()) {
-            assert!((a - *r as f64).abs() < 1e-4, "{a} vs {r}");
-        }
-    }
-
-    #[test]
     fn unprogrammed_pair_errors() {
         let pair = DifferentialCrossbar::new(2, 2, spec(), ArrheniusAging::default()).unwrap();
         assert!(pair.read_weights().is_err());
-        assert!(pair.vmm(&[1.0, 1.0]).is_err());
     }
 
     #[test]

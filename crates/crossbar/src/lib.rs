@@ -6,11 +6,13 @@
 //!
 //! Building blocks, bottom-up:
 //!
-//! * [`Crossbar`]: a grid of stateful [`memaging_device::Memristor`]s with
-//!   analog VMM (`I_j = Σ V_i·g_ij`, paper Fig. 1) and aggregate aging
-//!   telemetry;
+//! * [`Crossbar`]: a grid of stateful [`memaging_device::Memristor`]s
+//!   (paper Fig. 1) with full and delta programming and aggregate aging
+//!   telemetry. The network reads the programmed conductances back
+//!   ([`Crossbar::conductances`]) and computes `I_j = Σ V_i·g_ij` in
+//!   software, so aging reaches accuracy only through those conductances;
 //! * [`TiledMatrix`]: large logical matrices split over bounded physical
-//!   tiles with digital partial-sum aggregation;
+//!   tiles;
 //! * [`WeightMapping`]: the affine weight→conductance map of eq. (4) over a
 //!   common (fresh or aged) resistance window;
 //! * [`trace_estimates`] / [`traced_positions`]: the 1-of-9 block-center
@@ -27,9 +29,7 @@
 //! Beyond the paper's core flow, the crate models the production
 //! non-idealities and alternatives a deployment would weigh:
 //!
-//! * write variability and read noise ([`Crossbar::program_conductances_noisy`],
-//!   [`Crossbar::vmm_noisy`]);
-//! * interconnect IR drop ([`Crossbar::vmm_with_ir_drop`]);
+//! * write variability ([`Crossbar::program_conductances_noisy`]);
 //! * differential-pair signed-weight mapping ([`DifferentialCrossbar`]);
 //! * the row-swapping wear-leveling baseline of the paper's ref. \[12\]
 //!   ([`incremental_swap`], [`CrossbarNetwork::set_wear_leveling`]).
@@ -65,7 +65,6 @@ mod crossbar;
 mod differential;
 mod error;
 mod incremental;
-mod ir_drop;
 mod mapping;
 mod network;
 mod noise;
@@ -79,7 +78,7 @@ pub use crossbar::{Crossbar, ProgramStats, TileWear};
 pub use differential::{DifferentialCrossbar, DifferentialMapping};
 pub use error::CrossbarError;
 pub use mapping::{WeightMapping, WeightRange};
-pub use network::{CrossbarNetwork, MapReport, MappingStrategy, MAX_REMAP_TOLERANCE};
+pub use network::{CrossbarNetwork, MapReport, MappingStrategy};
 pub use range_select::{select_range, RangeSelection};
 pub use tile::{BlockMap, TiledMatrix};
 pub use tracer::{trace_estimates, traced_positions, traced_upper_bound_range, TracedEstimate};

@@ -11,7 +11,7 @@
 //! aging-aware mapping (paper §IV-B) substitutes a selected aged window —
 //! the same equation with `g_min = 1/R_selected,max`.
 
-use memaging_device::{AgedWindow, DeviceSpec, Siemens};
+use memaging_device::{AgedWindow, DeviceSpec};
 
 use crate::error::CrossbarError;
 
@@ -242,11 +242,6 @@ impl WeightMapping {
     pub fn weight_to_conductance(&self, w: f64) -> f64 {
         let w = w.clamp(self.w_min, self.w_max);
         self.slope() * (w - self.w_min) + self.g_min
-    }
-
-    /// Maps a weight to a typed conductance.
-    pub fn weight_to_siemens(&self, w: f64) -> Siemens {
-        Siemens::new(self.weight_to_conductance(w)).expect("mapping output is positive")
     }
 
     /// Inverts eq. 4: the effective weight a conductance implements. This is

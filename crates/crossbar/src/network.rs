@@ -13,10 +13,6 @@ use crate::tile::BlockMap;
 use crate::tracer::{trace_estimates, TracedEstimate};
 use crate::wear_level::RowAssignment;
 
-/// Largest delta-programming tuning tolerance, in grid levels. Past half a
-/// level, a skipped cell's drifted state would alias another level code.
-pub const MAX_REMAP_TOLERANCE: f64 = 0.5;
-
 /// How trained weights are mapped onto the (possibly aged) arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingStrategy {
@@ -54,7 +50,8 @@ pub struct MapReport {
 /// reads the effective weights back from hardware (the affine inverse of
 /// eq. 4 applied to the device conductances) and runs the software forward
 /// pass with them — numerically identical to the analog column-current
-/// computation plus the standard reference-column offset correction.
+/// computation plus the standard reference-column offset correction, which
+/// is why the crate carries no analog read path of its own.
 pub struct CrossbarNetwork {
     software: Network,
     arrays: Vec<Crossbar>,
@@ -76,9 +73,6 @@ pub struct CrossbarNetwork {
     /// Whether programming diffs targets against device state and writes
     /// only changed cells (default) or reprograms every cell.
     delta_remap: bool,
-    /// Delta programming only: drift within this many grid levels of the
-    /// target is left in place instead of being chased with pulses.
-    remap_tolerance: f64,
 }
 
 impl std::fmt::Debug for CrossbarNetwork {
@@ -123,16 +117,14 @@ impl CrossbarNetwork {
             wear_leveling: false,
             engine: EvalEngine::new(),
             delta_remap: true,
-            remap_tolerance: 0.0,
         })
     }
 
     /// Selects between delta programming (the default: targets are diffed
     /// against device state and only changed cells are written, see
     /// [`Crossbar::program_conductances_delta`]) and full reprogramming of
-    /// every cell. With the default zero tolerance both produce bitwise
-    /// identical device state; the full path exists as the bit-exactness
-    /// oracle and escape hatch.
+    /// every cell. Both produce bitwise identical device state; the full
+    /// path exists as the bit-exactness oracle and escape hatch.
     pub fn set_delta_remap(&mut self, enabled: bool) {
         self.delta_remap = enabled;
     }
@@ -140,29 +132,6 @@ impl CrossbarNetwork {
     /// Whether delta programming is enabled.
     pub fn delta_remap(&self) -> bool {
         self.delta_remap
-    }
-
-    /// Sets the delta-programming tuning tolerance, in grid levels: a cell
-    /// whose drifted state is within this distance of its target level is
-    /// left in place instead of being chased with stressful pulses. `0.0`
-    /// (the default) skips only provable no-ops, keeping delta programming
-    /// bit-identical to the full path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` lies outside `[0, MAX_REMAP_TOLERANCE]` (NaN
-    /// included).
-    pub fn set_remap_tolerance(&mut self, tolerance: f64) {
-        assert!(
-            (0.0..=MAX_REMAP_TOLERANCE).contains(&tolerance),
-            "remap tolerance must lie in [0, {MAX_REMAP_TOLERANCE}] grid levels, got {tolerance}"
-        );
-        self.remap_tolerance = tolerance;
-    }
-
-    /// The delta-programming tuning tolerance, in grid levels.
-    pub fn remap_tolerance(&self) -> f64 {
-        self.remap_tolerance
     }
 
     /// Enables the row-swapping wear-leveling baseline of the paper's
@@ -286,7 +255,6 @@ impl CrossbarNetwork {
             wear_leveling,
             engine,
             delta_remap,
-            remap_tolerance,
             ..
         } = &mut *self;
         let software: &Network = software;
@@ -294,7 +262,6 @@ impl CrossbarNetwork {
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
         let delta_remap = *delta_remap;
-        let remap_tolerance = *remap_tolerance;
         // New mapping epoch: worker contexts lazily re-sync the (possibly
         // retrained) software weights at their first lease.
         engine.begin_epoch();
@@ -372,7 +339,7 @@ impl CrossbarNetwork {
             }
             let physical = row_assignments[idx].to_physical(&targets)?;
             stats.merge(if delta_remap {
-                arrays[idx].program_conductances_delta(&physical, remap_tolerance)?
+                arrays[idx].program_conductances_delta(&physical)?
             } else {
                 arrays[idx].program_conductances(&physical)?
             });
@@ -439,20 +406,10 @@ impl CrossbarNetwork {
         self.mappings.get(idx).and_then(|m| m.as_ref())
     }
 
-    /// The logical→physical row assignment of mappable layer `idx`
-    /// (identity unless wear leveling has swapped rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn row_assignment(&self, idx: usize) -> &RowAssignment {
-        &self.row_assignments[idx]
-    }
-
     /// Mutable access to one array — for fault injection, custom aging
-    /// studies and tests. Note that mutating devices directly bypasses the
-    /// wear-leveling row assignment; use
-    /// [`CrossbarNetwork::row_assignment`] to translate weight positions.
+    /// studies and tests. Device positions are physical: with wear leveling
+    /// on, a swapped weight row no longer sits on the device row of the
+    /// same index.
     ///
     /// # Panics
     ///
@@ -915,21 +872,6 @@ mod tests {
             assert_eq!(a.as_slice(), b.as_slice(), "hardware state diverged");
         }
         assert_eq!(delta.total_pulses(), full.total_pulses());
-    }
-
-    #[test]
-    fn remap_tolerance_validates() {
-        let (net, _) = trained_setup(10);
-        let mut cn =
-            CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        cn.set_remap_tolerance(0.25);
-        assert_eq!(cn.remap_tolerance(), 0.25);
-        for bad in [-0.1, 0.6, f64::NAN] {
-            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cn.set_remap_tolerance(bad);
-            }))
-            .is_err());
-        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Stochastic non-idealities: programming (write) variability and read
-//! noise.
+//! Stochastic non-idealities: programming (write) variability.
 //!
-//! These are the standard analog-crossbar error sources beyond quantization
+//! This is the standard analog-crossbar error source beyond quantization
 //! and aging: a programmed conductance lands within a cycle-to-cycle
-//! tolerance of its target, and every column-current read carries thermal /
-//! quantization noise from the ADC chain. The paper folds such residual
-//! errors into what online tuning cleans up; this module makes them
-//! explicit so their interaction with tuning and aging can be measured.
+//! tolerance of its target. The paper folds such residual errors into what
+//! online tuning cleans up; this module makes them explicit so their
+//! interaction with tuning and aging can be measured.
 
 use memaging_tensor::Tensor;
 use rand::Rng;
@@ -44,33 +42,6 @@ impl Crossbar {
         });
         self.program_conductances(&noisy)
     }
-
-    /// Analog VMM with read noise: every column current is perturbed by
-    /// `(1 + sigma·z)`, `z ~ N(0,1)` — multiplicative current noise from
-    /// the sensing chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Crossbar::vmm`], plus
-    /// [`CrossbarError::InvalidMapping`] for an invalid sigma.
-    pub fn vmm_noisy<R: Rng + ?Sized>(
-        &self,
-        input: &[f32],
-        sigma: f64,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, CrossbarError> {
-        if !sigma.is_finite() || sigma < 0.0 {
-            return Err(CrossbarError::InvalidMapping {
-                reason: format!("read-noise sigma {sigma} must be finite and >= 0"),
-            });
-        }
-        let mut out = self.vmm(input)?;
-        for v in &mut out {
-            let z = memaging_tensor::init::standard_normal(rng) as f64;
-            *v *= 1.0 + sigma * z;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +64,6 @@ mod tests {
         a.program_conductances(&targets).unwrap();
         b.program_conductances_noisy(&targets, 0.0, &mut rng).unwrap();
         assert_eq!(a.conductances(), b.conductances());
-        let v = [1.0f32; 8];
-        let clean = a.vmm(&v).unwrap();
-        let noisy = a.vmm_noisy(&v, 0.0, &mut rng).unwrap();
-        assert_eq!(clean, noisy);
     }
 
     #[test]
@@ -112,34 +79,12 @@ mod tests {
     }
 
     #[test]
-    fn read_noise_is_zero_mean_at_scale() {
-        let mut x = xbar();
-        x.program_conductances(&Tensor::full([8, 8], 4.0e-5)).unwrap();
-        let v = [1.0f32; 8];
-        let clean = x.vmm(&v).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut acc = [0.0f64; 8];
-        let trials = 500;
-        for _ in 0..trials {
-            let noisy = x.vmm_noisy(&v, 0.05, &mut rng).unwrap();
-            for (a, n) in acc.iter_mut().zip(&noisy) {
-                *a += n;
-            }
-        }
-        for (a, c) in acc.iter().zip(&clean) {
-            let mean = a / trials as f64;
-            assert!((mean - c).abs() / c < 0.02, "noisy mean {mean} vs clean {c}");
-        }
-    }
-
-    #[test]
     fn invalid_sigmas_rejected() {
         let mut x = xbar();
         let mut rng = StdRng::seed_from_u64(4);
         let targets = Tensor::full([8, 8], 4.0e-5);
         assert!(x.program_conductances_noisy(&targets, -0.1, &mut rng).is_err());
         assert!(x.program_conductances_noisy(&targets, f64::NAN, &mut rng).is_err());
-        assert!(x.vmm_noisy(&[1.0; 8], -1.0, &mut rng).is_err());
     }
 
     #[test]

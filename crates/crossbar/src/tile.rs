@@ -3,7 +3,7 @@
 //! Fabricated crossbars are bounded (e.g. 128×128 in the dot-product engine
 //! of the paper's ref. [14]); a large layer is split into a grid of tiles
 //! whose partial column currents are summed digitally. This module provides
-//! that decomposition along with aggregate programming and VMM.
+//! that decomposition along with aggregate programming and read-back.
 
 use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec};
 use memaging_tensor::Tensor;
@@ -30,8 +30,7 @@ const PROGRAM_OPS_PER_DEVICE: usize = 64;
 /// let mut tiled = TiledMatrix::new(5, 7, 3, DeviceSpec::default(), ArrheniusAging::default())?;
 /// assert_eq!(tiled.tile_grid(), (2, 3));
 /// tiled.program_conductances(&Tensor::full([5, 7], 5.0e-5))?;
-/// let out = tiled.vmm(&[1.0; 5])?;
-/// assert_eq!(out.len(), 7);
+/// assert_eq!(tiled.conductances().dims(), &[5, 7]);
 /// # Ok(())
 /// # }
 /// ```
@@ -121,9 +120,9 @@ impl TiledMatrix {
     /// Delta programming of the full logical matrix, tile by tile: each tile
     /// runs [`Crossbar::program_conductances_delta`], skipping cells whose
     /// state already represents their target level (see the per-array
-    /// documentation for the exact skip contract). With `tolerance == 0.0`
-    /// the resulting device state is bitwise identical to
-    /// [`TiledMatrix::program_conductances`] at any thread count.
+    /// documentation for the exact skip contract). The resulting device
+    /// state is bitwise identical to [`TiledMatrix::program_conductances`]
+    /// at any thread count.
     ///
     /// # Errors
     ///
@@ -132,9 +131,8 @@ impl TiledMatrix {
     pub fn program_conductances_delta(
         &mut self,
         targets: &Tensor,
-        tolerance: f64,
     ) -> Result<ProgramStats, CrossbarError> {
-        self.program_tiles(targets, |tile, sub| tile.program_conductances_delta(sub, tolerance))
+        self.program_tiles(targets, Crossbar::program_conductances_delta)
     }
 
     /// Shared tile-parallel programming driver: slices `targets` per tile
@@ -204,79 +202,6 @@ impl TiledMatrix {
             }
         }
         Tensor::from_vec(out, [self.rows, self.cols]).expect("sized by construction")
-    }
-
-    /// Logical VMM: each tile computes its partial column currents; partial
-    /// results along a tile row-band are summed digitally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::DimensionMismatch`] if `input.len()` differs
-    /// from the logical row count.
-    pub fn vmm(&self, input: &[f32]) -> Result<Vec<f64>, CrossbarError> {
-        let mut out = vec![0.0f64; self.cols];
-        self.vmm_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`TiledMatrix::vmm`] into a caller-provided output buffer: `out` is
-    /// overwritten with the logical column currents, letting hot loops reuse
-    /// one scratch vector across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::DimensionMismatch`] if `input.len()` differs
-    /// from the logical row count or `out.len()` from the column count.
-    pub fn vmm_into(&self, input: &[f32], out: &mut [f64]) -> Result<(), CrossbarError> {
-        if input.len() != self.rows {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "tiled vmm input",
-                expected: (self.rows, 1),
-                actual: (input.len(), 1),
-            });
-        }
-        if out.len() != self.cols {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "tiled vmm output",
-                expected: (self.cols, 1),
-                actual: (out.len(), 1),
-            });
-        }
-        out.fill(0.0);
-        // One worker per tile *column*: each owns a disjoint slice of the
-        // output and folds its partial currents over the tile rows in
-        // ascending `tr` order, exactly as the serial loop — results are
-        // bit-identical at any thread count. (Tile dimensions are
-        // consistent by construction, so per-tile errors cannot occur
-        // once the input length check passed; any is still propagated.)
-        let first_err = std::sync::Mutex::new(None);
-        let threads = memaging_par::parallelism_for(2 * self.rows * self.cols);
-        memaging_par::par_chunks_mut(out, self.tile_size, threads, |tc, chunk| {
-            // One partial buffer per tile column, reused down the tile rows.
-            let mut partial = vec![0.0f64; chunk.len()];
-            for tr in 0..self.tile_rows {
-                let band = &input[tr * self.tile_size
-                    ..(tr * self.tile_size + self.tiles[tr * self.tile_cols].rows())];
-                let tile = &self.tiles[tr * self.tile_cols + tc];
-                match tile.vmm_into(band, &mut partial) {
-                    Ok(()) => {
-                        for (o, p) in chunk.iter_mut().zip(partial.iter()) {
-                            *o += p;
-                        }
-                    }
-                    Err(e) => {
-                        if let Ok(mut slot) = first_err.lock() {
-                            slot.get_or_insert(e);
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_err.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
-            return Err(e);
-        }
-        Ok(())
     }
 
     /// Total programming pulses across all tiles.
@@ -422,28 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_vmm_matches_monolithic() {
-        let mut t = tiled(6, 4, 2);
-        let mut mono =
-            Crossbar::new(6, 4, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        let tg = targets(6, 4);
-        t.program_conductances(&tg).unwrap();
-        mono.program_conductances(&tg).unwrap();
-        let v: Vec<f32> = (0..6).map(|i| (i as f32 * 0.37).sin()).collect();
-        let a = t.vmm(&v).unwrap();
-        let b = mono.vmm(&v).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-12, "tiled {x} vs mono {y}");
-        }
-    }
-
-    #[test]
-    fn vmm_validates_input_length() {
-        let t = tiled(4, 4, 2);
-        assert!(t.vmm(&[1.0; 3]).is_err());
-    }
-
-    #[test]
     fn program_validates_shape() {
         let mut t = tiled(4, 4, 2);
         assert!(t.program_conductances(&targets(4, 5)).is_err());
@@ -487,16 +390,18 @@ mod tests {
             (1.0 / (spec.r_min + (i % 20) as f64 * spec.level_width())) as f32
         });
         let s_full = full.program_conductances(&tg).unwrap();
-        let s_delta = delta.program_conductances_delta(&tg, 0.0).unwrap();
+        let s_delta = delta.program_conductances_delta(&tg).unwrap();
         assert_eq!(s_full.pulses, s_delta.pulses);
         // Second identical pass: everything skips on the delta path.
-        let s2 = delta.program_conductances_delta(&tg, 0.0).unwrap();
+        let s2 = delta.program_conductances_delta(&tg).unwrap();
         assert_eq!(s2.pulses, 0);
         assert_eq!(s2.skipped_unchanged, 35);
         assert_eq!(delta.total_pulses(), full.total_pulses());
-        let v: Vec<f32> = (0..7).map(|i| (i as f32 * 0.43).sin()).collect();
         full.program_conductances(&tg).unwrap();
-        assert_eq!(full.vmm(&v).unwrap(), delta.vmm(&v).unwrap());
+        let bits = |t: &TiledMatrix| -> Vec<u32> {
+            t.conductances().as_slice().iter().map(|g| g.to_bits()).collect()
+        };
+        assert_eq!(bits(&full), bits(&delta));
     }
 
     #[test]

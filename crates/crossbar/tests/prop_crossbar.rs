@@ -1,5 +1,5 @@
-//! Property-based tests for crossbar invariants: mapping bijectivity, VMM
-//! linearity, programming convergence and tiling equivalence.
+//! Property-based tests for crossbar invariants: mapping bijectivity,
+//! programming convergence and tiling equivalence.
 
 use memaging_crossbar::{Crossbar, TiledMatrix, WeightMapping};
 use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec};
@@ -42,41 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn vmm_is_linear_in_the_input(
-        rows in 1usize..8,
-        cols in 1usize..8,
-        scale in 0.1f32..4.0,
-    ) {
-        let mut xbar =
-            Crossbar::new(rows, cols, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        let targets = Tensor::from_fn([rows, cols], |i| 1.0e-5 + (i as f32 % 7.0) * 1.0e-5);
-        xbar.program_conductances(&targets).unwrap();
-        let v: Vec<f32> = (0..rows).map(|i| ((i + 1) as f32 * 0.2).sin()).collect();
-        let base = xbar.vmm(&v).unwrap();
-        let scaled_input: Vec<f32> = v.iter().map(|x| x * scale).collect();
-        let scaled = xbar.vmm(&scaled_input).unwrap();
-        for (b, s) in base.iter().zip(&scaled) {
-            prop_assert!((b * scale as f64 - s).abs() < 1e-9 * (1.0 + s.abs()));
-        }
-    }
-
-    #[test]
-    fn vmm_superposition(rows in 2usize..6, cols in 1usize..6) {
-        let mut xbar =
-            Crossbar::new(rows, cols, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        xbar.program_conductances(&Tensor::full([rows, cols], 3.0e-5)).unwrap();
-        let v1: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.3).cos()).collect();
-        let v2: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.7).sin()).collect();
-        let sum_in: Vec<f32> = v1.iter().zip(&v2).map(|(a, b)| a + b).collect();
-        let lhs = xbar.vmm(&sum_in).unwrap();
-        let r1 = xbar.vmm(&v1).unwrap();
-        let r2 = xbar.vmm(&v2).unwrap();
-        for ((l, a), b) in lhs.iter().zip(&r1).zip(&r2) {
-            prop_assert!((l - (a + b)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn programming_is_idempotent_on_fresh_arrays(
         rows in 1usize..5,
         cols in 1usize..5,
@@ -113,12 +78,8 @@ proptest! {
         });
         tiled.program_conductances(&targets).unwrap();
         mono.program_conductances(&targets).unwrap();
-        let v: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.41).sin()).collect();
-        let a = tiled.vmm(&v).unwrap();
-        let b = mono.vmm(&v).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-12, "tiled {x} vs mono {y}");
-        }
+        let bits = |g: Tensor| -> Vec<u32> { g.as_slice().iter().map(|x| x.to_bits()).collect() };
+        prop_assert_eq!(bits(tiled.conductances()), bits(mono.conductances()));
         prop_assert_eq!(tiled.total_pulses(), mono.total_pulses());
     }
 

@@ -43,20 +43,6 @@ pub struct SyntheticSpec {
 }
 
 impl SyntheticSpec {
-    /// A CIFAR-10-like spec: `classes`=10, 3×32×32 (heavyweight; prefer
-    /// [`SyntheticSpec::small`] in tests).
-    pub fn cifar_like(classes: usize, samples_per_class: usize, seed: u64) -> Self {
-        SyntheticSpec {
-            classes,
-            channels: 3,
-            height: 32,
-            width: 32,
-            samples_per_class,
-            noise_std: 0.3,
-            seed,
-        }
-    }
-
     /// A small, fast spec (1×12×12, 40 samples/class) for tests and scaled
     /// experiments.
     pub fn small(classes: usize, seed: u64) -> Self {

@@ -183,12 +183,6 @@ impl Memristor {
         self.usable_levels() < 2
     }
 
-    /// Highest fresh-grid level whose resistance is inside the aged window.
-    pub fn highest_reachable_level(&self) -> usize {
-        let (_, hi) = self.position_bounds();
-        (hi.floor() as usize).min(self.spec.levels - 1)
-    }
-
     /// Applies one pulse moving the position by `step_levels` grid units in
     /// `direction`, saturating against the aged window. Every pulse (even an
     /// absorbed one) stresses the device.

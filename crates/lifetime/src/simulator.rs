@@ -8,9 +8,7 @@
 //! before a maintenance session fails to reach the target accuracy within
 //! the tuning budget (150 iterations in the paper).
 
-use memaging_crossbar::{
-    tune_with_recorder, CrossbarNetwork, ProgramStats, TuneConfig, MAX_REMAP_TOLERANCE,
-};
+use memaging_crossbar::{tune_with_recorder, CrossbarNetwork, ProgramStats, TuneConfig};
 use memaging_dataset::Dataset;
 use memaging_device::{ArrheniusAging, DeviceSpec};
 use memaging_nn::Network;
@@ -57,14 +55,6 @@ pub struct LifetimeConfig {
     /// Enables the row-swapping wear-leveling baseline of the paper's
     /// ref. \[12\] on top of the selected strategy (prior-work comparison).
     pub wear_leveling: bool,
-    /// Delta-remap tuning tolerance in grid levels, in
-    /// `[0, MAX_REMAP_TOLERANCE]`: every (re-)map programs only cells whose
-    /// target level changed, and drift within this distance of the target
-    /// level is left in place instead of being chased with stressful
-    /// pulses. At `0.0` delta programming
-    /// is bitwise identical to full reprogramming (the oracle stays
-    /// reachable through [`CrossbarNetwork::set_delta_remap`]).
-    pub remap_tolerance: f64,
     /// Thresholds of the wear-health subsystem (forecaster + alerts). The
     /// monitor only runs when a recorder is enabled — its reports flow
     /// through the recorder's sinks.
@@ -85,7 +75,6 @@ impl Default for LifetimeConfig {
             seed: 0,
             remap_trigger: 0.3,
             wear_leveling: false,
-            remap_tolerance: 0.0,
             health: HealthConfig::default(),
         }
     }
@@ -126,16 +115,6 @@ impl LifetimeConfig {
         if !(0.0..=1.0).contains(&self.remap_trigger) {
             return Err(LifetimeError::InvalidConfig {
                 reason: format!("remap trigger {} not in [0, 1]", self.remap_trigger),
-            });
-        }
-        if !self.remap_tolerance.is_finite()
-            || !(0.0..=MAX_REMAP_TOLERANCE).contains(&self.remap_tolerance)
-        {
-            return Err(LifetimeError::InvalidConfig {
-                reason: format!(
-                    "remap tolerance {} not in [0, {MAX_REMAP_TOLERANCE}]",
-                    self.remap_tolerance
-                ),
             });
         }
         self.health.validate()?;
@@ -193,15 +172,6 @@ impl LifetimeResult {
     /// The tuning-iterations series for Fig. 10 (one point per session).
     pub fn tuning_iteration_series(&self) -> Vec<(u64, usize)> {
         self.sessions.iter().map(|s| (s.applications_before, s.tuning_iterations)).collect()
-    }
-
-    /// The per-layer mean `R_aged,max` series for Fig. 11: one `(apps,
-    /// bounds)` entry per session.
-    pub fn layer_aging_series(&self) -> Vec<(u64, Vec<f64>)> {
-        self.sessions
-            .iter()
-            .map(|s| (s.applications_before, s.per_layer_mean_r_max.clone()))
-            .collect()
     }
 }
 
@@ -263,7 +233,6 @@ pub fn run_lifetime_with_recorder(
         HealthMonitor::new(spec.r_min, spec.r_max, config.max_tuning_iterations, config.health);
     let mut hw = CrossbarNetwork::new(network, spec, aging)?;
     hw.set_wear_leveling(config.wear_leveling);
-    hw.set_remap_tolerance(config.remap_tolerance);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut sessions = Vec::new();
     let mut applications: u64 = 0;

@@ -10,8 +10,8 @@
 //! Every helper in this crate guarantees that **results are independent of
 //! the thread count and of runtime scheduling**:
 //!
-//! * [`par_map_collect`] / [`par_map_init`] return results merged in *item
-//!   index order*, regardless of which worker computed which item;
+//! * [`par_map_init`] returns results merged in *item index order*,
+//!   regardless of which worker computed which item;
 //! * [`par_chunks_mut`] hands each invocation a chunk identified by its
 //!   index, and chunks are disjoint, so writes cannot race;
 //! * nothing in this crate reorders a caller's arithmetic. Keeping
@@ -28,7 +28,7 @@
 //! ## Example
 //!
 //! ```
-//! let squares = memaging_par::par_map_collect(8, |i| i * i);
+//! let squares = memaging_par::par_map_init(8, |_worker| (), |(), i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -90,46 +90,16 @@ pub fn parallelism_for(total_ops: usize) -> usize {
     num_threads().min((total_ops / OPS_PER_THREAD).max(1))
 }
 
-/// Runs `f(0..n)` across the configured worker threads with dynamic
-/// (work-stealing) index distribution. Iterations must be independent.
-pub fn par_for(n: usize, f: impl Fn(usize) + Sync) {
-    let threads = num_threads().min(n);
-    if threads <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            f(i);
-        };
-        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-        worker();
-        join_all(handles);
-    });
-}
-
-/// Maps `f` over `0..n` in parallel, returning results in index order
-/// (independent of scheduling). Items are distributed dynamically, so
-/// uneven per-item cost balances across workers.
-pub fn par_map_collect<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    par_map_init(n, |_worker| (), move |(), i| f(i))
-}
-
-/// [`par_map_collect`] with per-worker state: `init(worker_index)` runs
-/// once on each worker thread (worker 0 is the calling thread), and the
-/// state is passed to every item that worker processes. Use it to reuse
-/// scratch buffers or expensive clones across items instead of rebuilding
-/// them per item.
+/// Maps `f` over `0..n` in parallel with per-worker state:
+/// `init(worker_index)` runs once on each worker thread (worker 0 is the
+/// calling thread), and the state is passed to every item that worker
+/// processes. Use it to reuse scratch buffers or expensive clones across
+/// items instead of rebuilding them per item. Items are distributed
+/// dynamically, so uneven per-item cost balances across workers.
 ///
-/// Results are returned in item index order. With one thread (or one item)
-/// everything runs inline on the caller with a single `init(0)` state.
+/// Results are returned in item index order, independent of scheduling.
+/// With one thread (or one item) everything runs inline on the caller
+/// with a single `init(0)` state.
 pub fn par_map_init<S, R: Send>(
     n: usize,
     init: impl Fn(usize) -> S + Sync,
@@ -304,17 +274,6 @@ impl<S> SlotPool<S> {
         self.slots[worker].lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Mutably visits every populated slot (for maintenance between
-    /// parallel regions: cache invalidation, weight refresh, ...).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut S)) {
-        for slot in &mut self.slots {
-            let state = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(state) = state.as_mut() {
-                f(state);
-            }
-        }
-    }
-
     /// Drops every stored state, keeping the slots.
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
@@ -348,7 +307,7 @@ mod tests {
         let _guard = lock();
         for threads in [1, 2, 8] {
             set_threads(threads);
-            let out = par_map_collect(100, |i| i * 3);
+            let out = par_map_init(100, |_| (), |(), i| i * 3);
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
         }
         set_threads(0);
@@ -358,8 +317,8 @@ mod tests {
     fn map_collect_handles_empty_and_single() {
         let _guard = lock();
         set_threads(4);
-        assert_eq!(par_map_collect(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_collect(1, |i| i + 7), vec![7]);
+        assert_eq!(par_map_init(0, |_| (), |(), i| i), Vec::<usize>::new());
+        assert_eq!(par_map_init(1, |_| (), |(), i| i + 7), vec![7]);
         set_threads(0);
     }
 
@@ -382,18 +341,6 @@ mod tests {
         assert_eq!(out, (0..50).collect::<Vec<_>>());
         let states = builds.load(Ordering::SeqCst);
         assert!(states <= 3, "at most one state per worker, got {states}");
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_for_visits_every_index_once() {
-        let _guard = lock();
-        set_threads(4);
-        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        par_for(64, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         set_threads(0);
     }
 
@@ -456,13 +403,10 @@ mod tests {
             );
             assert_eq!(out, (0..12).collect::<Vec<_>>(), "round {round}");
         }
-        let mut total = 0;
-        pool.for_each_mut(|count| total += *count);
+        let total: usize = (0..pool.len()).map(|w| pool.lease(w).unwrap_or(0)).sum();
         assert_eq!(total, 36, "every item increments exactly one persistent slot");
         pool.clear();
-        let mut populated = 0;
-        pool.for_each_mut(|_| populated += 1);
-        assert_eq!(populated, 0);
+        assert!((0..pool.len()).all(|w| pool.lease(w).is_none()));
         set_threads(0);
     }
 
@@ -483,7 +427,7 @@ mod tests {
         let reference: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin()).collect();
         for threads in [1, 2, 8] {
             set_threads(threads);
-            let got = par_map_collect(200, |i| (i as f64 * 0.37).sin());
+            let got = par_map_init(200, |_| (), |(), i| (i as f64 * 0.37).sin());
             assert_eq!(got, reference, "threads={threads}");
         }
         set_threads(0);

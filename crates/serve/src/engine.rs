@@ -101,9 +101,8 @@ impl ServeEngine {
     /// per-hardware observability (series, wear causes, forecast gauges,
     /// the attribution ledger) is namespaced `replica{r}.`; `None` emits
     /// the plain single-deployment streams. Remaps program the hardware
-    /// with the network's own delta-programming settings
-    /// ([`CrossbarNetwork::set_delta_remap`],
-    /// [`CrossbarNetwork::set_remap_tolerance`]).
+    /// with the network's own delta-programming setting
+    /// ([`CrossbarNetwork::set_delta_remap`]).
     ///
     /// # Errors
     ///

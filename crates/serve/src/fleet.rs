@@ -231,7 +231,6 @@ impl FleetReport {
 struct ReplicaHandle {
     stats: Arc<ServeStats>,
     ledger: Arc<Mutex<WearLedger>>,
-    generations: Arc<GenerationCell>,
     maintenance: Option<JoinHandle<ServeEngine>>,
 }
 
@@ -312,7 +311,7 @@ impl FleetService {
             };
             rts.push(ReplicaRt {
                 job_tx,
-                generations: Arc::clone(&generations),
+                generations,
                 stats: Arc::clone(&stats),
                 deploy_stress: initial.total_stress,
                 routed: 0,
@@ -323,12 +322,7 @@ impl FleetService {
                 last_retire_block: None,
                 retires: 0,
             });
-            handles.push(ReplicaHandle {
-                stats,
-                ledger,
-                generations,
-                maintenance: Some(maintenance),
-            });
+            handles.push(ReplicaHandle { stats, ledger, maintenance: Some(maintenance) });
         }
         let view = Arc::new(Mutex::new(rts.iter().map(ReplicaRt::view).collect::<Vec<_>>()));
         let queue = Arc::new(RequestQueue::new(config.serve.queue_capacity));
@@ -416,19 +410,9 @@ impl FleetService {
         self.input_dim
     }
 
-    /// Current admission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     /// Replica `r`'s live serving statistics.
     pub fn replica_stats(&self, r: usize) -> Option<&ServeStats> {
         self.replicas.get(r).map(|h| &*h.stats)
-    }
-
-    /// Replica `r`'s currently published mapping generation.
-    pub fn current_generation(&self, r: usize) -> Option<Arc<MappingGeneration>> {
-        self.replicas.get(r).and_then(|h| h.generations.current())
     }
 
     /// A snapshot of replica `r`'s wear-attribution ledger.

@@ -149,11 +149,6 @@ impl RequestQueue {
         }
     }
 
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.lock().entries.len()
-    }
-
     /// Whether admission has been closed.
     pub fn is_closed(&self) -> bool {
         self.lock().closed

@@ -46,15 +46,6 @@ impl Shape {
         self.dims.len()
     }
 
-    /// Size of dimension `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
     /// Total number of elements (product of all dims; 1 for a scalar).
     pub fn num_elements(&self) -> usize {
         self.dims.iter().product()

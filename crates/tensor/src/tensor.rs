@@ -159,24 +159,6 @@ impl Tensor {
         Ok(Tensor { shape, data: self.data.clone() })
     }
 
-    /// Reshapes in place (no copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<(), TensorError> {
-        let shape = shape.into();
-        if !self.shape.is_reshape_compatible(&shape) {
-            return Err(TensorError::ShapeMismatch {
-                expected: self.shape.clone(),
-                actual: shape,
-                op: "reshape",
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` element-wise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }

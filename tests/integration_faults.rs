@@ -1,5 +1,5 @@
-//! Fault-tolerance integration: stuck-at faults, noise and IR drop against
-//! the mapped network, and what online tuning can recover.
+//! Fault-tolerance integration: stuck-at faults and write variability
+//! against the mapped network, and what online tuning can recover.
 
 use memaging::crossbar::{tune, CrossbarNetwork, MappingStrategy, TuneConfig};
 use memaging::dataset::{Dataset, SyntheticSpec};
@@ -47,33 +47,6 @@ fn stuck_faults_degrade_and_tuning_partially_recovers() {
         "tuning should recover some accuracy: {faulted} -> {}",
         report.final_accuracy
     );
-}
-
-#[test]
-fn small_read_noise_barely_moves_column_currents() {
-    let (hw, _data, _) = mapped_network(301);
-    let array = &hw.arrays()[0];
-    let input: Vec<f32> = (0..array.rows()).map(|i| (i as f32 * 0.1).sin()).collect();
-    let clean = array.vmm(&input).unwrap();
-    let mut rng = StdRng::seed_from_u64(2);
-    let noisy = array.vmm_noisy(&input, 0.01, &mut rng).unwrap();
-    for (c, n) in clean.iter().zip(&noisy) {
-        let denom = c.abs().max(1e-9);
-        assert!(((c - n).abs() / denom) < 0.1, "1% read noise should stay small: {c} vs {n}");
-    }
-}
-
-#[test]
-fn ir_drop_biases_currents_downward() {
-    let (hw, _data, _) = mapped_network(302);
-    let array = &hw.arrays()[0];
-    let input = vec![1.0f32; array.rows()];
-    let ideal = array.vmm(&input).unwrap();
-    let dropped = array.vmm_with_ir_drop(&input, 2.0).unwrap();
-    for (i, d) in ideal.iter().zip(&dropped) {
-        assert!(d < i, "IR drop must attenuate: {i} vs {d}");
-        assert!(d > &(i * 0.5), "first-order model stays sane: {i} vs {d}");
-    }
 }
 
 #[test]

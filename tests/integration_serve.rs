@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
 
-use memaging::crossbar::{CrossbarNetwork, MappingStrategy};
+use memaging::crossbar::CrossbarNetwork;
 use memaging::dataset::Dataset;
 use memaging::device::{ArrheniusAging, DeviceSpec};
-use memaging::lifetime::{Strategy, WearCause, WearLedger};
+use memaging::lifetime::Strategy;
 use memaging::nn::Network;
 use memaging::obs::{Event, MemorySink, Recorder, SeriesStore, DEFAULT_SERIES_CAPACITY};
 use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeError, ServeReport};
@@ -285,76 +285,12 @@ fn forced_remap_attribution_sums_to_total_wear() {
 }
 
 #[test]
-fn delta_remap_ledger_attributes_strictly_less_remap_stress() {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
-    par::set_threads(2);
-    let (network, calib, spec, aging) = trained();
-    // Mirror of the serve engine's background-remap bookkeeping: the
-    // deployment mapping is charged as `Remap{0}`, the live remap as
-    // `Remap{1}`, each checkpointing the network's absolute per-tile
-    // stress (the exact `ServeEngine::charge` discipline). Both runs
-    // deploy at zero tolerance (bit-identical hardware), then devices
-    // drift deterministically before a steady-state remap: the full
-    // reference chases every drifted cell back with stressful pulses,
-    // while the delta path's tuning tolerance leaves sub-tolerance drift
-    // in place — so its ledger must attribute *strictly less* remap wear.
-    let run = |delta: bool| -> (WearLedger, memaging::crossbar::ProgramStats) {
-        let mut hw = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
-        hw.set_delta_remap(delta);
-        hw.set_remap_tolerance(0.0);
-        hw.map_weights(MappingStrategy::AgingAware, Some((calib, 16))).expect("deploy");
-        let stress = hw.tile_stress();
-        let mut ledger = WearLedger::new(stress.len());
-        ledger.charge(WearCause::Remap { generation: 0 }, &stress);
-        // Identical deterministic drift on both runs: every third device
-        // slips slightly off its programmed level (no RNG, no stress —
-        // drift moves state, not wear).
-        for l in 0..hw.arrays().len() {
-            let arr = hw.array_mut(l);
-            for r in 0..arr.rows() {
-                for c in 0..arr.cols() {
-                    if (l + r + c) % 3 == 0 {
-                        arr.device_mut(r, c).drift_conductance(0.004);
-                    }
-                }
-            }
-        }
-        if delta {
-            hw.set_remap_tolerance(0.4);
-        }
-        let report = hw.map_weights(MappingStrategy::AgingAware, Some((calib, 16))).expect("remap");
-        ledger.charge(WearCause::Remap { generation: 1 }, &hw.tile_stress());
-        (ledger, report.stats)
-    };
-    let (full_ledger, full_stats) = run(false);
-    let (delta_ledger, delta_stats) = run(true);
-    assert_eq!(full_stats.skipped(), 0, "the full-reprogram reference never skips");
-    assert!(
-        delta_stats.skipped() > 0,
-        "sub-tolerance drift must be left in place: {delta_stats:?}"
-    );
-    // Identical deployments: the Remap{0} checkpoint is bit-for-bit the same.
-    assert_eq!(delta_ledger.entries()[0], full_ledger.entries()[0]);
-    // The live remap's attributed stress: full chases the drift, delta
-    // skips it — strictly less wear for the same remap sequence.
-    let (full_remap, delta_remap) =
-        (full_ledger.entries()[1].total, delta_ledger.entries()[1].total);
-    assert!(full_remap > 0.0, "chasing drifted devices must burn stress");
-    assert!(
-        delta_remap < full_remap,
-        "delta remap attributed {delta_remap:e}s, full reference {full_remap:e}s"
-    );
-    par::set_threads(0);
-}
-
-#[test]
 fn engine_keeps_the_networks_remap_programming_settings() {
     // Remap programming is configured on the crossbar network alone: the
     // service must program with whatever the caller handed it.
     let (network, calib, spec, aging) = trained();
     let mut hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
     hardware.set_delta_remap(false);
-    hardware.set_remap_tolerance(0.25);
     let service = InferenceService::deploy(
         hardware,
         calib.clone(),
@@ -364,7 +300,6 @@ fn engine_keeps_the_networks_remap_programming_settings() {
     .expect("deploy");
     let report = service.shutdown();
     assert!(!report.network.delta_remap(), "the full-reprogram setting must survive deploy");
-    assert_eq!(report.network.remap_tolerance(), 0.25);
 }
 
 #[test]
