@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use memaging::crossbar::{Crossbar, WeightMapping};
 use memaging::dataset::{Dataset, SyntheticSpec};
 use memaging::device::{
-    AgedWindow, AgingModel, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer,
+    AgedWindow, ArrheniusAging, DeviceModel, DeviceSpec, Memristor, Ohms, Quantizer,
 };
 use memaging::nn::{models, Mode, NoRegularizer, Sgd};
 use memaging::tensor::{init, ops, Tensor};
@@ -24,10 +24,9 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 fn bench_programming(c: &mut Criterion) {
-    let spec = DeviceSpec::default();
     c.bench_function("crossbar/program_64x64", |bench| {
         bench.iter_batched(
-            || Crossbar::new(64, 64, spec, ArrheniusAging::default()).expect("valid"),
+            || Crossbar::new(64, 64, DeviceModel::default()).expect("valid"),
             |mut xbar| {
                 xbar.program_conductances(&Tensor::full([64, 64], 2.0e-5)).expect("programmable")
             },
@@ -37,13 +36,14 @@ fn bench_programming(c: &mut Criterion) {
 }
 
 fn bench_device_pulse(c: &mut Criterion) {
+    let model = DeviceModel::default();
     c.bench_function("device/pulse_cycle", |bench| {
         bench.iter_batched(
-            || Memristor::new(DeviceSpec::default(), ArrheniusAging::default()).expect("valid"),
+            || Memristor::new(&model),
             |mut m| {
                 for _ in 0..64 {
-                    let _ = m.pulse(1);
-                    let _ = m.pulse(-1);
+                    let _ = m.pulse(&model, 1);
+                    let _ = m.pulse(&model, -1);
                 }
                 m
             },
@@ -76,7 +76,8 @@ fn bench_wear_snapshot(c: &mut Criterion) {
     // read-disturbed 128×128 array.
     let spec = DeviceSpec::default();
     let aging = ArrheniusAging::default();
-    let mut xbar = Crossbar::new(128, 128, spec, aging).expect("valid");
+    let model = DeviceModel::new(spec, aging).expect("valid");
+    let mut xbar = Crossbar::new(128, 128, model).expect("valid");
     xbar.program_conductances(&Tensor::from_fn([128, 128], |i| {
         (1.0 / (spec.r_min + (i % 97) as f64 * 900.0)) as f32
     }))

@@ -16,7 +16,7 @@
 //! ```
 
 use memaging::crossbar::{CrossbarNetwork, DifferentialCrossbar, MappingStrategy};
-use memaging::device::{ArrheniusAging, DeviceSpec};
+use memaging::device::{ArrheniusAging, DeviceModel, DeviceSpec};
 use memaging::lifetime::Strategy;
 use memaging::Scenario;
 use memaging_bench::{banner, fast_mode, TextTable};
@@ -151,13 +151,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let eq4 = sum / n as f64;
         // Differential path: one pair per layer, same device budget proxy.
         let (mut sum, mut n) = (0.0f64, 0usize);
+        let model = DeviceModel::new(DeviceSpec::default(), scenario.framework.aging)?;
         for w in &weights {
-            let mut pair = DifferentialCrossbar::new(
-                w.dims()[0],
-                w.dims()[1],
-                DeviceSpec::default(),
-                scenario.framework.aging,
-            )?;
+            let mut pair = DifferentialCrossbar::new(w.dims()[0], w.dims()[1], model)?;
             pair.program_weights(w)?;
             sum += pair.mean_conductance() * (2 * w.len()) as f64;
             n += 2 * w.len();

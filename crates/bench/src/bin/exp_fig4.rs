@@ -6,14 +6,14 @@
 //! cargo run --release -p memaging-bench --bin exp_fig4
 //! ```
 
-use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
+use memaging::device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor};
 use memaging_bench::{banner, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("Fig. 4: aged resistance window vs accumulated programming stress");
     let spec = DeviceSpec { levels: 8, ..DeviceSpec::default() };
-    let aging = ArrheniusAging::default();
-    let mut cell = Memristor::new(spec, aging)?;
+    let model = DeviceModel::new(spec, ArrheniusAging::default())?;
+    let mut cell = Memristor::new(&model);
     let mut table = TextTable::new(&[
         "pulses",
         "stress [s]",
@@ -23,21 +23,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let mut checkpoint = 0u64;
     loop {
-        let w = cell.aged_window();
+        let w = cell.aged_window(&model);
         table.row(&[
             format!("{}", cell.pulse_count()),
             format!("{:.2e}", cell.stress()),
             format!("{:.2}", w.r_min / 1e3),
             format!("{:.2}", w.r_max / 1e3),
-            format!("{}", cell.usable_levels()),
+            format!("{}", cell.usable_levels(&model)),
         ]);
-        if cell.is_worn_out() {
+        if cell.is_worn_out(&model) {
             break;
         }
         // Worst-case duty: full-range SET/RESET cycling at the low-resistance end.
         checkpoint += 1000;
         while cell.pulse_count() < checkpoint {
-            if cell.program_to_level(0).is_err() || cell.program_to_level(spec.levels - 1).is_err()
+            if cell.program_to_level(&model, 0).is_err()
+                || cell.program_to_level(&model, spec.levels - 1).is_err()
             {
                 break;
             }
@@ -51,15 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Demonstrate the Level-7 -> Level-2 clipping event explicitly.
-    let mut demo = Memristor::new(spec, aging)?;
-    demo.program_to_level(0)?;
-    while demo.usable_levels() > 3 {
-        if demo.pulse(1).is_err() || demo.pulse(-1).is_err() {
+    let mut demo = Memristor::new(&model);
+    demo.program_to_level(&model, 0)?;
+    while demo.usable_levels(&model) > 3 {
+        if demo.pulse(&model, 1).is_err() || demo.pulse(&model, -1).is_err() {
             break;
         }
     }
-    if !demo.is_worn_out() {
-        let outcome = demo.program_to_level(7)?;
+    if !demo.is_worn_out(&model) {
+        let outcome = demo.program_to_level(&model, 7)?;
         println!(
             "clipping demo: requested level {}, achieved level {} (clipped: {})",
             outcome.requested_level,

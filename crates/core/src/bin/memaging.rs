@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use memaging::crossbar::CrossbarNetwork;
-use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
+use memaging::device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor};
 use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
 use memaging::obs::monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
@@ -716,22 +716,25 @@ fn run_analyze(paths: &[String], flags: &AnalyzeFlags) -> Result<usize, String> 
 
 fn run_device() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DeviceSpec { levels: 8, ..DeviceSpec::default() };
-    let mut cell = Memristor::new(spec, ArrheniusAging::default())?;
+    let model = DeviceModel::new(spec, ArrheniusAging::default())?;
+    let mut cell = Memristor::new(&model);
     println!("{:>10} {:>12} {:>12} {:>8}", "pulses", "R_min [kΩ]", "R_max [kΩ]", "levels");
     loop {
-        let w = cell.aged_window();
+        let w = cell.aged_window(&model);
         println!(
             "{:>10} {:>12.2} {:>12.2} {:>8}",
             cell.pulse_count(),
             w.r_min / 1e3,
             w.r_max / 1e3,
-            cell.usable_levels()
+            cell.usable_levels(&model)
         );
-        if cell.is_worn_out() {
+        if cell.is_worn_out(&model) {
             break;
         }
         for _ in 0..1000 {
-            if cell.program_to_level(0).is_err() || cell.program_to_level(7).is_err() {
+            if cell.program_to_level(&model, 0).is_err()
+                || cell.program_to_level(&model, 7).is_err()
+            {
                 break;
             }
         }

@@ -1,6 +1,6 @@
 //! The memristor crossbar array: device grid, programming, wear telemetry.
 
-use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec, Memristor, Siemens};
+use memaging_device::{AgedWindow, DeviceModel, Memristor, Siemens};
 use memaging_tensor::Tensor;
 
 use crate::error::CrossbarError;
@@ -100,20 +100,21 @@ impl TileWear {
 /// A `rows × cols` memristor crossbar (paper Fig. 1).
 ///
 /// Row voltages drive the array; each column output is the current
-/// `I_j = Σᵢ Vᵢ·gᵢⱼ`. Devices are stateful [`Memristor`]s that age with
-/// every programming pulse. The network reads the programmed
-/// conductances back ([`Crossbar::conductances`]) and computes that sum
-/// in software.
+/// `I_j = Σᵢ Vᵢ·gᵢⱼ`. The array holds one [`DeviceModel`] and one
+/// [`Memristor`] state per device; every device ages with its own
+/// programming pulses under the shared law. The network reads the
+/// programmed conductances back ([`Crossbar::conductances`]) and computes
+/// that sum in software.
 ///
 /// # Examples
 ///
 /// ```
 /// use memaging_crossbar::Crossbar;
-/// use memaging_device::{ArrheniusAging, DeviceSpec};
+/// use memaging_device::DeviceModel;
 /// use memaging_tensor::Tensor;
 ///
 /// # fn main() -> Result<(), memaging_crossbar::CrossbarError> {
-/// let mut xbar = Crossbar::new(2, 2, DeviceSpec::default(), ArrheniusAging::default())?;
+/// let mut xbar = Crossbar::new(2, 2, DeviceModel::default())?;
 /// let targets = Tensor::full([2, 2], 5.0e-5); // 20 kΩ each
 /// xbar.program_conductances(&targets)?;
 /// let g = xbar.conductances();
@@ -126,56 +127,55 @@ impl TileWear {
 pub struct Crossbar {
     rows: usize,
     cols: usize,
+    model: DeviceModel,
     devices: Vec<Memristor>,
-    thermal_coupling: f64,
     /// Total own-stress already redistributed as ambient heat.
     equilibrated_own_stress: f64,
 }
 
 impl Crossbar {
-    /// Creates a fresh array of identical devices.
+    /// Creates a fresh array of `model` devices.
     ///
     /// # Errors
     ///
-    /// Returns a wrapped [`memaging_device::DeviceError`] for an invalid
-    /// spec, or [`CrossbarError::InvalidMapping`] for a zero-sized array.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        spec: DeviceSpec,
-        aging: ArrheniusAging,
-    ) -> Result<Self, CrossbarError> {
+    /// Returns [`CrossbarError::InvalidMapping`] for a zero-sized array.
+    pub fn new(rows: usize, cols: usize, model: DeviceModel) -> Result<Self, CrossbarError> {
         if rows == 0 || cols == 0 {
             return Err(CrossbarError::InvalidMapping {
                 reason: format!("array dimensions {rows}x{cols} must be nonzero"),
             });
         }
-        let prototype = Memristor::new(spec, aging)?;
         Ok(Crossbar {
             rows,
             cols,
-            devices: vec![prototype; rows * cols],
-            thermal_coupling: aging.thermal_coupling,
+            devices: vec![Memristor::new(&model); rows * cols],
+            model,
             equilibrated_own_stress: 0.0,
         })
+    }
+
+    /// The device model every cell of the array shares.
+    pub fn model(&self) -> &DeviceModel {
+        &self.model
     }
 
     /// Redistributes the Joule heat of programming activity since the last
     /// call: every device absorbs `coupling × Δ(total own stress) / N`
     /// ambient stress, modelling the shared-substrate thermal crosstalk of
     /// a dense array (see
-    /// [`ArrheniusAging::thermal_coupling`]).
+    /// [`memaging_device::ArrheniusAging::thermal_coupling`]).
     /// Returns the ambient stress added per device. Call once per
     /// maintenance session (or after any programming burst); a zero
     /// coupling makes this a no-op.
     pub fn equilibrate_thermal(&mut self) -> f64 {
-        if self.thermal_coupling <= 0.0 {
+        let coupling = self.model.aging().thermal_coupling;
+        if coupling <= 0.0 {
             return 0.0;
         }
         let total_own: f64 = self.devices.iter().map(Memristor::own_stress).sum();
         let delta = (total_own - self.equilibrated_own_stress).max(0.0);
         self.equilibrated_own_stress = total_own;
-        let per_device = self.thermal_coupling * delta / self.devices.len() as f64;
+        let per_device = coupling * delta / self.devices.len() as f64;
         if per_device > 0.0 {
             for d in &mut self.devices {
                 d.absorb_ambient_stress(per_device);
@@ -204,14 +204,15 @@ impl Crossbar {
         &self.devices[row * self.cols + col]
     }
 
-    /// Mutable access to the device at `(row, col)`.
+    /// Mutable access to the device at `(row, col)`, with the model its
+    /// operations take.
     ///
     /// # Panics
     ///
     /// Panics if the position is out of bounds.
-    pub fn device_mut(&mut self, row: usize, col: usize) -> &mut Memristor {
+    pub fn device_mut(&mut self, row: usize, col: usize) -> (&DeviceModel, &mut Memristor) {
         assert!(row < self.rows && col < self.cols, "device ({row},{col}) out of bounds");
-        &mut self.devices[row * self.cols + col]
+        (&self.model, &mut self.devices[row * self.cols + col])
     }
 
     /// Iterates over `(row, col, device)`.
@@ -243,14 +244,15 @@ impl Crossbar {
                 },
             });
         }
+        let model = &self.model;
         let mut stats = ProgramStats::default();
         for (i, device) in self.devices.iter_mut().enumerate() {
-            if device.is_worn_out() {
+            if device.is_worn_out(model) {
                 stats.dead += 1;
                 continue;
             }
             let g = Siemens::new(targets.as_slice()[i] as f64).map_err(CrossbarError::from)?;
-            let outcome = device.program_conductance(g)?;
+            let outcome = device.program_conductance(model, g)?;
             stats.pulses += outcome.pulses;
             stats.programmed += 1;
             if outcome.clipped() {
@@ -307,9 +309,8 @@ impl Crossbar {
                 },
             });
         }
-        let spec = *self.devices[0].spec();
-        let aging = *self.devices[0].aging();
-        let quantizer = *self.devices[0].quantizer();
+        let model = &self.model;
+        let (spec, quantizer) = (model.spec(), model.quantizer());
         // Per-level stress ceilings: `limits[k]` is the largest accumulated
         // stress at which the aged upper bound still covers level `k`. The
         // `1 - 1e-9` shrink makes cells on the float boundary conservatively
@@ -317,7 +318,7 @@ impl Crossbar {
         let limits: Vec<f64> = (0..spec.levels)
             .map(|k| {
                 let degradation = spec.r_max - quantizer.level_resistance(k).value();
-                aging.stress_for_degradation(spec.temperature, degradation) * (1.0 - 1e-9)
+                model.aging().stress_for_degradation(spec.temperature, degradation) * (1.0 - 1e-9)
             })
             .collect();
         let top = (spec.levels - 1) as f64;
@@ -328,7 +329,7 @@ impl Crossbar {
                 Err(e) => {
                     // Match the full path's order: a worn-out device is
                     // counted dead before its target is even validated.
-                    if device.is_worn_out() {
+                    if device.is_worn_out(model) {
                         stats.dead += 1;
                         continue;
                     }
@@ -348,11 +349,11 @@ impl Crossbar {
                     continue;
                 }
             }
-            if device.is_worn_out() {
+            if device.is_worn_out(model) {
                 stats.dead += 1;
                 continue;
             }
-            let outcome = device.program_conductance(g)?;
+            let outcome = device.program_conductance(model, g)?;
             stats.pulses += outcome.pulses;
             stats.programmed += 1;
             stats.rewritten += 1;
@@ -366,7 +367,9 @@ impl Crossbar {
     /// Reads the present conductance of every device as a `[rows, cols]`
     /// tensor.
     pub fn conductances(&self) -> Tensor {
-        Tensor::from_fn([self.rows, self.cols], |i| self.devices[i].conductance().value() as f32)
+        Tensor::from_fn([self.rows, self.cols], |i| {
+            self.devices[i].conductance(&self.model).value() as f32
+        })
     }
 
     /// Applies one session of read-disturb drift: each device independently
@@ -377,7 +380,7 @@ impl Crossbar {
         let mut drifted = 0;
         for d in &mut self.devices {
             if rng.gen::<f64>() < probability {
-                d.drift_level(if rng.gen::<bool>() { 1 } else { -1 });
+                d.drift_level(&self.model, if rng.gen::<bool>() { 1 } else { -1 });
                 drifted += 1;
             }
         }
@@ -397,7 +400,7 @@ impl Crossbar {
         for d in &mut self.devices {
             if rng.gen::<f64>() < probability {
                 let z = memaging_tensor::init::standard_normal(rng) as f64;
-                d.drift_conductance(sigma * z);
+                d.drift_conductance(&self.model, sigma * z);
                 drifted += 1;
             }
         }
@@ -415,7 +418,7 @@ impl Crossbar {
         let mut injected = 0;
         for d in &mut self.devices {
             if rng.gen::<f64>() < fraction {
-                d.force_worn_out();
+                d.force_worn_out(&self.model);
                 injected += 1;
             }
         }
@@ -434,34 +437,35 @@ impl Crossbar {
 
     /// Number of worn-out devices.
     pub fn worn_out_count(&self) -> usize {
-        self.devices.iter().filter(|d| d.is_worn_out()).count()
+        self.devices.iter().filter(|d| d.is_worn_out(&self.model)).count()
     }
 
     /// Mean aged upper resistance bound over all devices — the quantity the
     /// paper plots per layer in Fig. 11.
     pub fn mean_aged_r_max(&self) -> f64 {
         let n = self.devices.len() as f64;
-        self.devices.iter().map(|d| d.aged_window().r_max).sum::<f64>() / n
+        self.devices.iter().map(|d| d.aged_window(&self.model).r_max).sum::<f64>() / n
     }
 
     /// A point-in-time wear summary of the whole array — the per-tile record
     /// behind the monitor's `/wear` heatmap and the lifetime health
     /// forecaster.
     pub fn wear_snapshot(&self) -> TileWear {
-        let fresh_width = (self.devices[0].spec().r_max - self.devices[0].spec().r_min).max(1e-12);
+        let spec = self.model.spec();
+        let fresh_width = (spec.r_max - spec.r_min).max(1e-12);
         let n = self.devices.len() as f64;
         let mut mean_r_max = 0.0;
         let mut mean_r_min = 0.0;
         let mut min_width = f64::INFINITY;
         let mut worn_out = 0;
         for device in &self.devices {
-            // One aged-window evaluation per device: the worn-out test is
-            // `Memristor::is_worn_out` on the window already in hand.
-            let w = device.aged_window();
+            // One aged-window evaluation per device: the worn-out test runs
+            // on the window already in hand.
+            let w = device.aged_window(&self.model);
             mean_r_max += w.r_max;
             mean_r_min += w.r_min;
             min_width = min_width.min(w.width());
-            worn_out += usize::from(device.quantizer().levels_within(w.r_min, w.r_max) < 2);
+            worn_out += usize::from(self.model.is_worn_out(&w));
         }
         mean_r_max /= n;
         mean_r_min /= n;
@@ -484,7 +488,7 @@ impl Crossbar {
     ///
     /// Panics if the position is out of bounds.
     pub fn aged_window(&self, row: usize, col: usize) -> AgedWindow {
-        self.device(row, col).aged_window()
+        self.device(row, col).aged_window(&self.model)
     }
 
     /// Accumulates read-disturb wear from `reads` inference passes: every
@@ -515,15 +519,16 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memaging_device::{ArrheniusAging, DeviceSpec};
 
     fn xbar(rows: usize, cols: usize) -> Crossbar {
-        Crossbar::new(rows, cols, DeviceSpec::default(), ArrheniusAging::default()).unwrap()
+        Crossbar::new(rows, cols, DeviceModel::default()).unwrap()
     }
 
     #[test]
     fn construction_validates() {
-        assert!(Crossbar::new(0, 4, DeviceSpec::default(), ArrheniusAging::default()).is_err());
-        assert!(Crossbar::new(4, 0, DeviceSpec::default(), ArrheniusAging::default()).is_err());
+        assert!(Crossbar::new(0, 4, DeviceModel::default()).is_err());
+        assert!(Crossbar::new(4, 0, DeviceModel::default()).is_err());
         let x = xbar(3, 5);
         assert_eq!(x.rows(), 3);
         assert_eq!(x.cols(), 5);
@@ -615,10 +620,11 @@ mod tests {
     fn dead_devices_are_skipped_and_counted() {
         let mut x = xbar(1, 2);
         // Wear out device (0,0) by hammering pulses at low resistance.
-        x.device_mut(0, 0).program_to_level(0).unwrap();
+        let (m, d) = x.device_mut(0, 0);
+        d.program_to_level(m, 0).unwrap();
         loop {
-            let d = x.device_mut(0, 0);
-            if d.pulse(1).is_err() || d.pulse(-1).is_err() {
+            let (m, d) = x.device_mut(0, 0);
+            if d.pulse(m, 1).is_err() || d.pulse(m, -1).is_err() {
                 break;
             }
         }
@@ -671,10 +677,10 @@ mod tests {
             x.program_conductances(&rest).unwrap();
         }
         for i in 0..144 {
-            let d = x.device_mut(i / 12, i % 12);
+            let (m, d) = x.device_mut(i / 12, i % 12);
             for _ in 0..(i % 9) * 60 {
-                let _ = d.pulse(1);
-                let _ = d.pulse(-1);
+                let _ = d.pulse(m, 1);
+                let _ = d.pulse(m, -1);
             }
         }
         let span = spec.r_max - spec.r_min;
@@ -687,8 +693,8 @@ mod tests {
         let worn = x
             .iter()
             .filter(|(_, _, d)| {
-                let w = d.aged_window();
-                let levels = d.quantizer().level_resistances();
+                let w = d.aged_window(x.model());
+                let levels = x.model().quantizer().level_resistances();
                 let inside = levels
                     .iter()
                     .filter(|r| r.value() >= w.r_min - 1e-9 && r.value() <= w.r_max + 1e-9);
@@ -702,7 +708,7 @@ mod tests {
         let n = 144.0;
         let (mut r_max, mut r_min, mut min_width) = (0.0, 0.0, f64::INFINITY);
         for (_, _, d) in x.iter() {
-            let w = d.aged_window();
+            let w = d.aged_window(x.model());
             r_max += w.r_max;
             r_min += w.r_min;
             min_width = min_width.min(w.width());
@@ -838,7 +844,8 @@ mod tests {
         // Stress-free drift of under half a level on every device.
         for r in 0..2 {
             for c in 0..2 {
-                x.device_mut(r, c).drift_conductance(0.004);
+                let (m, d) = x.device_mut(r, c);
+                d.drift_conductance(m, 0.004);
             }
         }
         let stats = x.program_conductances_delta(&tg).unwrap();
@@ -851,7 +858,8 @@ mod tests {
     #[test]
     fn delta_reprogram_counts_dead_cells_like_full() {
         let mut x = xbar(1, 2);
-        x.device_mut(0, 0).force_worn_out();
+        let (m, d) = x.device_mut(0, 0);
+        d.force_worn_out(m);
         let stats = x.program_conductances_delta(&Tensor::full([1, 2], 5e-5)).unwrap();
         assert_eq!(stats.dead, 1);
         assert!(stats.programmed + stats.skipped_unchanged == 1);

@@ -19,7 +19,7 @@
 //! provides the pair mapping and a paired-array container so the trade-off
 //! against the paper's single-device scheme can be measured.
 
-use memaging_device::{ArrheniusAging, DeviceSpec};
+use memaging_device::{DeviceModel, DeviceSpec};
 use memaging_tensor::Tensor;
 
 use crate::crossbar::{Crossbar, ProgramStats};
@@ -103,26 +103,19 @@ pub struct DifferentialCrossbar {
     positive: Crossbar,
     negative: Crossbar,
     mapping: Option<DifferentialMapping>,
-    spec: DeviceSpec,
 }
 
 impl DifferentialCrossbar {
-    /// Creates a fresh pair of `rows × cols` arrays.
+    /// Creates a fresh pair of `rows × cols` arrays of `model` devices.
     ///
     /// # Errors
     ///
-    /// Propagates device/array construction errors.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        spec: DeviceSpec,
-        aging: ArrheniusAging,
-    ) -> Result<Self, CrossbarError> {
+    /// Propagates array construction errors.
+    pub fn new(rows: usize, cols: usize, model: DeviceModel) -> Result<Self, CrossbarError> {
         Ok(DifferentialCrossbar {
-            positive: Crossbar::new(rows, cols, spec, aging)?,
-            negative: Crossbar::new(rows, cols, spec, aging)?,
+            positive: Crossbar::new(rows, cols, model)?,
+            negative: Crossbar::new(rows, cols, model)?,
             mapping: None,
-            spec,
         })
     }
 
@@ -142,7 +135,8 @@ impl DifferentialCrossbar {
     ///
     /// Returns mapping/shape errors from the underlying arrays.
     pub fn program_weights(&mut self, weights: &Tensor) -> Result<ProgramStats, CrossbarError> {
-        let mapping = DifferentialMapping::from_weights(weights.as_slice(), &self.spec)?;
+        let mapping =
+            DifferentialMapping::from_weights(weights.as_slice(), self.positive.model().spec())?;
         let (rows, cols) = (self.positive.rows(), self.positive.cols());
         let mut plus = vec![0.0f32; rows * cols];
         let mut minus = vec![0.0f32; rows * cols];
@@ -233,7 +227,7 @@ mod tests {
 
     #[test]
     fn program_read_round_trip() {
-        let mut pair = DifferentialCrossbar::new(4, 3, spec(), ArrheniusAging::default()).unwrap();
+        let mut pair = DifferentialCrossbar::new(4, 3, DeviceModel::default()).unwrap();
         let w = Tensor::from_fn([4, 3], |i| ((i as f32) - 5.5) * 0.1);
         pair.program_weights(&w).unwrap();
         let read = pair.read_weights().unwrap();
@@ -246,7 +240,7 @@ mod tests {
 
     #[test]
     fn unprogrammed_pair_errors() {
-        let pair = DifferentialCrossbar::new(2, 2, spec(), ArrheniusAging::default()).unwrap();
+        let pair = DifferentialCrossbar::new(2, 2, DeviceModel::default()).unwrap();
         assert!(pair.read_weights().is_err());
     }
 
@@ -255,7 +249,7 @@ mod tests {
         // A mostly-zero weight matrix: the differential scheme's mean
         // conductance (aging proxy) sits near g_min, while the paper's
         // single-device affine map would put zeros at mid conductance.
-        let mut pair = DifferentialCrossbar::new(8, 8, spec(), ArrheniusAging::default()).unwrap();
+        let mut pair = DifferentialCrossbar::new(8, 8, DeviceModel::default()).unwrap();
         let w = Tensor::from_fn([8, 8], |i| if i == 0 { 1.0 } else { 0.0 });
         pair.program_weights(&w).unwrap();
         let g_min = 1.0 / spec().r_max;

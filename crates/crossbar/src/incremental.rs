@@ -7,7 +7,8 @@
 //! sort), forwarding the calibration batch through the unchanged layers
 //! below the swept one, and re-quantizing every cell from scratch. This
 //! module removes each of those while keeping the *selection result*
-//! bit-identical to [`crate::select_range`] at every thread count:
+//! bit-identical to the naive sweep (`select_range`, kept in the crate's
+//! tests as the oracle) at every thread count:
 //!
 //! 1. **Persistent per-worker contexts** ([`EvalEngine`]): one cloned
 //!    network per worker thread, leased from a
@@ -43,7 +44,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use memaging_dataset::Dataset;
-use memaging_device::{AgedWindow, DeviceSpec, Ohms, Quantizer};
+use memaging_device::{AgedWindow, DeviceModel, Ohms, Quantizer};
 use memaging_nn::{Mode, Network};
 use memaging_obs::{names, Recorder};
 use memaging_par::{SlotLease, SlotPool};
@@ -53,8 +54,7 @@ use memaging_tensor::Tensor;
 use crate::error::CrossbarError;
 use crate::mapping::{WeightMapping, WeightRange};
 use crate::range_select::{candidate_upper_bounds, fold_candidates, RangeSelection};
-use crate::tile::BlockMap;
-use crate::tracer::TracedEstimate;
+use crate::tracer::{BlockMap, TracedEstimate};
 
 /// Absolute slack subtracted from the certified prune bound before
 /// comparing: float accumulation of per-batch accuracies can differ from
@@ -73,8 +73,8 @@ pub(crate) struct SweepParams<'a> {
     pub net_layer: usize,
     /// Resolved per-device aged-window estimates.
     pub blocks: &'a BlockMap,
-    /// The device spec (fresh quantization grid).
-    pub spec: &'a DeviceSpec,
+    /// The device model (its quantizer is the fresh grid).
+    pub model: &'a DeviceModel,
     /// Calibration data scoring the candidates.
     pub data: &'a Dataset,
     /// Calibration batch size.
@@ -129,7 +129,7 @@ impl EvalEngine {
     }
 
     /// Runs the full candidate sweep for one layer, returning the selection
-    /// [`crate::select_range`] would have produced.
+    /// the naive sweep would have produced.
     pub(crate) fn sweep(
         &mut self,
         software: &Network,
@@ -152,7 +152,7 @@ impl EvalEngine {
         let prefix = self.prefix_activations(software, p, recorder)?;
         let range =
             WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
-        let quantizer = Quantizer::from_spec(p.spec)?;
+        let quantizer = p.model.quantizer();
         let level_r: Vec<f64> =
             (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
 
@@ -174,7 +174,7 @@ impl EvalEngine {
                 }
             };
             let mut buf = self.arena.take(n_cells);
-            build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
+            build_candidate_matrix(&mapping, quantizer, &level_r, p, &mut buf);
             let hash = fnv1a(&buf);
             let existing = hashes
                 .iter()
@@ -254,11 +254,11 @@ impl EvalEngine {
         let range =
             WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
         let mapping = WeightMapping::from_range(range, window)?;
-        let quantizer = Quantizer::from_spec(p.spec)?;
+        let quantizer = p.model.quantizer();
         let level_r: Vec<f64> =
             (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
         let mut buf = self.arena.take(p.trained[p.layer].len());
-        build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
+        build_candidate_matrix(&mapping, quantizer, &level_r, p, &mut buf);
         self.pool.ensure_slots(1);
         let mut lease = lease_synced(&self.pool, 0, self.generation, software, p);
         let ctx = lease.as_mut().expect("populated by lease_synced");

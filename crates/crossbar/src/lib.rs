@@ -6,20 +6,19 @@
 //!
 //! Building blocks, bottom-up:
 //!
-//! * [`Crossbar`]: a grid of stateful [`memaging_device::Memristor`]s
-//!   (paper Fig. 1) with full and delta programming and aggregate aging
-//!   telemetry. The network reads the programmed conductances back
+//! * [`Crossbar`]: one shared [`memaging_device::DeviceModel`] plus a grid
+//!   of per-device [`memaging_device::Memristor`] states (paper Fig. 1),
+//!   with full and delta programming and aggregate aging telemetry. The
+//!   network reads the programmed conductances back
 //!   ([`Crossbar::conductances`]) and computes `I_j = Σ V_i·g_ij` in
 //!   software, so aging reaches accuracy only through those conductances;
-//! * [`TiledMatrix`]: large logical matrices split over bounded physical
-//!   tiles;
 //! * [`WeightMapping`]: the affine weight→conductance map of eq. (4) over a
 //!   common (fresh or aged) resistance window;
 //! * [`trace_estimates`] / [`traced_positions`]: the 1-of-9 block-center
 //!   representative tracing of §IV-B;
-//! * [`select_range`]: the iterative common-range selection of Fig. 8
-//!   ([`CrossbarNetwork::map_weights`] runs it on an incremental engine
-//!   that a test-only naive oracle checks bit for bit);
+//! * the iterative common-range selection of Fig. 8, which
+//!   [`CrossbarNetwork::map_weights`] runs on an incremental engine; a
+//!   naive sweep kept in the crate's tests checks it bit for bit;
 //! * [`CrossbarNetwork`]: a whole neural network on crossbars, with
 //!   [`MappingStrategy::Fresh`] (traditional) and
 //!   [`MappingStrategy::AgingAware`] (proposed) mapping;
@@ -69,7 +68,6 @@ mod mapping;
 mod network;
 mod noise;
 mod range_select;
-mod tile;
 mod tracer;
 mod tuner;
 mod wear_level;
@@ -79,8 +77,7 @@ pub use differential::{DifferentialCrossbar, DifferentialMapping};
 pub use error::CrossbarError;
 pub use mapping::{WeightMapping, WeightRange};
 pub use network::{CrossbarNetwork, MapReport, MappingStrategy};
-pub use range_select::{select_range, RangeSelection};
-pub use tile::{BlockMap, TiledMatrix};
+pub use range_select::RangeSelection;
 pub use tracer::{trace_estimates, traced_positions, traced_upper_bound_range, TracedEstimate};
 pub use tuner::{tune, tune_with_recorder, TuneConfig, TuneReport};
 pub use wear_level::{incremental_swap, wear_imbalance, RowAssignment};

@@ -1,7 +1,7 @@
 //! A neural network executed on memristor crossbar arrays.
 
 use memaging_dataset::Dataset;
-use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec};
+use memaging_device::{AgedWindow, ArrheniusAging, DeviceModel, DeviceSpec};
 use memaging_nn::{LayerKind, Network};
 use memaging_tensor::Tensor;
 
@@ -9,8 +9,7 @@ use crate::crossbar::{Crossbar, ProgramStats};
 use crate::error::CrossbarError;
 use crate::incremental::{EvalEngine, SweepParams};
 use crate::mapping::WeightMapping;
-use crate::tile::BlockMap;
-use crate::tracer::{trace_estimates, TracedEstimate};
+use crate::tracer::{trace_estimates, BlockMap, TracedEstimate};
 use crate::wear_level::RowAssignment;
 
 /// How trained weights are mapped onto the (possibly aged) arrays.
@@ -63,8 +62,8 @@ pub struct CrossbarNetwork {
     /// leveling is enabled).
     row_assignments: Vec<RowAssignment>,
     kinds: Vec<LayerKind>,
-    spec: DeviceSpec,
-    aging: ArrheniusAging,
+    /// The device model every array shares.
+    model: DeviceModel,
     outlier_percentile: f64,
     wear_leveling: bool,
     /// Persistent incremental candidate-evaluation engine (per-worker
@@ -96,9 +95,10 @@ impl CrossbarNetwork {
         spec: DeviceSpec,
         aging: ArrheniusAging,
     ) -> Result<Self, CrossbarError> {
+        let model = DeviceModel::new(spec, aging)?;
         let mut arrays = Vec::new();
         for w in software.weight_matrices() {
-            arrays.push(Crossbar::new(w.dims()[0], w.dims()[1], spec, aging)?);
+            arrays.push(Crossbar::new(w.dims()[0], w.dims()[1], model)?);
         }
         let kinds = software.mappable_kinds();
         let mappings = vec![None; arrays.len()];
@@ -111,8 +111,7 @@ impl CrossbarNetwork {
             last_windows,
             row_assignments,
             kinds,
-            spec,
-            aging,
+            model,
             outlier_percentile: 0.005,
             wear_leveling: false,
             engine: EvalEngine::new(),
@@ -163,14 +162,9 @@ impl CrossbarNetwork {
         &self.arrays
     }
 
-    /// The device spec shared by all arrays.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// The aging model shared by all arrays.
-    pub fn aging(&self) -> &ArrheniusAging {
-        &self.aging
+    /// The device model shared by all arrays.
+    pub fn model(&self) -> &DeviceModel {
+        &self.model
     }
 
     /// The structural kind of each mappable layer.
@@ -250,7 +244,7 @@ impl CrossbarNetwork {
             mappings,
             last_windows,
             row_assignments,
-            spec,
+            model,
             outlier_percentile,
             wear_leveling,
             engine,
@@ -258,7 +252,8 @@ impl CrossbarNetwork {
             ..
         } = &mut *self;
         let software: &Network = software;
-        let spec = *spec;
+        let model: &DeviceModel = model;
+        let spec = model.spec();
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
         let delta_remap = *delta_remap;
@@ -279,7 +274,7 @@ impl CrossbarNetwork {
                     let (data, batch) = calibration.ok_or(CrossbarError::InvalidMapping {
                         reason: "aging-aware mapping needs calibration data".into(),
                     })?;
-                    let (candidates, blocks) = traced_candidates(&arrays[idx], &spec);
+                    let (candidates, blocks) = traced_candidates(&arrays[idx]);
                     let params = SweepParams {
                         trained: &trained,
                         layer: idx,
@@ -287,7 +282,7 @@ impl CrossbarNetwork {
                             .mappable_layer_index(idx)
                             .expect("one array per mappable layer"),
                         blocks: &blocks,
-                        spec: &spec,
+                        model,
                         data,
                         batch,
                         percentile,
@@ -541,7 +536,8 @@ impl CrossbarNetwork {
 /// Candidate upper bounds come only from *usable* traced devices: a
 /// worn-out block center (collapsed window) would drag the common range
 /// down to a useless sliver. If every center is worn out, all stay.
-fn traced_candidates(array: &Crossbar, spec: &DeviceSpec) -> (Vec<TracedEstimate>, BlockMap) {
+fn traced_candidates(array: &Crossbar) -> (Vec<TracedEstimate>, BlockMap) {
+    let spec = array.model().spec();
     let estimates = trace_estimates(array);
     let blocks = BlockMap::new(array.rows(), array.cols(), &estimates);
     let usable_floor = 2.0 * spec.level_width();
@@ -555,7 +551,7 @@ mod tests {
     use super::*;
     use crate::range_select::select_range;
     use memaging_dataset::SyntheticSpec;
-    use memaging_device::{Ohms, Quantizer};
+    use memaging_device::Ohms;
     use memaging_nn::{models, train, NoRegularizer, TrainConfig};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -577,7 +573,7 @@ mod tests {
     ) -> Result<f64, CrossbarError> {
         let w = p.trained[p.layer];
         let mapping = WeightMapping::from_weights_percentile(w.as_slice(), cand, p.percentile)?;
-        let quantizer = Quantizer::from_spec(p.spec)?;
+        let quantizer = p.model.quantizer();
         let mut scratch: Vec<Tensor> = p.trained.iter().map(|&t| t.clone()).collect();
         let cols = w.dims()[1];
         for (i, slot) in scratch[p.layer].as_mut_slice().iter_mut().enumerate() {
@@ -605,7 +601,8 @@ mod tests {
         data: &Dataset,
         batch: usize,
     ) -> Result<usize, TestCaseError> {
-        let spec = cn.spec;
+        let model = cn.model;
+        let spec = model.spec();
         let trained: Vec<&Tensor> = (0..cn.arrays.len())
             .map(|i| cn.software.weight_matrix(i).expect("one array per mappable layer"))
             .collect();
@@ -613,13 +610,13 @@ mod tests {
         let disabled = memaging_obs::Recorder::disabled();
         let mut tried = 0;
         for idx in 0..cn.arrays.len() {
-            let (candidates, blocks) = traced_candidates(&cn.arrays[idx], &spec);
+            let (candidates, blocks) = traced_candidates(&cn.arrays[idx]);
             let params = SweepParams {
                 trained: &trained,
                 layer: idx,
                 net_layer: cn.software.mappable_layer_index(idx).expect("mappable"),
                 blocks: &blocks,
-                spec: &spec,
+                model: &model,
                 data,
                 batch,
                 percentile: cn.outlier_percentile,
@@ -660,9 +657,9 @@ mod tests {
             for r in 0..arr.rows() {
                 for c in 0..arr.cols() {
                     let cycles = 1 + (base_cycles + r * 7 + c * 13 + l * 29) % (base_cycles + 4);
-                    let d = arr.device_mut(r, c);
+                    let (m, d) = arr.device_mut(r, c);
                     for _ in 0..cycles {
-                        if d.pulse(-1).is_err() || d.pulse(1).is_err() {
+                        if d.pulse(m, -1).is_err() || d.pulse(m, 1).is_err() {
                             break;
                         }
                     }
@@ -814,8 +811,8 @@ mod tests {
                 let mut any = false;
                 for r in 0..arr.rows() {
                     for c in 0..arr.cols() {
-                        let d = arr.device_mut(r, c);
-                        if d.pulse(-1).is_ok() && d.pulse(1).is_ok() {
+                        let (m, d) = arr.device_mut(r, c);
+                        if d.pulse(m, -1).is_ok() && d.pulse(m, 1).is_ok() {
                             any = true;
                         }
                     }
@@ -823,7 +820,7 @@ mod tests {
                 if !any {
                     break;
                 }
-                if arr.device(1, 1).usable_levels() < 20 {
+                if arr.device(1, 1).usable_levels(arr.model()) < 20 {
                     break;
                 }
             }

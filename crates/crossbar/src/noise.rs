@@ -47,12 +47,12 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_device::{ArrheniusAging, DeviceSpec};
+    use memaging_device::DeviceModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn xbar() -> Crossbar {
-        Crossbar::new(8, 8, DeviceSpec::default(), ArrheniusAging::default()).unwrap()
+        Crossbar::new(8, 8, DeviceModel::default()).unwrap()
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! upper bound between `R^L_aged,max` and `R^U_aged,max`, maps the weights
 //! against each candidate window, evaluates classification accuracy, and
 //! keeps the best-performing bound.
+//!
+//! The shipped sweep is the incremental engine behind
+//! [`crate::CrossbarNetwork::map_weights`]. It and the test-only naive
+//! sweep, `select_range`, share the candidate list and the fold below, so
+//! the two are compared bit for bit by the crate's tests.
 
 use memaging_device::AgedWindow;
 
 use crate::error::CrossbarError;
-use crate::tracer::{traced_upper_bound_range, TracedEstimate};
+use crate::tracer::TracedEstimate;
 
 /// Minimum accuracy gain a *narrower* candidate window must deliver to be
 /// adopted over a wider one: narrow windows park every device at low
@@ -21,9 +26,9 @@ pub(crate) const MIN_IMPROVEMENT: f64 = 0.005;
 
 /// The candidate upper bounds of a sweep: the distinct traced aged maxima,
 /// descending (widest-first), with collapsed candidates (`r_max <=
-/// fresh_r_min`) dropped. [`select_range`] and the incremental engine both
-/// derive their candidate list here, so they agree bit-for-bit on the
-/// iteration order, the dedup tolerance, and `candidates_tried`.
+/// fresh_r_min`) dropped. The naive `select_range` and the incremental
+/// engine both derive their candidate list here, so they agree bit-for-bit
+/// on the iteration order, the dedup tolerance, and `candidates_tried`.
 pub(crate) fn candidate_upper_bounds(estimates: &[TracedEstimate], fresh_r_min: f64) -> Vec<f64> {
     let mut candidates: Vec<f64> = estimates.iter().map(|e| e.window.r_max).collect();
     candidates.sort_by(|a, b| b.partial_cmp(a).expect("aged bounds are finite"));
@@ -35,7 +40,7 @@ pub(crate) fn candidate_upper_bounds(estimates: &[TracedEstimate], fresh_r_min: 
 /// Folds evaluated candidates (in widest-first order) into the selection:
 /// the first candidate is adopted, and each later one only if it beats the
 /// running best by more than [`MIN_IMPROVEMENT`]. The fold is shared by
-/// [`select_range`] and the incremental engine so adoption decisions,
+/// the naive `select_range` and the incremental engine so adoption decisions,
 /// tie-breaks and error precedence are identical whatever produced the
 /// accuracies.
 pub(crate) fn fold_candidates(
@@ -74,8 +79,9 @@ pub struct RangeSelection {
     pub candidates_tried: usize,
 }
 
-/// Selects the common resistance window by iterating over the traced aged
-/// upper bounds and keeping the candidate with the best evaluated accuracy.
+/// The naive sweep, the oracle of the incremental engine: selects the
+/// common resistance window by iterating over the traced aged upper bounds
+/// and keeping the candidate with the best evaluated accuracy.
 ///
 /// `fresh_r_min` is the fresh lower bound — after aging, original lower
 /// bounds remain inside every aged range (paper Fig. 4 discussion), so the
@@ -88,33 +94,17 @@ pub struct RangeSelection {
 ///
 /// Returns [`CrossbarError::InvalidMapping`] if `estimates` is empty, and
 /// propagates evaluator errors.
-///
-/// # Examples
-///
-/// ```
-/// use memaging_crossbar::{select_range, TracedEstimate};
-/// use memaging_device::AgedWindow;
-///
-/// # fn main() -> Result<(), memaging_crossbar::CrossbarError> {
-/// let estimates = vec![
-///     TracedEstimate { row: 1, col: 1, window: AgedWindow { r_min: 9e3, r_max: 9e4 } },
-///     TracedEstimate { row: 1, col: 4, window: AgedWindow { r_min: 9e3, r_max: 7e4 } },
-/// ];
-/// // Toy evaluator: pretend tighter windows map better.
-/// let sel = select_range(&estimates, 1e4, &mut |w| Ok(1.0 - w.r_max / 1e6))?;
-/// assert_eq!(sel.candidates_tried, 2);
-/// assert!((sel.window.r_max - 7e4).abs() < 1.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn select_range(
+#[cfg(test)]
+pub(crate) fn select_range(
     estimates: &[TracedEstimate],
     fresh_r_min: f64,
     evaluate: &mut dyn FnMut(AgedWindow) -> Result<f64, CrossbarError>,
 ) -> Result<RangeSelection, CrossbarError> {
-    let (_lo, _hi) = traced_upper_bound_range(estimates).ok_or(CrossbarError::InvalidMapping {
-        reason: "range selection needs at least one traced estimate".into(),
-    })?;
+    let (_lo, _hi) = crate::tracer::traced_upper_bound_range(estimates).ok_or(
+        CrossbarError::InvalidMapping {
+            reason: "range selection needs at least one traced estimate".into(),
+        },
+    )?;
     // Candidates are iterated widest-first; see MIN_IMPROVEMENT. The map
     // below is lazy, so evaluations stay serial and stop at the first error.
     let candidates = candidate_upper_bounds(estimates, fresh_r_min);

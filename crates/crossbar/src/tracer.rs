@@ -51,6 +51,93 @@ pub fn trace_estimates(array: &Crossbar) -> Vec<TracedEstimate> {
         .collect()
 }
 
+/// Per-device aged-window estimates over the 3×3 tracing blocks of one
+/// array, resolved into a dense grid.
+///
+/// The aging tracer consults one device per 3×3 block (paper §IV-B); every
+/// untraced device inherits its block center's estimated window. This
+/// structure resolves the whole `rows × cols` array once per sweep: each
+/// block stores an index into a deduplicated window list, so
+/// [`BlockMap::window_index`] is two array reads and the candidate-matrix
+/// memoizer can key its per-window level tables by that index (arrays age
+/// coherently, so the distinct-window count is far below the block count).
+///
+/// Resolution semantics (identical to the linear trace scan): the first
+/// estimate inside a block wins, and a block with no traced device falls
+/// back to the widest traced window (min `r_min`, max `r_max` over all
+/// estimates).
+#[derive(Debug, Clone)]
+pub(crate) struct BlockMap {
+    block_cols: usize,
+    /// Deduplicated estimate windows; `grid` indexes into this.
+    windows: Vec<AgedWindow>,
+    /// Per block (row-major over the block grid): index into `windows`.
+    grid: Vec<u32>,
+}
+
+impl BlockMap {
+    /// Resolves the block grid of a `rows × cols` array from its traced
+    /// estimates.
+    pub(crate) fn new(rows: usize, cols: usize, estimates: &[TracedEstimate]) -> Self {
+        let block_rows = rows.div_ceil(3).max(1);
+        let block_cols = cols.div_ceil(3).max(1);
+        let widest = estimates.iter().map(|e| e.window).fold(
+            AgedWindow { r_min: f64::MAX, r_max: 0.0 },
+            |acc, w| AgedWindow { r_min: acc.r_min.min(w.r_min), r_max: acc.r_max.max(w.r_max) },
+        );
+        let mut windows: Vec<AgedWindow> = Vec::new();
+        let mut intern = |w: AgedWindow| -> u32 {
+            match windows.iter().position(|&seen| {
+                seen.r_min.to_bits() == w.r_min.to_bits()
+                    && seen.r_max.to_bits() == w.r_max.to_bits()
+            }) {
+                Some(i) => i as u32,
+                None => {
+                    windows.push(w);
+                    (windows.len() - 1) as u32
+                }
+            }
+        };
+        let fallback = intern(widest);
+        let mut grid = vec![u32::MAX; block_rows * block_cols];
+        for e in estimates {
+            let (br, bc) = (e.row / 3, e.col / 3);
+            if br >= block_rows || bc >= block_cols {
+                continue;
+            }
+            let slot = &mut grid[br * block_cols + bc];
+            // First estimate per block wins, matching the old linear scan.
+            if *slot == u32::MAX {
+                *slot = intern(e.window);
+            }
+        }
+        for slot in &mut grid {
+            if *slot == u32::MAX {
+                *slot = fallback;
+            }
+        }
+        BlockMap { block_cols, windows, grid }
+    }
+
+    /// The estimated aged window covering device `(row, col)`: the estimate
+    /// of its 3×3 block center.
+    #[cfg(test)]
+    pub(crate) fn at(&self, row: usize, col: usize) -> AgedWindow {
+        self.windows[self.window_index(row, col) as usize]
+    }
+
+    /// Index (into [`BlockMap::windows`]) of the window covering device
+    /// `(row, col)`.
+    pub(crate) fn window_index(&self, row: usize, col: usize) -> u32 {
+        self.grid[(row / 3) * self.block_cols + col / 3]
+    }
+
+    /// The deduplicated estimate windows.
+    pub(crate) fn windows(&self) -> &[AgedWindow] {
+        &self.windows
+    }
+}
+
 /// The range of traced aged upper bounds `[R^L_aged,max, R^U_aged,max]` of
 /// paper Fig. 8 — the iteration interval for common-range selection.
 pub fn traced_upper_bound_range(estimates: &[TracedEstimate]) -> Option<(f64, f64)> {
@@ -69,7 +156,7 @@ pub fn traced_upper_bound_range(estimates: &[TracedEstimate]) -> Option<(f64, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_device::{ArrheniusAging, DeviceSpec};
+    use memaging_device::{DeviceModel, DeviceSpec};
     use memaging_tensor::Tensor;
 
     #[test]
@@ -98,11 +185,12 @@ mod tests {
 
     #[test]
     fn estimates_reflect_per_device_history() {
-        let mut x = Crossbar::new(3, 3, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut x = Crossbar::new(3, 3, DeviceModel::default()).unwrap();
         // Age the center device only.
+        let (m, d) = x.device_mut(1, 1);
         for _ in 0..500 {
-            x.device_mut(1, 1).pulse(1).unwrap();
-            x.device_mut(1, 1).pulse(-1).unwrap();
+            d.pulse(m, 1).unwrap();
+            d.pulse(m, -1).unwrap();
         }
         let est = trace_estimates(&x);
         assert_eq!(est.len(), 1);
@@ -112,13 +200,14 @@ mod tests {
 
     #[test]
     fn untraced_devices_are_invisible() {
-        let mut x = Crossbar::new(3, 3, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut x = Crossbar::new(3, 3, DeviceModel::default()).unwrap();
         // Heavily age a corner device (untraced).
+        let (m, d) = x.device_mut(0, 0);
         for _ in 0..2000 {
-            if x.device_mut(0, 0).pulse(1).is_err() {
+            if d.pulse(m, 1).is_err() {
                 break;
             }
-            let _ = x.device_mut(0, 0).pulse(-1);
+            let _ = d.pulse(m, -1);
         }
         let est = trace_estimates(&x);
         // The traced estimate still reports a fresh window.
@@ -127,15 +216,17 @@ mod tests {
 
     #[test]
     fn upper_bound_range_spans_estimates() {
-        let mut x = Crossbar::new(6, 3, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut x = Crossbar::new(6, 3, DeviceModel::default()).unwrap();
         // Age the two block centers differently.
+        let (m, d) = x.device_mut(1, 1);
         for _ in 0..1500 {
-            let _ = x.device_mut(1, 1).pulse(1);
-            let _ = x.device_mut(1, 1).pulse(-1);
+            let _ = d.pulse(m, 1);
+            let _ = d.pulse(m, -1);
         }
+        let (m, d) = x.device_mut(4, 1);
         for _ in 0..300 {
-            let _ = x.device_mut(4, 1).pulse(1);
-            let _ = x.device_mut(4, 1).pulse(-1);
+            let _ = d.pulse(m, 1);
+            let _ = d.pulse(m, -1);
         }
         let est = trace_estimates(&x);
         assert_eq!(est.len(), 2);
@@ -146,9 +237,35 @@ mod tests {
 
     #[test]
     fn program_then_trace_smoke() {
-        let mut x = Crossbar::new(5, 4, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut x = Crossbar::new(5, 4, DeviceModel::default()).unwrap();
         x.program_conductances(&Tensor::full([5, 4], 5e-5)).unwrap();
         let est = trace_estimates(&x);
         assert_eq!(est.len(), traced_positions(5, 4).len());
+    }
+
+    #[test]
+    fn block_map_resolves_first_estimate_per_block_with_widest_fallback() {
+        let est = |row, col, r_min, r_max| TracedEstimate {
+            row,
+            col,
+            window: AgedWindow { r_min, r_max },
+        };
+        // Two estimates in block (0,0): the first wins. Block (1,1) has no
+        // estimate and falls back to the widest window.
+        let estimates = vec![
+            est(1, 1, 1e4, 6e4),
+            est(2, 2, 1e4, 9e4),
+            est(1, 4, 9e3, 8e4), // block (0,1)
+        ];
+        let map = BlockMap::new(6, 6, &estimates);
+        assert_eq!(map.at(0, 0).r_max, 6e4, "first estimate in block wins");
+        assert_eq!(map.at(2, 2).r_max, 6e4);
+        assert_eq!(map.at(0, 5).r_max, 8e4);
+        let fallback = map.at(4, 4);
+        assert_eq!(fallback.r_min, 9e3, "fallback is the widest traced window");
+        assert_eq!(fallback.r_max, 9e4);
+        // Distinct windows deduplicate; same block index for same window.
+        assert!(map.windows().len() <= 3);
+        assert_eq!(map.window_index(0, 0), map.window_index(2, 1));
     }
 }

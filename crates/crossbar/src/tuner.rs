@@ -189,7 +189,8 @@ fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor], gate_fract
             let (row, col) = (i / cols, i % cols);
             let direction: i8 = if g > 0.0 { 1 } else { -1 };
             // Worn-out devices reject pulses; tuning simply skips them.
-            let _ = array.device_mut(assignment.physical(row), col).nudge(direction);
+            let (model, device) = array.device_mut(assignment.physical(row), col);
+            let _ = device.nudge(model, direction);
         }
     });
 }
@@ -269,8 +270,9 @@ mod tests {
             let arr = cn.array_mut(0);
             for r in 0..arr.rows().min(40) {
                 for c in 0..arr.cols() {
+                    let (m, d) = arr.device_mut(r, c);
                     for _ in 0..3 {
-                        let _ = arr.device_mut(r, c).pulse(1);
+                        let _ = d.pulse(m, 1);
                     }
                 }
             }

@@ -184,7 +184,7 @@ pub fn incremental_swap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memaging_device::{ArrheniusAging, DeviceSpec};
+    use memaging_device::DeviceModel;
 
     #[test]
     fn identity_is_a_fixed_point() {
@@ -222,11 +222,11 @@ mod tests {
 
     #[test]
     fn incremental_swap_moves_one_pair() {
-        let mut array =
-            Crossbar::new(4, 2, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut array = Crossbar::new(4, 2, DeviceModel::default()).unwrap();
+        let (m, d) = array.device_mut(1, 0);
         for _ in 0..300 {
-            array.device_mut(1, 0).pulse(1).unwrap();
-            array.device_mut(1, 0).pulse(-1).unwrap();
+            d.pulse(m, 1).unwrap();
+            d.pulse(m, -1).unwrap();
         }
         // Logical row 3 is the coldest.
         let targets =
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn incremental_swap_single_row_is_identity() {
-        let array = Crossbar::new(1, 2, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let array = Crossbar::new(1, 2, DeviceModel::default()).unwrap();
         let id = RowAssignment::identity(1);
         let next = incremental_swap(&array, &Tensor::full([1, 2], 5e-5), &id).unwrap();
         assert_eq!(next, id);

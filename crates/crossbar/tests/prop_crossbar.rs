@@ -1,8 +1,8 @@
 //! Property-based tests for crossbar invariants: mapping bijectivity,
-//! programming convergence and tiling equivalence.
+//! programming convergence and drift bookkeeping.
 
-use memaging_crossbar::{Crossbar, TiledMatrix, WeightMapping};
-use memaging_device::{AgedWindow, ArrheniusAging, DeviceSpec};
+use memaging_crossbar::{Crossbar, WeightMapping};
+use memaging_device::{AgedWindow, DeviceModel, DeviceSpec};
 use memaging_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -48,7 +48,7 @@ proptest! {
         level in 0usize..32,
     ) {
         let spec = DeviceSpec::default();
-        let mut xbar = Crossbar::new(rows, cols, spec, ArrheniusAging::default()).unwrap();
+        let mut xbar = Crossbar::new(rows, cols, DeviceModel::default()).unwrap();
         let g = (1.0 / (spec.r_min + level as f64 * spec.level_width())) as f32;
         let targets = Tensor::full([rows, cols], g);
         xbar.program_conductances(&targets).unwrap();
@@ -64,26 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn tiled_matches_monolithic(
-        rows in 2usize..10,
-        cols in 2usize..10,
-        tile in 1usize..6,
-    ) {
-        let spec = DeviceSpec::default();
-        let mut tiled =
-            TiledMatrix::new(rows, cols, tile, spec, ArrheniusAging::default()).unwrap();
-        let mut mono = Crossbar::new(rows, cols, spec, ArrheniusAging::default()).unwrap();
-        let targets = Tensor::from_fn([rows, cols], |i| {
-            (1.0 / (spec.r_min + (i % spec.levels) as f64 * spec.level_width())) as f32
-        });
-        tiled.program_conductances(&targets).unwrap();
-        mono.program_conductances(&targets).unwrap();
-        let bits = |g: Tensor| -> Vec<u32> { g.as_slice().iter().map(|x| x.to_bits()).collect() };
-        prop_assert_eq!(bits(tiled.conductances()), bits(mono.conductances()));
-        prop_assert_eq!(tiled.total_pulses(), mono.total_pulses());
-    }
-
-    #[test]
     fn drift_preserves_pulse_and_stress_counters(
         rows in 1usize..6,
         cols in 1usize..6,
@@ -91,8 +71,7 @@ proptest! {
     ) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let mut xbar =
-            Crossbar::new(rows, cols, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
+        let mut xbar = Crossbar::new(rows, cols, DeviceModel::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         xbar.apply_drift(0.7, &mut rng);
         xbar.apply_conductance_drift(0.7, 0.1, &mut rng);

@@ -60,40 +60,12 @@ impl AgedWindow {
     }
 }
 
-/// A model of resistance-window degradation under programming stress.
-///
-/// `stress` is the accumulated effective stress time in seconds, produced by
-/// summing [`AgingModel::stress_increment`] over every programming pulse.
-pub trait AgingModel {
-    /// The aged window after `stress` seconds of effective stress.
-    fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow;
-
-    /// The effective-stress contribution of one programming pulse applied
-    /// while the device sits at resistance `at`.
-    fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64;
-}
-
-/// An ideal device that never ages — the baseline "fresh state" assumption
-/// the paper's traditional mapping (`T+T` without aging awareness) makes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoAging;
-
-impl AgingModel for NoAging {
-    fn aged_window(&self, spec: &DeviceSpec, _stress: f64) -> AgedWindow {
-        AgedWindow { r_min: spec.r_min, r_max: spec.r_max }
-    }
-
-    fn stress_increment(&self, _spec: &DeviceSpec, _at: Ohms) -> f64 {
-        0.0
-    }
-}
-
 /// The Arrhenius aging model of eqs. 6–7 with power-weighted stress.
 ///
 /// # Examples
 ///
 /// ```
-/// use memaging_device::{AgingModel, ArrheniusAging, DeviceSpec, Ohms};
+/// use memaging_device::{ArrheniusAging, DeviceSpec, Ohms};
 ///
 /// # fn main() -> Result<(), memaging_device::DeviceError> {
 /// let spec = DeviceSpec::default();
@@ -180,10 +152,11 @@ impl ArrheniusAging {
         }
         (delta_r / (self.a_f * self.arrhenius_factor(t_kelvin))).powf(1.0 / self.exponent_m)
     }
-}
 
-impl AgingModel for ArrheniusAging {
-    fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
+    /// The aged window after `stress` seconds of effective stress, the sum
+    /// of [`ArrheniusAging::stress_increment`] over every pulse plus any
+    /// absorbed ambient stress.
+    pub fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
         let f = self.f(spec.temperature, stress);
         let g = self.g(spec.temperature, stress);
         // Both bounds decrease (Fig. 4). The lower bound is floored at a
@@ -196,7 +169,9 @@ impl AgingModel for ArrheniusAging {
         AgedWindow { r_min, r_max }
     }
 
-    fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64 {
+    /// The effective-stress contribution of one programming pulse applied
+    /// while the device sits at resistance `at`.
+    pub fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64 {
         let power = spec.pulse_power(at);
         spec.pulse_width * (power / self.power_ref).powf(self.power_exponent)
     }
@@ -285,15 +260,6 @@ mod tests {
         );
         // And the device is not instantly dead.
         assert!(w.width() > 0.5 * (s.r_max - s.r_min));
-    }
-
-    #[test]
-    fn no_aging_model_is_inert() {
-        let a = NoAging;
-        let s = spec();
-        let w = a.aged_window(&s, 1e9);
-        assert_eq!(w.r_max, s.r_max);
-        assert_eq!(a.stress_increment(&s, Ohms::new(1e4).unwrap()), 0.0);
     }
 
     #[test]

@@ -16,21 +16,25 @@
 //! * [`ArrheniusAging`]: eqs. (6)–(7) — both window bounds fall with
 //!   accumulated stress; stress per pulse is power-weighted, so devices
 //!   programmed at large resistance (small current) age slower;
-//! * [`Memristor`]: a stateful cell — programming steps one level per pulse,
-//!   each pulse stresses the device, targets outside the aged window clip
-//!   (the Fig. 4 "Level 7 → Level 2" failure).
+//! * [`DeviceModel`]: the spec, aging law and quantizer every device of an
+//!   array shares, validated once;
+//! * [`Memristor`]: one cell's 32-byte state, driven through its model —
+//!   programming steps one level per pulse, each pulse stresses the device,
+//!   targets outside the aged window clip (the Fig. 4 "Level 7 → Level 2"
+//!   failure).
 //!
 //! # Example
 //!
 //! ```
-//! use memaging_device::{ArrheniusAging, DeviceSpec, Memristor, Ohms};
+//! use memaging_device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor, Ohms};
 //!
 //! # fn main() -> Result<(), memaging_device::DeviceError> {
-//! let mut cell = Memristor::new(DeviceSpec::default(), ArrheniusAging::default())?;
-//! cell.program(Ohms::new(72_000.0)?)?;
+//! let model = DeviceModel::new(DeviceSpec::default(), ArrheniusAging::default())?;
+//! let mut cell = Memristor::new(&model);
+//! cell.program(&model, Ohms::new(72_000.0)?)?;
 //! println!(
 //!     "programmed to {} with {} pulses of stress {:.2e} s",
-//!     cell.resistance(),
+//!     cell.resistance(&model),
 //!     cell.pulse_count(),
 //!     cell.stress(),
 //! );
@@ -48,9 +52,9 @@ mod quantizer;
 mod spec;
 mod units;
 
-pub use aging::{AgedWindow, AgingModel, ArrheniusAging, NoAging, BOLTZMANN_EV};
+pub use aging::{AgedWindow, ArrheniusAging, BOLTZMANN_EV};
 pub use error::DeviceError;
-pub use memristor::{Memristor, ProgramOutcome};
+pub use memristor::{DeviceModel, Memristor, ProgramOutcome};
 pub use quantizer::Quantizer;
 pub use spec::DeviceSpec;
 pub use units::{Ohms, Siemens};

@@ -1,7 +1,8 @@
-//! A stateful memristor: programmable position on the fresh level grid,
-//! accumulated aging stress, pulse counting.
+//! The device model an array shares, and the per-device state it acts on:
+//! programmable position on the fresh level grid, accumulated aging
+//! stress, pulse counting.
 
-use crate::aging::{AgedWindow, AgingModel, ArrheniusAging};
+use crate::aging::{AgedWindow, ArrheniusAging};
 use crate::error::DeviceError;
 use crate::quantizer::Quantizer;
 use crate::spec::DeviceSpec;
@@ -27,34 +28,106 @@ impl ProgramOutcome {
     }
 }
 
-/// A single memristor cell with programming history and aging state.
+/// The parameters every device of an array shares: the spec, the aging law
+/// of eqs. 6–7 and the fresh-grid quantizer. Devices differ only in their
+/// [`Memristor`] state, so an array holds one model and one state per
+/// device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceModel {
+    spec: DeviceSpec,
+    aging: ArrheniusAging,
+    quantizer: Quantizer,
+}
+
+impl Default for DeviceModel {
+    fn default() -> Self {
+        DeviceModel::new(DeviceSpec::default(), ArrheniusAging::default())
+            .expect("the default spec is valid")
+    }
+}
+
+impl DeviceModel {
+    /// Validates `spec` once and derives its fresh-grid quantizer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::InvalidSpec`] if the spec is invalid.
+    pub fn new(spec: DeviceSpec, aging: ArrheniusAging) -> Result<Self, DeviceError> {
+        let quantizer = Quantizer::from_spec(&spec)?;
+        Ok(DeviceModel { spec, aging, quantizer })
+    }
+
+    /// The device spec.
+    pub fn spec(&self) -> &DeviceSpec {
+        &self.spec
+    }
+
+    /// The aging law.
+    pub fn aging(&self) -> &ArrheniusAging {
+        &self.aging
+    }
+
+    /// The fresh-grid quantizer.
+    pub fn quantizer(&self) -> &Quantizer {
+        &self.quantizer
+    }
+
+    /// The aged window after `stress` seconds of effective stress.
+    pub(crate) fn aged_window(&self, stress: f64) -> AgedWindow {
+        self.aging.aged_window(&self.spec, stress)
+    }
+
+    /// Number of fresh levels inside window `w`.
+    pub(crate) fn usable_levels(&self, w: &AgedWindow) -> usize {
+        self.quantizer.levels_within(w.r_min, w.r_max)
+    }
+
+    /// `true` once fewer than 2 levels fit in window `w` — a device there
+    /// can no longer represent information.
+    pub fn is_worn_out(&self, w: &AgedWindow) -> bool {
+        self.usable_levels(w) < 2
+    }
+
+    /// Window `w` expressed in fresh-grid position units `(lo, hi)`.
+    fn position_bounds(&self, w: &AgedWindow) -> (f64, f64) {
+        let width = self.spec.level_width();
+        let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
+        let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
+        (lo, hi.max(lo))
+    }
+}
+
+/// The state of one memristor cell: 32 bytes of programming history and
+/// aging, read and written through the [`DeviceModel`] of its array.
 ///
-/// The device's state is a *continuous position* on the fresh quantization
-/// grid (position `k` ↔ resistance `r_min + k·level_width`). Write targets
-/// are grid levels (the programming DAC is quantized), and each programming
+/// The state is a *continuous position* on the fresh quantization grid
+/// (position `k` ↔ resistance `r_min + k·level_width`). Write targets are
+/// grid levels (the programming DAC is quantized), and each programming
 /// pulse moves the position one full level; online-tuning *nudges* move it
 /// by the sub-level [`DeviceSpec::tuning_step_levels`]. The reachable range
 /// contracts as the aged window [`AgedWindow`] shrinks, and every pulse adds
 /// power-weighted effective stress (see [`ArrheniusAging`]).
 ///
+/// Each operation evaluates the aged window once per stress value it sees:
+/// a pulse or nudge twice (before and after its own stress), programming
+/// once on entry and once per pulse.
+///
 /// # Examples
 ///
 /// ```
-/// use memaging_device::{ArrheniusAging, DeviceSpec, Memristor};
+/// use memaging_device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor};
 ///
 /// # fn main() -> Result<(), memaging_device::DeviceError> {
-/// let mut m = Memristor::new(DeviceSpec::default(), ArrheniusAging::default())?;
-/// let outcome = m.program_to_level(30)?;
+/// let model = DeviceModel::new(DeviceSpec::default(), ArrheniusAging::default())?;
+/// let mut m = Memristor::new(&model);
+/// let outcome = m.program_to_level(&model, 30)?;
 /// assert_eq!(outcome.achieved_level, 30);
 /// assert!(m.pulse_count() > 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Memristor {
-    spec: DeviceSpec,
-    aging: ArrheniusAging,
-    quantizer: Quantizer,
     /// Continuous position on the fresh grid, in level units.
     position: f64,
     /// Stress from this device's own programming pulses.
@@ -65,38 +138,14 @@ pub struct Memristor {
 }
 
 impl Memristor {
-    /// Creates a fresh device at the middle level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidSpec`] if the spec is invalid.
-    pub fn new(spec: DeviceSpec, aging: ArrheniusAging) -> Result<Self, DeviceError> {
-        spec.validate()?;
-        let quantizer = Quantizer::from_spec(&spec)?;
-        Ok(Memristor {
-            position: (spec.levels / 2) as f64,
-            spec,
-            aging,
-            quantizer,
+    /// A fresh device of `model` at the middle level.
+    pub fn new(model: &DeviceModel) -> Self {
+        Memristor {
+            position: (model.spec.levels / 2) as f64,
             own_stress: 0.0,
             ambient_stress: 0.0,
             pulse_count: 0,
-        })
-    }
-
-    /// The device spec.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// The fresh-grid quantizer.
-    pub fn quantizer(&self) -> &Quantizer {
-        &self.quantizer
-    }
-
-    /// The aging model.
-    pub fn aging(&self) -> &ArrheniusAging {
-        &self.aging
+        }
     }
 
     /// The *stored* continuous position on the fresh grid, in level units —
@@ -135,72 +184,80 @@ impl Memristor {
         self.pulse_count
     }
 
-    /// The nearest grid level to the device's present state.
-    pub fn level(&self) -> usize {
-        (self.effective_position().round() as usize).min(self.spec.levels - 1)
-    }
-
     /// The current aged resistance window.
-    pub fn aged_window(&self) -> AgedWindow {
-        self.aging.aged_window(&self.spec, self.stress())
+    pub fn aged_window(&self, model: &DeviceModel) -> AgedWindow {
+        model.aged_window(self.stress())
     }
 
-    /// The window expressed in fresh-grid position units `(lo, hi)`.
-    fn position_bounds(&self) -> (f64, f64) {
-        let w = self.aged_window();
-        let width = self.spec.level_width();
-        let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
-        let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
-        (lo, hi.max(lo))
-    }
-
-    /// The stored position clamped into the present aged window.
-    fn effective_position(&self) -> f64 {
-        let (lo, hi) = self.position_bounds();
+    /// The stored position clamped into window `w`.
+    fn effective_position(&self, model: &DeviceModel, w: &AgedWindow) -> f64 {
+        let (lo, hi) = model.position_bounds(w);
         self.position.clamp(lo, hi)
     }
 
-    /// The device's present resistance (always inside the aged window).
-    pub fn resistance(&self) -> Ohms {
-        let r = self.spec.r_min + self.effective_position() * self.spec.level_width();
+    /// The nearest grid level to the stored position clamped into `w`.
+    fn level_in(&self, model: &DeviceModel, w: &AgedWindow) -> usize {
+        (self.effective_position(model, w).round() as usize).min(model.spec.levels - 1)
+    }
+
+    /// The resistance of the stored position clamped into `w`.
+    fn resistance_in(&self, model: &DeviceModel, w: &AgedWindow) -> Ohms {
+        let r = model.spec.r_min + self.effective_position(model, w) * model.spec.level_width();
         Ohms::new(r).expect("aged window stays positive")
     }
 
+    /// The nearest grid level to the device's present state.
+    pub fn level(&self, model: &DeviceModel) -> usize {
+        self.level_in(model, &self.aged_window(model))
+    }
+
+    /// The device's present resistance (always inside the aged window).
+    pub fn resistance(&self, model: &DeviceModel) -> Ohms {
+        self.resistance_in(model, &self.aged_window(model))
+    }
+
     /// The device's present conductance (what the crossbar column sums).
-    pub fn conductance(&self) -> Siemens {
-        self.resistance().to_siemens()
+    pub fn conductance(&self, model: &DeviceModel) -> Siemens {
+        self.resistance(model).to_siemens()
     }
 
     /// Number of fresh levels still inside the aged window.
-    pub fn usable_levels(&self) -> usize {
-        let w = self.aged_window();
-        self.quantizer.levels_within(w.r_min, w.r_max)
+    pub fn usable_levels(&self, model: &DeviceModel) -> usize {
+        model.usable_levels(&self.aged_window(model))
     }
 
     /// `true` once fewer than 2 levels remain reachable — the device can no
     /// longer represent information.
-    pub fn is_worn_out(&self) -> bool {
-        self.usable_levels() < 2
+    pub fn is_worn_out(&self, model: &DeviceModel) -> bool {
+        model.is_worn_out(&self.aged_window(model))
     }
 
     /// Applies one pulse moving the position by `step_levels` grid units in
     /// `direction`, saturating against the aged window. Every pulse (even an
-    /// absorbed one) stresses the device.
-    fn apply_pulse(&mut self, direction: i8, step_levels: f64) -> Result<(), DeviceError> {
-        if self.is_worn_out() {
+    /// absorbed one) stresses the device. `w` is the window at the present
+    /// stress; the window at the new stress is returned.
+    fn apply_pulse(
+        &mut self,
+        model: &DeviceModel,
+        w: AgedWindow,
+        direction: i8,
+        step_levels: f64,
+    ) -> Result<AgedWindow, DeviceError> {
+        if model.is_worn_out(&w) {
             return Err(DeviceError::ProgramOnDeadDevice);
         }
         // Stress accrues at the device's *current* operating point.
-        self.own_stress += self.aging.stress_increment(&self.spec, self.resistance());
+        self.own_stress += model.aging.stress_increment(&model.spec, self.resistance_in(model, &w));
         self.pulse_count += 1;
-        let (lo, hi) = self.position_bounds();
+        let w = self.aged_window(model);
+        let (lo, hi) = model.position_bounds(&w);
         let current = self.position.clamp(lo, hi);
         self.position = match direction.signum() {
             1 => (current + step_levels).min(hi),
             -1 => (current - step_levels).max(lo),
             _ => current,
         };
-        Ok(())
+        Ok(w)
     }
 
     /// Applies one full-level programming pulse in `direction` (+1 toward
@@ -213,8 +270,8 @@ impl Memristor {
     ///
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
-    pub fn pulse(&mut self, direction: i8) -> Result<(), DeviceError> {
-        self.apply_pulse(direction, 1.0)
+    pub fn pulse(&mut self, model: &DeviceModel, direction: i8) -> Result<(), DeviceError> {
+        self.apply_pulse(model, self.aged_window(model), direction, 1.0).map(drop)
     }
 
     /// Applies one sub-level tuning pulse (the constant-amplitude pulse of
@@ -224,16 +281,17 @@ impl Memristor {
     ///
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
-    pub fn nudge(&mut self, direction: i8) -> Result<(), DeviceError> {
-        self.apply_pulse(direction, self.spec.tuning_step_levels)
+    pub fn nudge(&mut self, model: &DeviceModel, direction: i8) -> Result<(), DeviceError> {
+        let step = model.spec.tuning_step_levels;
+        self.apply_pulse(model, self.aged_window(model), direction, step).map(drop)
     }
 
     /// Forces the device into the worn-out state (window collapsed), for
     /// stuck-at-fault injection studies: forming failures and endurance
     /// outliers present exactly like a fully-aged cell.
-    pub fn force_worn_out(&mut self) {
+    pub fn force_worn_out(&mut self, model: &DeviceModel) {
         let mut bump = self.own_stress.max(1.0e-9);
-        while !self.is_worn_out() {
+        while !self.is_worn_out(model) {
             self.own_stress += bump;
             bump *= 2.0;
         }
@@ -244,8 +302,8 @@ impl Memristor {
     /// recoverable effect of ref. 8). No stress accrues and no pulse is
     /// counted — the whole point of drift is that reprogramming undoes it
     /// for free, while the reprogramming itself is what ages the device.
-    pub fn drift_level(&mut self, direction: i8) {
-        let max = (self.spec.levels - 1) as f64;
+    pub fn drift_level(&mut self, model: &DeviceModel, direction: i8) {
+        let max = (model.spec.levels - 1) as f64;
         self.position = match direction.signum() {
             1 => (self.position + 1.0).min(max),
             -1 => (self.position - 1.0).max(0.0),
@@ -260,17 +318,17 @@ impl Memristor {
     ///
     /// Non-finite deltas are ignored; the result is clamped to the fresh
     /// grid.
-    pub fn drift_conductance(&mut self, relative_delta: f64) {
+    pub fn drift_conductance(&mut self, model: &DeviceModel, relative_delta: f64) {
         if !relative_delta.is_finite() {
             return;
         }
-        let g = self.conductance().value() * (1.0 + relative_delta);
+        let g = self.conductance(model).value() * (1.0 + relative_delta);
         if g <= 0.0 {
             return;
         }
         let r = 1.0 / g;
-        let position = (r - self.spec.r_min) / self.spec.level_width();
-        self.position = position.clamp(0.0, (self.spec.levels - 1) as f64);
+        let position = (r - model.spec.r_min) / model.spec.level_width();
+        self.position = position.clamp(0.0, (model.spec.levels - 1) as f64);
     }
 
     /// Programs the device toward `target_level` on the fresh grid with
@@ -282,35 +340,45 @@ impl Memristor {
     ///
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out before any pulse is applied.
-    pub fn program_to_level(&mut self, target_level: usize) -> Result<ProgramOutcome, DeviceError> {
-        if self.is_worn_out() {
+    pub fn program_to_level(
+        &mut self,
+        model: &DeviceModel,
+        target_level: usize,
+    ) -> Result<ProgramOutcome, DeviceError> {
+        let mut w = self.aged_window(model);
+        if model.is_worn_out(&w) {
             return Err(DeviceError::ProgramOnDeadDevice);
         }
-        let requested = target_level.min(self.spec.levels - 1);
+        let requested = target_level.min(model.spec.levels - 1);
         let target = requested as f64;
         let mut pulses = 0u64;
         loop {
-            let here = self.effective_position();
+            let here = self.effective_position(model, &w);
             let distance = target - here;
             if distance.abs() < 1e-9 {
                 break;
             }
             let dir: i8 = if distance > 0.0 { 1 } else { -1 };
-            self.apply_pulse(dir, distance.abs().min(1.0))?;
+            w = self.apply_pulse(model, w, dir, distance.abs().min(1.0))?;
             pulses += 1;
             // Saturated against the aged window: the pulse made no progress
             // toward the target (the window may even recede under the
             // pulse's own stress — chasing it further would only burn the
             // device, so program-and-verify gives up here).
-            let progressed = (target - self.effective_position()).abs() < distance.abs() - 1e-12;
+            let progressed =
+                (target - self.effective_position(model, &w)).abs() < distance.abs() - 1e-12;
             if !progressed {
                 break;
             }
-            if self.is_worn_out() {
+            if model.is_worn_out(&w) {
                 break;
             }
         }
-        Ok(ProgramOutcome { requested_level: requested, achieved_level: self.level(), pulses })
+        Ok(ProgramOutcome {
+            requested_level: requested,
+            achieved_level: self.level_in(model, &w),
+            pulses,
+        })
     }
 
     /// Programs the device to the nearest level of a target resistance.
@@ -319,8 +387,12 @@ impl Memristor {
     ///
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
-    pub fn program(&mut self, target: Ohms) -> Result<ProgramOutcome, DeviceError> {
-        self.program_to_level(self.quantizer.nearest_level(target))
+    pub fn program(
+        &mut self,
+        model: &DeviceModel,
+        target: Ohms,
+    ) -> Result<ProgramOutcome, DeviceError> {
+        self.program_to_level(model, model.quantizer.nearest_level(target))
     }
 
     /// Programs to the nearest level of a target conductance.
@@ -329,8 +401,12 @@ impl Memristor {
     ///
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
-    pub fn program_conductance(&mut self, target: Siemens) -> Result<ProgramOutcome, DeviceError> {
-        self.program(target.to_ohms())
+    pub fn program_conductance(
+        &mut self,
+        model: &DeviceModel,
+        target: Siemens,
+    ) -> Result<ProgramOutcome, DeviceError> {
+        self.program(model, target.to_ohms())
     }
 }
 
@@ -338,88 +414,89 @@ impl Memristor {
 mod tests {
     use super::*;
 
-    fn fresh() -> Memristor {
-        Memristor::new(DeviceSpec::default(), ArrheniusAging::default()).unwrap()
+    fn fresh() -> (DeviceModel, Memristor) {
+        let model = DeviceModel::default();
+        (model, Memristor::new(&model))
     }
 
     #[test]
     fn starts_fresh_at_mid_level() {
-        let m = fresh();
-        assert_eq!(m.level(), 16);
+        let (d, m) = fresh();
+        assert_eq!(m.level(&d), 16);
         assert_eq!(m.stress(), 0.0);
         assert_eq!(m.pulse_count(), 0);
-        assert_eq!(m.usable_levels(), 32);
-        assert!(!m.is_worn_out());
+        assert_eq!(m.usable_levels(&d), 32);
+        assert!(!m.is_worn_out(&d));
     }
 
     #[test]
     fn program_counts_level_steps() {
-        let mut m = fresh();
-        let out = m.program_to_level(20).unwrap();
+        let (d, mut m) = fresh();
+        let out = m.program_to_level(&d, 20).unwrap();
         assert_eq!(out.achieved_level, 20);
         assert_eq!(out.pulses, 4);
         assert!(!out.clipped());
         assert_eq!(m.pulse_count(), 4);
-        let out = m.program_to_level(20).unwrap();
+        let out = m.program_to_level(&d, 20).unwrap();
         assert_eq!(out.pulses, 0, "already at target");
     }
 
     #[test]
     fn program_resistance_quantizes() {
-        let mut m = fresh();
+        let (d, mut m) = fresh();
         let target = Ohms::new(5.5e4).unwrap();
-        m.program(target).unwrap();
-        let err = (m.resistance().value() - target.value()).abs();
-        assert!(err <= m.quantizer().level_width() / 2.0 + 1e-9);
+        m.program(&d, target).unwrap();
+        let err = (m.resistance(&d).value() - target.value()).abs();
+        assert!(err <= d.quantizer().level_width() / 2.0 + 1e-9);
     }
 
     #[test]
     fn stress_accumulates_per_pulse() {
-        let mut m = fresh();
-        m.program_to_level(31).unwrap();
+        let (d, mut m) = fresh();
+        m.program_to_level(&d, 31).unwrap();
         let s1 = m.stress();
         assert!(s1 > 0.0);
-        m.program_to_level(0).unwrap();
+        m.program_to_level(&d, 0).unwrap();
         assert!(m.stress() > s1);
     }
 
     #[test]
     fn nudge_moves_a_fraction_of_a_level() {
-        let mut m = fresh();
-        let r0 = m.resistance().value();
-        m.nudge(1).unwrap();
-        let r1 = m.resistance().value();
-        let moved = (r1 - r0) / m.spec().level_width();
-        assert!((moved - m.spec().tuning_step_levels).abs() < 1e-9, "nudge moved {moved} levels");
+        let (d, mut m) = fresh();
+        let r0 = m.resistance(&d).value();
+        m.nudge(&d, 1).unwrap();
+        let r1 = m.resistance(&d).value();
+        let moved = (r1 - r0) / d.spec().level_width();
+        assert!((moved - d.spec().tuning_step_levels).abs() < 1e-9, "nudge moved {moved} levels");
         assert_eq!(m.pulse_count(), 1, "a nudge is a pulse");
         assert!(m.stress() > 0.0, "a nudge stresses the device");
     }
 
     #[test]
     fn nudges_accumulate_to_levels() {
-        let mut m = fresh();
-        let start = m.level();
-        let per_level = (1.0 / m.spec().tuning_step_levels).round() as usize;
+        let (d, mut m) = fresh();
+        let start = m.level(&d);
+        let per_level = (1.0 / d.spec().tuning_step_levels).round() as usize;
         for _ in 0..per_level {
-            m.nudge(1).unwrap();
+            m.nudge(&d, 1).unwrap();
         }
-        assert_eq!(m.level(), start + 1);
+        assert_eq!(m.level(&d), start + 1);
     }
 
     #[test]
     fn low_resistance_programming_ages_faster() {
         // Cycle two devices the same number of pulses: one toggling at the
         // low-resistance end, one at the high-resistance end.
-        let mut low = fresh();
-        let mut high = fresh();
-        low.program_to_level(0).unwrap();
-        high.program_to_level(31).unwrap();
+        let (d, mut low) = fresh();
+        let mut high = Memristor::new(&d);
+        low.program_to_level(&d, 0).unwrap();
+        high.program_to_level(&d, 31).unwrap();
         let (s_low0, s_high0) = (low.stress(), high.stress());
         for _ in 0..200 {
-            low.pulse(1).unwrap();
-            low.pulse(-1).unwrap();
-            high.pulse(-1).unwrap();
-            high.pulse(1).unwrap();
+            low.pulse(&d, 1).unwrap();
+            low.pulse(&d, -1).unwrap();
+            high.pulse(&d, -1).unwrap();
+            high.pulse(&d, 1).unwrap();
         }
         let d_low = low.stress() - s_low0;
         let d_high = high.stress() - s_high0;
@@ -428,142 +505,142 @@ mod tests {
 
     #[test]
     fn aged_device_clips_high_targets() {
-        let mut m = fresh();
+        let (d, mut m) = fresh();
         // Age heavily by hammering pulses at the low-resistance end.
-        m.program_to_level(0).unwrap();
+        m.program_to_level(&d, 0).unwrap();
         for _ in 0..20_000 {
-            if m.pulse(1).is_err() || m.pulse(-1).is_err() {
+            if m.pulse(&d, 1).is_err() || m.pulse(&d, -1).is_err() {
                 break;
             }
         }
-        assert!(m.usable_levels() < 32, "expected level loss");
-        if !m.is_worn_out() {
-            let out = m.program_to_level(31).unwrap();
+        assert!(m.usable_levels(&d) < 32, "expected level loss");
+        if !m.is_worn_out(&d) {
+            let out = m.program_to_level(&d, 31).unwrap();
             assert!(out.clipped(), "top level must be unreachable after aging");
             assert!(out.achieved_level < 31);
             // The achieved state equals the aged upper bound.
-            let w = m.aged_window();
-            assert!((m.resistance().value() - w.r_max).abs() < m.spec().level_width());
+            let w = m.aged_window(&d);
+            assert!((m.resistance(&d).value() - w.r_max).abs() < d.spec().level_width());
         }
     }
 
     #[test]
     fn worn_out_device_rejects_programming() {
-        let mut m = fresh();
-        m.program_to_level(0).unwrap();
+        let (d, mut m) = fresh();
+        m.program_to_level(&d, 0).unwrap();
         for _ in 0..2_000_000 {
-            if m.pulse(1).is_err() || m.pulse(-1).is_err() {
+            if m.pulse(&d, 1).is_err() || m.pulse(&d, -1).is_err() {
                 break;
             }
         }
-        assert!(m.is_worn_out(), "device should wear out under sustained LRS cycling");
-        assert!(matches!(m.program_to_level(5), Err(DeviceError::ProgramOnDeadDevice)));
-        assert!(matches!(m.pulse(1), Err(DeviceError::ProgramOnDeadDevice)));
-        assert!(matches!(m.nudge(1), Err(DeviceError::ProgramOnDeadDevice)));
+        assert!(m.is_worn_out(&d), "device should wear out under sustained LRS cycling");
+        assert!(matches!(m.program_to_level(&d, 5), Err(DeviceError::ProgramOnDeadDevice)));
+        assert!(matches!(m.pulse(&d, 1), Err(DeviceError::ProgramOnDeadDevice)));
+        assert!(matches!(m.nudge(&d, 1), Err(DeviceError::ProgramOnDeadDevice)));
     }
 
     #[test]
     fn resistance_stays_inside_aged_window() {
-        let mut m = fresh();
-        m.program_to_level(31).unwrap();
+        let (d, mut m) = fresh();
+        m.program_to_level(&d, 31).unwrap();
         // Age the device; its stored position stays high but the window
         // drops beneath it, pinning reads at the bound.
         for _ in 0..60_000 {
-            if m.pulse(1).is_err() {
+            if m.pulse(&d, 1).is_err() {
                 break;
             }
         }
-        let w = m.aged_window();
-        assert!(m.resistance().value() <= w.r_max + 1e-9);
-        assert!(m.resistance().value() >= w.r_min - 1e-9);
+        let w = m.aged_window(&d);
+        assert!(m.resistance(&d).value() <= w.r_max + 1e-9);
+        assert!(m.resistance(&d).value() >= w.r_min - 1e-9);
     }
 
     #[test]
     fn pulse_out_of_grid_is_absorbed() {
-        let mut m = fresh();
-        m.program_to_level(31).unwrap();
-        let lvl = m.level();
-        m.pulse(1).unwrap();
-        assert!(m.level() <= lvl, "cannot exceed top level");
-        m.program_to_level(0).unwrap();
-        m.pulse(-1).unwrap();
-        assert_eq!(m.level(), 0);
+        let (d, mut m) = fresh();
+        m.program_to_level(&d, 31).unwrap();
+        let lvl = m.level(&d);
+        m.pulse(&d, 1).unwrap();
+        assert!(m.level(&d) <= lvl, "cannot exceed top level");
+        m.program_to_level(&d, 0).unwrap();
+        m.pulse(&d, -1).unwrap();
+        assert_eq!(m.level(&d), 0);
     }
 
     #[test]
     fn zero_direction_pulse_only_stresses() {
-        let mut m = fresh();
-        let lvl = m.level();
-        m.pulse(0).unwrap();
-        assert_eq!(m.level(), lvl);
+        let (d, mut m) = fresh();
+        let lvl = m.level(&d);
+        m.pulse(&d, 0).unwrap();
+        assert_eq!(m.level(&d), lvl);
         assert_eq!(m.pulse_count(), 1);
         assert!(m.stress() > 0.0);
     }
 
     #[test]
     fn force_worn_out_collapses_the_window() {
-        let mut m = fresh();
-        assert!(!m.is_worn_out());
-        m.force_worn_out();
-        assert!(m.is_worn_out());
-        assert!(matches!(m.pulse(1), Err(DeviceError::ProgramOnDeadDevice)));
+        let (d, mut m) = fresh();
+        assert!(!m.is_worn_out(&d));
+        m.force_worn_out(&d);
+        assert!(m.is_worn_out(&d));
+        assert!(matches!(m.pulse(&d, 1), Err(DeviceError::ProgramOnDeadDevice)));
         // Idempotent.
-        m.force_worn_out();
-        assert!(m.is_worn_out());
+        m.force_worn_out(&d);
+        assert!(m.is_worn_out(&d));
     }
 
     #[test]
     fn drift_moves_level_without_stress() {
-        let mut m = fresh();
-        let lvl = m.level();
-        m.drift_level(1);
-        assert_eq!(m.level(), lvl + 1);
+        let (d, mut m) = fresh();
+        let lvl = m.level(&d);
+        m.drift_level(&d, 1);
+        assert_eq!(m.level(&d), lvl + 1);
         assert_eq!(m.stress(), 0.0);
         assert_eq!(m.pulse_count(), 0);
-        m.drift_level(-1);
-        m.drift_level(-1);
-        assert_eq!(m.level(), lvl - 1);
-        m.drift_level(0);
-        assert_eq!(m.level(), lvl - 1);
+        m.drift_level(&d, -1);
+        m.drift_level(&d, -1);
+        assert_eq!(m.level(&d), lvl - 1);
+        m.drift_level(&d, 0);
+        assert_eq!(m.level(&d), lvl - 1);
     }
 
     #[test]
     fn drift_respects_grid_bounds() {
-        let mut m = fresh();
-        m.program_to_level(31).unwrap();
-        m.drift_level(1);
-        assert_eq!(m.level(), 31);
-        m.program_to_level(0).unwrap();
-        m.drift_level(-1);
-        assert_eq!(m.level(), 0);
+        let (d, mut m) = fresh();
+        m.program_to_level(&d, 31).unwrap();
+        m.drift_level(&d, 1);
+        assert_eq!(m.level(&d), 31);
+        m.program_to_level(&d, 0).unwrap();
+        m.drift_level(&d, -1);
+        assert_eq!(m.level(&d), 0);
     }
 
     #[test]
     fn grid_position_reads_raw_unclamped_state() {
-        let mut m = fresh();
+        let (d, mut m) = fresh();
         assert_eq!(m.grid_position(), 16.0);
-        m.program_to_level(20).unwrap();
+        m.program_to_level(&d, 20).unwrap();
         assert!((m.grid_position() - 20.0).abs() < 1e-9);
         // Drift moves the raw position without stress; grid_position sees it.
-        m.drift_level(1);
+        m.drift_level(&d, 1);
         assert!((m.grid_position() - 21.0).abs() < 1e-9);
         // Heavy aging pins reads at the window bound while the raw position
         // stays put.
-        m.program_to_level(31).unwrap();
+        m.program_to_level(&d, 31).unwrap();
         for _ in 0..60_000 {
-            if m.pulse(1).is_err() {
+            if m.pulse(&d, 1).is_err() {
                 break;
             }
         }
         assert!(m.grid_position() <= 31.0);
-        assert!((m.level() as f64) <= m.grid_position() + 0.5, "effective state is clamped");
+        assert!((m.level(&d) as f64) <= m.grid_position() + 0.5, "effective state is clamped");
     }
 
     #[test]
     fn conductance_is_inverse_resistance() {
-        let m = fresh();
-        let g = m.conductance().value();
-        let r = m.resistance().value();
+        let (d, m) = fresh();
+        let g = m.conductance(&d).value();
+        let r = m.resistance(&d).value();
         assert!((g * r - 1.0).abs() < 1e-12);
     }
 }

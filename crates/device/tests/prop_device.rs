@@ -1,6 +1,6 @@
 //! Property-based tests for device-model invariants.
 
-use memaging_device::{AgingModel, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer};
+use memaging_device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor, Ohms, Quantizer};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = DeviceSpec> {
@@ -67,24 +67,26 @@ proptest! {
         spec in arb_spec(),
         targets in proptest::collection::vec(0usize..64, 1..12),
     ) {
-        let mut m = Memristor::new(spec, ArrheniusAging::default()).unwrap();
+        let d = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        let mut m = Memristor::new(&d);
         for t in targets {
-            if m.is_worn_out() {
+            if m.is_worn_out(&d) {
                 break;
             }
-            let _ = m.program_to_level(t % spec.levels);
-            let w = m.aged_window();
-            let r = m.resistance().value();
+            let _ = m.program_to_level(&d, t % spec.levels);
+            let w = m.aged_window(&d);
+            let r = m.resistance(&d).value();
             prop_assert!(r >= w.r_min - 1e-6 && r <= w.r_max + 1e-6);
         }
     }
 
     #[test]
     fn pulse_count_is_bounded_by_level_distance(spec in arb_spec(), t in 0usize..64) {
-        let mut m = Memristor::new(spec, ArrheniusAging::default()).unwrap();
+        let d = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        let mut m = Memristor::new(&d);
         let target = t % spec.levels;
-        let start = m.level();
-        let out = m.program_to_level(target).unwrap();
+        let start = m.level(&d);
+        let out = m.program_to_level(&d, target).unwrap();
         // Program-and-verify needs at least one pulse per level travelled,
         // and gives up within one extra pulse once the (possibly receding)
         // aged window pins the state.
@@ -97,10 +99,11 @@ proptest! {
         // With the default spec, per-pulse degradation is far below one
         // level width, so the fresh count is exact.
         let spec = DeviceSpec::default();
-        let mut m = Memristor::new(spec, ArrheniusAging::default()).unwrap();
+        let d = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        let mut m = Memristor::new(&d);
         let target = t % spec.levels;
-        let start = m.level();
-        let out = m.program_to_level(target).unwrap();
+        let start = m.level(&d);
+        let out = m.program_to_level(&d, target).unwrap();
         // Exact, except that programming to the very top level may spend one
         // verify pulse against the (slightly self-aged) window edge.
         let distance = start.abs_diff(target);
@@ -111,13 +114,14 @@ proptest! {
 
     #[test]
     fn stress_is_monotone_in_pulses(spec in arb_spec(), pulses in 1usize..200) {
-        let mut m = Memristor::new(spec, ArrheniusAging::default()).unwrap();
+        let d = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        let mut m = Memristor::new(&d);
         let mut prev = 0.0;
         for i in 0..pulses {
-            if m.is_worn_out() {
+            if m.is_worn_out(&d) {
                 break;
             }
-            m.pulse(if i % 2 == 0 { 1 } else { -1 }).unwrap();
+            m.pulse(&d, if i % 2 == 0 { 1 } else { -1 }).unwrap();
             prop_assert!(m.stress() > prev);
             prev = m.stress();
         }
@@ -125,14 +129,15 @@ proptest! {
 
     #[test]
     fn usable_levels_never_increase(spec in arb_spec()) {
-        let mut m = Memristor::new(spec, ArrheniusAging::default()).unwrap();
-        let mut prev = m.usable_levels();
+        let d = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        let mut m = Memristor::new(&d);
+        let mut prev = m.usable_levels(&d);
         for i in 0..500 {
-            if m.is_worn_out() {
+            if m.is_worn_out(&d) {
                 break;
             }
-            m.pulse(if i % 2 == 0 { -1 } else { 1 }).unwrap();
-            let u = m.usable_levels();
+            m.pulse(&d, if i % 2 == 0 { -1 } else { 1 }).unwrap();
+            let u = m.usable_levels(&d);
             prop_assert!(u <= prev);
             prev = u;
         }

@@ -126,7 +126,7 @@ impl ServeEngine {
                 &recorder,
             )
             .map_err(internal)?;
-        let spec = *network.spec();
+        let spec = *network.model().spec();
         let health = HealthMonitor::new(
             spec.r_min,
             spec.r_max,

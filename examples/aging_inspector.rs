@@ -7,12 +7,12 @@
 //! cargo run --release -p memaging --example aging_inspector
 //! ```
 
-use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
+use memaging::device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DeviceSpec { levels: 8, ..DeviceSpec::default() };
-    let aging = ArrheniusAging::default();
-    let mut cell = Memristor::new(spec, aging)?;
+    let model = DeviceModel::new(spec, ArrheniusAging::default())?;
+    let mut cell = Memristor::new(&model);
 
     println!("device: {} levels over [{:.0}, {:.0}] ohm", spec.levels, spec.r_min, spec.r_max);
     println!(
@@ -22,16 +22,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut checkpoint = 0u64;
     loop {
-        let window = cell.aged_window();
+        let window = cell.aged_window(&model);
         println!(
             "{:>10} {:>12.3e} {:>14.1} {:>14.1} {:>8}",
             cell.pulse_count(),
             cell.stress(),
             window.r_min,
             window.r_max,
-            cell.usable_levels()
+            cell.usable_levels(&model)
         );
-        if cell.is_worn_out() {
+        if cell.is_worn_out(&model) {
             println!("device worn out: fewer than 2 usable levels remain");
             break;
         }
@@ -39,25 +39,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // (the worst case: maximum programming current).
         checkpoint += 2000;
         while cell.pulse_count() < checkpoint {
-            if cell.program_to_level(0).is_err() {
+            if cell.program_to_level(&model, 0).is_err() {
                 break;
             }
-            if cell.program_to_level(spec.levels - 1).is_err() {
+            if cell.program_to_level(&model, spec.levels - 1).is_err() {
                 break;
             }
             if cell.pulse_count() == 0 {
                 break;
             }
         }
-        if cell.is_worn_out() {
-            let window = cell.aged_window();
+        if cell.is_worn_out(&model) {
+            let window = cell.aged_window(&model);
             println!(
                 "{:>10} {:>12.3e} {:>14.1} {:>14.1} {:>8}",
                 cell.pulse_count(),
                 cell.stress(),
                 window.r_min,
                 window.r_max,
-                cell.usable_levels()
+                cell.usable_levels(&model)
             );
             println!("device worn out: fewer than 2 usable levels remain");
             break;
