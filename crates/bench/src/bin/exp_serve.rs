@@ -1,7 +1,7 @@
 //! `exp_serve` — serving-tier benchmark: closed-loop load against the
 //! batched inference service with aging-aware live remapping.
 //!
-//! Four legs over the same deployment recipe (quick-scenario MLP,
+//! Three legs over the same deployment recipe (quick-scenario MLP,
 //! aging-aware mapping, read-disturb wear calibrated so the warn
 //! threshold crosses mid-run):
 //!
@@ -12,17 +12,16 @@
 //! * 16 concurrent clients @ N worker threads — exercises real batching;
 //!   admission interleaving is racy, but wear accrues from the
 //!   admitted-request *count*, so the final hardware state must still be
-//!   bit-identical to the reference;
-//! * single submitter @ 1 worker thread with delta remapping off — the
-//!   full-reprogram oracle: it must match the reference bit for bit, and
-//!   the reference's remaps must beat it on wall clock (the
-//!   `delta_remap_speedup` extra).
+//!   bit-identical to the reference.
 //!
-//! Every leg must observe at least one aging-triggered live remap and
-//! zero queue-full rejections, its wear-attribution ledger must account
-//! for the final hardware stress tile-for-tile bit-identically, and the
-//! latency-histogram merge must be shard/thread-invariant (asserted by
-//! replaying the observed latency multiset at 1/2/8 shards). Phase
+//! Remaps program only the cells whose level changed: the reference's
+//! steady-state remaps must skip the majority of cells (the exact
+//! `remap_cells_skipped_frac` extra). Every leg must observe at least one
+//! aging-triggered live remap and zero queue-full rejections, its
+//! wear-attribution ledger must account for the final hardware stress
+//! tile-for-tile bit-identically, and the latency-histogram merge must be
+//! shard/thread-invariant (asserted by replaying the observed latency
+//! multiset at 1/2/8 shards). Phase
 //! profiles (boundary / remap / batch / forward spans, suffixed per leg),
 //! throughput / latency summaries, and the attribution totals (as
 //! `extras` for the `bench-diff` gate) go to `BENCH_serve.json`; each
@@ -87,8 +86,7 @@ struct Leg {
     /// Cells actually pulse-programmed across the *steady-state* remaps
     /// (every mapping after the deploy).
     steady_programmed: u64,
-    /// Cells the delta engine skipped across the steady-state remaps
-    /// (always zero on a full-reprogram leg).
+    /// Cells programming skipped across the steady-state remaps.
     steady_skipped: u64,
 }
 
@@ -155,7 +153,6 @@ fn run_leg(
     label: &str,
     threads: usize,
     clients: usize,
-    delta: bool,
     seed_model: &(Network, Dataset, DeviceSpec, ArrheniusAging),
 ) -> Leg {
     par::set_threads(threads);
@@ -174,12 +171,7 @@ fn run_leg(
     let series = Arc::new(SeriesStore::with_capacity(DEFAULT_SERIES_CAPACITY));
     let recorder =
         Recorder::with_series(vec![Box::new(sink), Box::new(flight)], Arc::clone(&series));
-    let mut hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
-    // Delta reprogramming at zero tolerance is bit-identical to a full
-    // reprogram (every skipped cell is one the full path would no-op
-    // pulse), so the oracle leg may switch it off and still demand digest
-    // equality.
-    hardware.set_delta_remap(delta);
+    let hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
     let service = Arc::new(
         InferenceService::deploy(hardware, calib.clone(), serve_config(spec, aging), recorder)
             .expect("deploy"),
@@ -306,8 +298,8 @@ fn run_leg(
 
     // Per-mapping programmed/skipped cell tallies, in event order: the
     // first `mapping.*` counter pair is the deploy; everything after it is
-    // a steady-state live remap (the population the delta-remap efficiency
-    // gate measures).
+    // a steady-state live remap (the population the cell-skip gate
+    // measures).
     let per_map = |wanted: &str| -> Vec<u64> {
         events
             .iter()
@@ -395,69 +387,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let seed_model = trained();
 
-    let mut reference = run_leg("1t", 1, 1, true, &seed_model);
-    let scaled = run_leg(&format!("{threads}t"), threads, 1, true, &seed_model);
-    let batched = run_leg(&format!("{threads}t_{CLIENTS}c"), threads, CLIENTS, true, &seed_model);
-    // The full-reprogram oracle: identical load, delta programming off.
-    // Every steady-state remap rewrites all cells, and the delta reference
-    // leg must match it bit for bit (outputs, wear state, ledger).
-    let mut oracle = run_leg("1t_full", 1, 1, false, &seed_model);
-    // Delta-remap perf gate. A leg's `serve.remap` total is a one-shot
-    // sample of a few spans, and shared-machine timing noise can swing it
-    // widely, so the gate re-measures the two 1t legs (up to twice) and
-    // keeps the best-ratio pair — the bench-side analogue of a
-    // min-of-rounds microbenchmark. Every attempt runs the full
-    // determinism asserts, and the digest asserts below hold for whichever
-    // attempt is kept. `serve.remap` wraps the whole background remap
-    // (candidate sweep + programming + resync), so the ratio understates
-    // the programming-only win — but it is the end-to-end number the
-    // serve tier actually feels.
-    let remap_ms = |leg: &Leg| {
-        leg.profiles
-            .iter()
-            .find(|p| p.name.starts_with("serve.remap"))
-            .map_or(0.0, |p| p.total_us as f64 / 1e3)
-    };
-    let remap_ratio = |full: &Leg, delta: &Leg| {
-        let d = remap_ms(delta);
-        if d > 0.0 {
-            remap_ms(full) / d
-        } else {
-            0.0
-        }
-    };
-    for attempt in 1..=2 {
-        if remap_ratio(&oracle, &reference) >= 1.2 {
-            break;
-        }
-        report(&format!(
-            "  (delta-remap gate sample {attempt} at {:.2}x — re-measuring the 1t legs)",
-            remap_ratio(&oracle, &reference),
-        ));
-        let r = run_leg("1t", 1, 1, true, &seed_model);
-        let o = run_leg("1t_full", 1, 1, false, &seed_model);
-        if remap_ratio(&o, &r) > remap_ratio(&oracle, &reference) {
-            reference = r;
-            oracle = o;
-        }
-    }
+    let reference = run_leg("1t", 1, 1, &seed_model);
+    let scaled = run_leg(&format!("{threads}t"), threads, 1, &seed_model);
+    let batched = run_leg(&format!("{threads}t_{CLIENTS}c"), threads, CLIENTS, &seed_model);
     par::set_threads(0);
 
-    // The delta-programming bit-exactness oracle: at zero tolerance the
-    // delta engine must reproduce the full-reprogram run in every
-    // observable — per-request outputs, final tile wear, boundary/remap
-    // counts and the attribution ledger — while actually skipping cells.
-    assert_eq!(
-        oracle.digest, reference.digest,
-        "delta-remap serving diverged from the full-reprogram oracle"
-    );
-    assert_eq!(oracle.steady_skipped, 0, "the full-reprogram oracle must never skip a cell");
+    // The remap saving, as an exact counter: steady-state remaps must
+    // leave the majority of cells untouched (programming skips every cell
+    // already on its target level).
     let steady_total = reference.steady_programmed + reference.steady_skipped;
     assert!(steady_total > 0, "the load must drive at least one steady-state remap");
     let skipped_frac = reference.steady_skipped as f64 / steady_total as f64;
     assert!(
         skipped_frac > 0.5,
-        "delta remapping must skip the majority of cells across steady-state remaps \
+        "remapping must skip the majority of cells across steady-state remaps \
          (programmed {}, skipped {})",
         reference.steady_programmed,
         reference.steady_skipped,
@@ -482,13 +425,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // The wear time-series and the per-tile lifetime forecast derived from
     // it are keyed by admitted-request sequence, never wall clock — so the
-    // dump must be byte-identical across worker counts, client counts and
-    // remap programming modes.
-    for (leg, what) in [
-        (&scaled, "worker-scaled"),
-        (&batched, "concurrent-client"),
-        (&oracle, "full-reprogram oracle"),
-    ] {
+    // dump must be byte-identical across worker counts and client counts.
+    for (leg, what) in [(&scaled, "worker-scaled"), (&batched, "concurrent-client")] {
         assert_eq!(
             leg.series_json, reference.series_json,
             "{what} leg's /timeseries dump diverged from the reference"
@@ -530,10 +468,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     summarize(&reference, "1t x 1 client");
     summarize(&scaled, &format!("{threads}t x 1 client"));
     summarize(&batched, &format!("{threads}t x {CLIENTS} clients"));
-    summarize(&oracle, "1t full reprogram");
 
     let mut profiles = Vec::new();
-    for leg in [&reference, &scaled, &batched, &oracle] {
+    for leg in [&reference, &scaled, &batched] {
         profiles.extend(leg.profiles.iter().cloned());
     }
     for p in &profiles {
@@ -545,27 +482,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.max_us as f64 / 1e3,
         ));
     }
-    let span_count = |name: &str| profiles.iter().find(|p| p.name == name).map_or(0, |p| p.count);
-    // The delta-remap efficiency numbers: wall-clock remap win against the
-    // in-run full-reprogram oracle, and the cell-skip fraction that drives
-    // it (with zero tolerance, both bit-identical to full reprogramming).
-    let delta_remap_speedup = remap_ratio(&oracle, &reference);
-    let remap_spans = span_count("serve.remap_1t").max(1);
     report(&format!(
-        "  serve.remap @1t: full reprogram {:.1} ms -> delta {:.1} ms over {} remaps \
-         ({delta_remap_speedup:.2}x; {:.0}% of steady-state cells skipped)",
-        remap_ms(&oracle),
-        remap_ms(&reference),
-        remap_spans,
+        "  remaps @1t: {:.0}% of steady-state cells skipped ({} programmed, {} skipped)",
         skipped_frac * 100.0,
+        reference.steady_programmed,
+        reference.steady_skipped,
     ));
-    assert!(
-        delta_remap_speedup >= 1.2,
-        "delta remapping must beat the full-reprogram oracle on the steady-state serve load \
-         (full {:.1} ms, delta {:.1} ms, {delta_remap_speedup:.2}x)",
-        remap_ms(&oracle),
-        remap_ms(&reference),
-    );
     // Attribution totals as deterministic `extras`: the bench-diff gate
     // holds them to a tight relative tolerance, so a change that silently
     // shifts where wear is charged fails CI.
@@ -584,7 +506,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("forecast_tiles", forecast_tiles.len() as f64),
         ("forecast_worst_velocity", worst_trend.velocity),
         ("remap_cells_skipped_frac", skipped_frac),
-        ("delta_remap_speedup", delta_remap_speedup),
     ];
     report(&format!(
         "  forecast: {} tiles tracked ({series_points} series points), worst tile {worst_tile} \
@@ -604,7 +525,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &format!(
             "quick MLP inference service, {TOTAL} requests, maintenance every {INTERVAL}, \
              single submitter @ 1/{threads} threads + {CLIENTS} concurrent clients @ {threads} \
-             threads + full-reprogram oracle @ 1 thread"
+             threads"
         ),
         &profiles,
         &extras,

@@ -1,14 +1,14 @@
 //! The memristor crossbar array: device grid, programming, wear telemetry.
 
-use memaging_device::{AgedWindow, DeviceModel, Memristor, Siemens};
+use memaging_device::{AgedWindow, DeviceError, DeviceModel, Memristor, Siemens};
 use memaging_tensor::Tensor;
 
 use crate::error::CrossbarError;
 
 /// Largest distance, in grid levels, between a device's raw position and
-/// its target level at which the delta path treats the cell as already on
-/// target. At this floor the skipped set is exactly the cells full
-/// programming would move by zero pulses.
+/// its target level at which programming treats the cell as already on
+/// target. At this floor the skipped set is exactly the cells
+/// program-and-verify would move by zero pulses.
 const DELTA_NOOP_SLACK: f64 = 1e-9;
 
 /// Aggregate statistics of one programming operation over an array.
@@ -22,14 +22,11 @@ pub struct ProgramStats {
     pub dead: usize,
     /// Devices actually programmed (live cells that accepted a target).
     pub programmed: usize,
-    /// Delta path: cells skipped because they already sit on the target
-    /// level (within the no-op threshold — programming them would apply
-    /// zero pulses).
+    /// Cells skipped because they already sit on the target level (within
+    /// the no-op threshold — programming them would apply zero pulses).
     pub skipped_unchanged: usize,
-    /// Delta path: cells that failed the skip predicate and went through
-    /// full program-and-verify (always equal to `programmed` on the delta
-    /// path; zero on the full path, which distinguishes the two in merged
-    /// stats).
+    /// Cells that failed the skip predicate and went through
+    /// program-and-verify. Always equal to `programmed`.
     pub rewritten: usize,
 }
 
@@ -44,7 +41,7 @@ impl ProgramStats {
         self.rewritten += other.rewritten;
     }
 
-    /// Total cells the delta path skipped.
+    /// Total cells programming skipped.
     pub fn skipped(&self) -> usize {
         self.skipped_unchanged
     }
@@ -221,49 +218,28 @@ impl Crossbar {
         self.devices.iter().enumerate().map(move |(i, d)| (i / cols, i % cols, d))
     }
 
-    /// Programs every device toward the target conductances in a
-    /// `[rows, cols]` tensor. Dead devices are skipped (counted in the
-    /// stats); clipped targets are counted as well.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::DimensionMismatch`] if the tensor shape
-    /// differs from the array, or a device error for an invalid target.
-    pub fn program_conductances(
-        &mut self,
-        targets: &Tensor,
-    ) -> Result<ProgramStats, CrossbarError> {
-        if targets.dims() != [self.rows, self.cols] {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "conductance targets",
-                expected: (self.rows, self.cols),
-                actual: if targets.rank() == 2 {
-                    (targets.dims()[0], targets.dims()[1])
-                } else {
-                    (targets.len(), 0)
-                },
-            });
+    /// Checks that `targets` is a `[rows, cols]` tensor.
+    fn check_targets(&self, targets: &Tensor) -> Result<(), CrossbarError> {
+        if targets.dims() == [self.rows, self.cols] {
+            return Ok(());
         }
-        let model = &self.model;
-        let mut stats = ProgramStats::default();
-        for (i, device) in self.devices.iter_mut().enumerate() {
-            if device.is_worn_out(model) {
-                stats.dead += 1;
-                continue;
-            }
-            let g = Siemens::new(targets.as_slice()[i] as f64).map_err(CrossbarError::from)?;
-            let outcome = device.program_conductance(model, g)?;
-            stats.pulses += outcome.pulses;
-            stats.programmed += 1;
-            if outcome.clipped() {
-                stats.clipped += 1;
-            }
-        }
-        Ok(stats)
+        Err(CrossbarError::DimensionMismatch {
+            what: "conductance targets",
+            expected: (self.rows, self.cols),
+            actual: if targets.rank() == 2 {
+                (targets.dims()[0], targets.dims()[1])
+            } else {
+                (targets.len(), 0)
+            },
+        })
     }
 
-    /// Delta programming: like [`Crossbar::program_conductances`], but a
-    /// cell is *skipped* (no pulses, no stress) when its present state
+    /// Programs every device toward the target conductances in a
+    /// `[rows, cols]` tensor, writing only the cells that need it. Dead
+    /// devices are skipped (counted in the stats); clipped targets are
+    /// counted as well.
+    ///
+    /// A cell is *skipped* (no pulses, no stress) when its present state
     /// already represents the target level. Reprogramming is the dominant
     /// wear source, and across consecutive mappings most cells land on the
     /// same discrete level — diffing lets the maintenance that is supposed
@@ -272,11 +248,11 @@ impl Crossbar {
     /// A cell is skipped iff both hold:
     ///
     /// 1. Its raw grid position is within `1e-9` levels of the target
-    ///    level code. That is exactly the set of cells full programming
+    ///    level code. That is exactly the set of cells program-and-verify
     ///    would move by zero pulses, so the device state after this call is
-    ///    **bitwise identical** to [`Crossbar::program_conductances`] — the
-    ///    full path stays available as the bit-exactness oracle. Drift of
-    ///    any size is chased with pulses.
+    ///    **bitwise identical** to reprogramming every cell (the crate's
+    ///    tests keep that full reprogram as the oracle). Drift of any size
+    ///    is chased with pulses.
     /// 2. Its accumulated stress is at or below a per-level ceiling proving
     ///    the aged window still covers both its position and the target
     ///    (so the raw position *is* the effective position, the target is
@@ -287,28 +263,19 @@ impl Crossbar {
     ///
     /// Cells that fail the predicate — target level changed, window bounds
     /// moved (which shifts every target conductance), drifted, near a
-    /// window edge, or previously dead/clipped — take the
-    /// unchanged full program-and-verify path and are counted in
-    /// [`ProgramStats::rewritten`].
+    /// window edge, or previously dead/clipped — go through
+    /// program-and-verify and are counted in [`ProgramStats::rewritten`].
     ///
     /// # Errors
     ///
-    /// Same as [`Crossbar::program_conductances`].
-    pub fn program_conductances_delta(
+    /// Returns [`CrossbarError::DimensionMismatch`] if the tensor shape
+    /// differs from the array, or a device error for an invalid target on
+    /// a live device.
+    pub fn program_conductances(
         &mut self,
         targets: &Tensor,
     ) -> Result<ProgramStats, CrossbarError> {
-        if targets.dims() != [self.rows, self.cols] {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "conductance targets",
-                expected: (self.rows, self.cols),
-                actual: if targets.rank() == 2 {
-                    (targets.dims()[0], targets.dims()[1])
-                } else {
-                    (targets.len(), 0)
-                },
-            });
-        }
+        self.check_targets(targets)?;
         let model = &self.model;
         let (spec, quantizer) = (model.spec(), model.quantizer());
         // Per-level stress ceilings: `limits[k]` is the largest accumulated
@@ -327,8 +294,8 @@ impl Crossbar {
             let g = match Siemens::new(targets.as_slice()[i] as f64) {
                 Ok(g) => g,
                 Err(e) => {
-                    // Match the full path's order: a worn-out device is
-                    // counted dead before its target is even validated.
+                    // A worn-out device is counted dead before its target is
+                    // even validated.
                     if device.is_worn_out(model) {
                         stats.dead += 1;
                         continue;
@@ -349,16 +316,19 @@ impl Crossbar {
                     continue;
                 }
             }
-            if device.is_worn_out(model) {
-                stats.dead += 1;
-                continue;
-            }
-            let outcome = device.program_conductance(model, g)?;
-            stats.pulses += outcome.pulses;
-            stats.programmed += 1;
-            stats.rewritten += 1;
-            if outcome.clipped() {
-                stats.clipped += 1;
+            // One aged-window evaluation decides death and starts the
+            // program-and-verify loop.
+            match device.program_to_level(model, k) {
+                Ok(outcome) => {
+                    stats.pulses += outcome.pulses;
+                    stats.programmed += 1;
+                    stats.rewritten += 1;
+                    if outcome.clipped() {
+                        stats.clipped += 1;
+                    }
+                }
+                Err(DeviceError::ProgramOnDeadDevice) => stats.dead += 1,
+                Err(e) => return Err(e.into()),
             }
         }
         Ok(stats)
@@ -516,10 +486,42 @@ impl Crossbar {
     }
 }
 
+/// The full-reprogram oracle: program-and-verify on every live cell, with
+/// no skip predicate. [`Crossbar::program_conductances`] must leave the
+/// device state bit-identical to it, with the same pulses, clipped and
+/// dead counts; its cells split into `programmed` and `skipped_unchanged`
+/// where the oracle's are all `programmed`.
+#[cfg(test)]
+impl Crossbar {
+    pub(crate) fn program_conductances_full(
+        &mut self,
+        targets: &Tensor,
+    ) -> Result<ProgramStats, CrossbarError> {
+        self.check_targets(targets)?;
+        let model = &self.model;
+        let mut stats = ProgramStats::default();
+        for (i, device) in self.devices.iter_mut().enumerate() {
+            if device.is_worn_out(model) {
+                stats.dead += 1;
+                continue;
+            }
+            let g = Siemens::new(targets.as_slice()[i] as f64).map_err(CrossbarError::from)?;
+            let outcome = device.program_conductance(model, g)?;
+            stats.pulses += outcome.pulses;
+            stats.programmed += 1;
+            if outcome.clipped() {
+                stats.clipped += 1;
+            }
+        }
+        Ok(stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use memaging_device::{ArrheniusAging, DeviceSpec};
+    use proptest::prelude::*;
 
     fn xbar(rows: usize, cols: usize) -> Crossbar {
         Crossbar::new(rows, cols, DeviceModel::default()).unwrap()
@@ -779,59 +781,62 @@ mod tests {
         assert!(rendered.contains("rewritten=4"));
     }
 
+    /// Targets on the fresh level grid: cell `i` gets level `level(i)`.
+    fn level_targets(rows: usize, cols: usize, level: impl Fn(usize) -> usize) -> Tensor {
+        let spec = DeviceSpec::default();
+        Tensor::from_fn([rows, cols], |i| {
+            (1.0 / (spec.r_min + level(i) as f64 * spec.level_width())) as f32
+        })
+    }
+
+    fn conductance_bits(x: &Crossbar) -> Vec<u32> {
+        x.conductances().as_slice().iter().map(|g| g.to_bits()).collect()
+    }
+
     #[test]
     fn delta_reprogram_skips_unchanged_cells() {
         let mut full = xbar(3, 4);
-        let mut delta = xbar(3, 4);
-        let tg = Tensor::from_fn([3, 4], |i| {
-            let spec = DeviceSpec::default();
-            (1.0 / (spec.r_min + (i % spec.levels) as f64 * spec.level_width())) as f32
-        });
-        // First programming from fresh: the delta path must do the same work.
-        let s_full = full.program_conductances(&tg).unwrap();
-        let s_delta = delta.program_conductances_delta(&tg).unwrap();
-        assert_eq!(s_full.pulses, s_delta.pulses);
-        assert_eq!(s_full.programmed, s_delta.programmed + s_delta.skipped_unchanged);
-        assert_eq!(s_delta.rewritten, s_delta.programmed);
+        let mut one = xbar(3, 4);
+        let tg = level_targets(3, 4, |i| i % DeviceSpec::default().levels);
+        // First programming from fresh: the same work as the oracle.
+        let s_full = full.program_conductances_full(&tg).unwrap();
+        let s_one = one.program_conductances(&tg).unwrap();
+        assert_eq!(s_full.pulses, s_one.pulses);
+        assert_eq!(s_full.programmed, s_one.programmed + s_one.skipped_unchanged);
+        assert_eq!(s_one.rewritten, s_one.programmed);
         // Second pass with identical targets: everything skips, zero pulses,
-        // and device state stays bitwise identical to the full path.
-        let s2_full = full.program_conductances(&tg).unwrap();
-        let s2_delta = delta.program_conductances_delta(&tg).unwrap();
+        // and device state stays bitwise identical to the oracle.
+        let s2_full = full.program_conductances_full(&tg).unwrap();
+        let s2_one = one.program_conductances(&tg).unwrap();
         assert_eq!(s2_full.pulses, 0);
-        assert_eq!(s2_delta.pulses, 0);
-        assert_eq!(s2_delta.skipped_unchanged, 12);
-        assert_eq!(s2_delta.programmed, 0);
+        assert_eq!(s2_one.pulses, 0);
+        assert_eq!(s2_one.skipped_unchanged, 12);
+        assert_eq!(s2_one.programmed, 0);
         for (r, c, d) in full.iter() {
-            assert_eq!(d, delta.device(r, c), "device ({r},{c}) state diverged");
+            assert_eq!(d, one.device(r, c), "device ({r},{c}) state diverged");
         }
     }
 
     #[test]
     fn delta_reprogram_is_bitwise_identical_to_full_at_zero_tolerance() {
         let mut full = xbar(4, 4);
-        let mut delta = xbar(4, 4);
-        let spec = DeviceSpec::default();
+        let mut one = xbar(4, 4);
+        let levels = DeviceSpec::default().levels;
         // Several epochs with changing targets, including full-swing cycles
         // that age the devices (aged windows clip targets identically on
         // both paths).
         for epoch in 0..25 {
-            let tg = Tensor::from_fn([4, 4], |i| {
-                let level = (i * 3 + epoch * 7) % spec.levels;
-                (1.0 / (spec.r_min + level as f64 * spec.level_width())) as f32
-            });
-            let s_full = full.program_conductances(&tg).unwrap();
-            let s_delta = delta.program_conductances_delta(&tg).unwrap();
-            assert_eq!(s_full.pulses, s_delta.pulses, "epoch {epoch}");
-            assert_eq!(s_full.clipped, s_delta.clipped, "epoch {epoch}");
-            assert_eq!(s_full.dead, s_delta.dead, "epoch {epoch}");
+            let tg = level_targets(4, 4, |i| (i * 3 + epoch * 7) % levels);
+            let s_full = full.program_conductances_full(&tg).unwrap();
+            let s_one = one.program_conductances(&tg).unwrap();
+            assert_eq!(s_full.pulses, s_one.pulses, "epoch {epoch}");
+            assert_eq!(s_full.clipped, s_one.clipped, "epoch {epoch}");
+            assert_eq!(s_full.dead, s_one.dead, "epoch {epoch}");
         }
         for (r, c, d) in full.iter() {
-            assert_eq!(d, delta.device(r, c), "device ({r},{c}) state diverged");
+            assert_eq!(d, one.device(r, c), "device ({r},{c}) state diverged");
         }
-        let bits = |x: &Crossbar| -> Vec<u32> {
-            x.conductances().as_slice().iter().map(|g| g.to_bits()).collect()
-        };
-        assert_eq!(bits(&full), bits(&delta));
+        assert_eq!(conductance_bits(&full), conductance_bits(&one));
     }
 
     #[test]
@@ -848,7 +853,7 @@ mod tests {
                 d.drift_conductance(m, 0.004);
             }
         }
-        let stats = x.program_conductances_delta(&tg).unwrap();
+        let stats = x.program_conductances(&tg).unwrap();
         assert_eq!(stats.programmed, 4);
         assert_eq!(stats.skipped(), 0);
         assert!(x.total_pulses() > pulses_before);
@@ -857,20 +862,182 @@ mod tests {
 
     #[test]
     fn delta_reprogram_counts_dead_cells_like_full() {
-        let mut x = xbar(1, 2);
-        let (m, d) = x.device_mut(0, 0);
+        let mut one = xbar(1, 2);
+        let (m, d) = one.device_mut(0, 0);
         d.force_worn_out(m);
-        let stats = x.program_conductances_delta(&Tensor::full([1, 2], 5e-5)).unwrap();
+        let mut full = one.clone();
+        let tg = Tensor::full([1, 2], 5e-5);
+        let stats = one.program_conductances(&tg).unwrap();
         assert_eq!(stats.dead, 1);
-        assert!(stats.programmed + stats.skipped_unchanged == 1);
+        assert_eq!(stats.programmed + stats.skipped_unchanged, 1);
+        assert_eq!(stats.pulses, full.program_conductances_full(&tg).unwrap().pulses);
+        // A worn-out device is counted dead before its target is validated;
+        // an invalid target on a live device is an error, as in the oracle.
+        let invalid = Tensor::from_vec(vec![-1.0, 5e-5], [1, 2]).unwrap();
+        assert_eq!(one.program_conductances(&invalid).unwrap().dead, 1);
+        assert_eq!(full.program_conductances_full(&invalid).unwrap().dead, 1);
+        let invalid = Tensor::from_vec(vec![5e-5, f32::NAN], [1, 2]).unwrap();
+        assert!(one.program_conductances(&invalid).is_err());
+        assert!(full.program_conductances_full(&invalid).is_err());
     }
 
     #[test]
     fn delta_reprogram_validates_shape() {
+        // A rank-1 target tensor reports its length as the mismatch.
         let mut x = xbar(2, 2);
-        assert!(matches!(
-            x.program_conductances_delta(&Tensor::full([2, 3], 1e-4)),
-            Err(CrossbarError::DimensionMismatch { .. })
-        ));
+        let err = x.program_conductances(&Tensor::full([4], 1e-4)).unwrap_err();
+        assert!(matches!(err, CrossbarError::DimensionMismatch { actual: (4, 0), .. }), "{err}");
+        assert_eq!(x.total_pulses(), 0);
+    }
+
+    /// What a serve run does to an array between two remaps; every epoch
+    /// applies one of these and then reprograms.
+    #[derive(Debug, Clone, Copy)]
+    enum Transition {
+        /// The same targets resent: the steady-state remap.
+        Resend,
+        /// Read-disturb wear from the interval's inference passes.
+        ReadDisturb,
+        /// Programming heat redistributed as ambient stress.
+        Thermal,
+        /// Stress-free multiplicative conductance drift.
+        Drift,
+        /// Pulse cycling moves the aged windows, and the common mapping
+        /// window shrinks with them, which moves every target.
+        WindowMove,
+    }
+
+    /// Accelerated aging with thermal crosstalk: within a few rounds the
+    /// growing read disturb first clips the top levels, then wears cells
+    /// out.
+    fn fast_model() -> DeviceModel {
+        let aging = ArrheniusAging {
+            a_f: 2.0e16,
+            a_g: 2.0e15,
+            thermal_coupling: 1.0,
+            ..ArrheniusAging::default()
+        };
+        DeviceModel::new(DeviceSpec::default(), aging).unwrap()
+    }
+
+    /// A fixed weight pattern mapped by eq. 4 into a common window whose
+    /// upper bound sits `shrink` of the fresh span below `r_max`.
+    fn mapped_targets(rows: usize, cols: usize, seed: u64, shrink: f64) -> Tensor {
+        let spec = DeviceSpec::default();
+        let r_max = spec.r_max - shrink * (spec.r_max - spec.r_min);
+        let window = AgedWindow { r_min: spec.r_min, r_max };
+        let weights: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i as u64 * 37 + seed * 11) % 97) as f32 / 97.0 - 0.5)
+            .collect();
+        let mapping = crate::WeightMapping::from_weights(&weights, window).unwrap();
+        Tensor::from_fn([rows, cols], |i| mapping.weight_to_conductance(weights[i] as f64) as f32)
+    }
+
+    /// Cycles every device a position-dependent number of times, with no
+    /// RNG, so both arrays see the same pulses.
+    fn cycle(x: &mut Crossbar, phase: usize) {
+        for r in 0..x.rows() {
+            for c in 0..x.cols() {
+                let cycles = 1 + (phase + r * 7 + c * 13) % 4;
+                let (m, d) = x.device_mut(r, c);
+                for _ in 0..cycles {
+                    if d.pulse(m, -1).is_err() || d.pulse(m, 1).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Programs `targets` into `one` by the one path and into `full` by
+    /// the oracle, and checks that they agree exactly.
+    fn program_both(
+        one: &mut Crossbar,
+        full: &mut Crossbar,
+        targets: &Tensor,
+        at: &str,
+    ) -> Result<ProgramStats, TestCaseError> {
+        let s = one.program_conductances(targets).unwrap();
+        let f = full.program_conductances_full(targets).unwrap();
+        prop_assert_eq!(conductance_bits(one), conductance_bits(full), "{}", at);
+        prop_assert_eq!(one.total_pulses(), full.total_pulses(), "{}", at);
+        prop_assert_eq!((s.pulses, s.clipped, s.dead), (f.pulses, f.clipped, f.dead), "{}", at);
+        prop_assert_eq!(s.programmed + s.skipped(), f.programmed, "{}", at);
+        prop_assert_eq!(s.rewritten, s.programmed, "{}", at);
+        prop_assert_eq!(f.skipped(), 0, "{}", at);
+        Ok(s)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The serve loop's remap cycle on twin arrays, one programmed by
+        /// [`Crossbar::program_conductances`] and one by the full-reprogram
+        /// oracle. After every epoch the conductance bits, pulse totals and
+        /// pulses / clipped / dead counts agree exactly; the only
+        /// difference is which cells count as skipped.
+        #[test]
+        fn delta_matches_full_reprogram_across_serve_transitions(
+            seed in 0u64..64,
+            rounds in 3usize..6,
+            disturb in 0.1f64..0.3,
+            sigma in 0.001f64..0.02,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            use Transition::*;
+            let (rows, cols) = (13, 11);
+            let spec = DeviceSpec::default();
+            let aging = *fast_model().aging();
+            let mut one = Crossbar::new(rows, cols, fast_model()).unwrap();
+            let mut full = one.clone();
+            let mut targets = mapped_targets(rows, cols, seed, 0.0);
+            let (mut skipped, mut rewritten) = (0, 0);
+            program_both(&mut one, &mut full, &targets, "deploy")?;
+            for round in 0..rounds {
+                for step in [Resend, ReadDisturb, Thermal, Drift, WindowMove] {
+                    match step {
+                        Resend => {}
+                        ReadDisturb => {
+                            let reads = 32 * (round as u64 + 1);
+                            let stress = aging.stress_for_degradation(
+                                spec.temperature,
+                                disturb * (round + 1) as f64 * (spec.r_max - spec.r_min),
+                            ) / reads as f64;
+                            one.apply_read_disturb(reads, stress);
+                            full.apply_read_disturb(reads, stress);
+                        }
+                        Thermal => {
+                            let added = one.equilibrate_thermal();
+                            prop_assert_eq!(added.to_bits(), full.equilibrate_thermal().to_bits());
+                        }
+                        Drift => {
+                            let rng_seed = seed * 31 + round as u64;
+                            let mut rng = StdRng::seed_from_u64(rng_seed);
+                            let a = one.apply_conductance_drift(0.3, sigma, &mut rng);
+                            let mut rng = StdRng::seed_from_u64(rng_seed);
+                            prop_assert_eq!(a, full.apply_conductance_drift(0.3, sigma, &mut rng));
+                        }
+                        WindowMove => {
+                            cycle(&mut one, rounds + round);
+                            cycle(&mut full, rounds + round);
+                            let shrink = 0.05 * (round + 1) as f64;
+                            targets = mapped_targets(rows, cols, seed, shrink);
+                        }
+                    }
+                    let at = format!("round {round} {step:?}");
+                    let s = program_both(&mut one, &mut full, &targets, &at)?;
+                    skipped += s.skipped();
+                    rewritten += s.rewritten;
+                    if round == 0 && matches!(step, Resend) {
+                        prop_assert!(s.skipped() > 0, "the steady-state remap must skip cells");
+                    }
+                }
+            }
+            prop_assert!(skipped > 0 && rewritten > 0, "both branches must run");
+            for (r, c, d) in full.iter() {
+                prop_assert_eq!(d, one.device(r, c), "device ({}, {}) diverged", r, c);
+            }
+        }
     }
 }

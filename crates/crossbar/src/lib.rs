@@ -8,7 +8,9 @@
 //!
 //! * [`Crossbar`]: one shared [`memaging_device::DeviceModel`] plus a grid
 //!   of per-device [`memaging_device::Memristor`] states (paper Fig. 1),
-//!   with full and delta programming and aggregate aging telemetry. The
+//!   with one programming path ([`Crossbar::program_conductances`], which
+//!   skips cells already on their target level; a full reprogram is kept
+//!   in the crate's tests as its oracle) and aggregate aging telemetry. The
 //!   network reads the programmed conductances back
 //!   ([`Crossbar::conductances`]) and computes `I_j = Σ V_i·g_ij` in
 //!   software, so aging reaches accuracy only through those conductances;

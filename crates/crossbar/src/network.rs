@@ -69,9 +69,6 @@ pub struct CrossbarNetwork {
     /// Persistent incremental candidate-evaluation engine (per-worker
     /// network contexts, prefix caches, quantization memos).
     engine: EvalEngine,
-    /// Whether programming diffs targets against device state and writes
-    /// only changed cells (default) or reprograms every cell.
-    delta_remap: bool,
 }
 
 impl std::fmt::Debug for CrossbarNetwork {
@@ -115,22 +112,7 @@ impl CrossbarNetwork {
             outlier_percentile: 0.005,
             wear_leveling: false,
             engine: EvalEngine::new(),
-            delta_remap: true,
         })
-    }
-
-    /// Selects between delta programming (the default: targets are diffed
-    /// against device state and only changed cells are written, see
-    /// [`Crossbar::program_conductances_delta`]) and full reprogramming of
-    /// every cell. Both produce bitwise identical device state; the full
-    /// path exists as the bit-exactness oracle and escape hatch.
-    pub fn set_delta_remap(&mut self, enabled: bool) {
-        self.delta_remap = enabled;
-    }
-
-    /// Whether delta programming is enabled.
-    pub fn delta_remap(&self) -> bool {
-        self.delta_remap
     }
 
     /// Enables the row-swapping wear-leveling baseline of the paper's
@@ -210,7 +192,12 @@ impl CrossbarNetwork {
         recorder: &memaging_obs::Recorder,
     ) -> Result<MapReport, CrossbarError> {
         let span = recorder.span("map");
-        let report = self.map_weights_inner(strategy, calibration, recorder)?;
+        let report = self.map_weights_inner(
+            strategy,
+            calibration,
+            recorder,
+            Crossbar::program_conductances,
+        )?;
         drop(span);
         if recorder.is_enabled() {
             for (layer, window) in report.windows.iter().enumerate() {
@@ -229,11 +216,14 @@ impl CrossbarNetwork {
         Ok(report)
     }
 
+    /// The mapping itself; `program` writes each layer's targets (the
+    /// crate's tests pass the full-reprogram oracle here).
     fn map_weights_inner(
         &mut self,
         strategy: MappingStrategy,
         calibration: Option<(&Dataset, usize)>,
         recorder: &memaging_obs::Recorder,
+        program: fn(&mut Crossbar, &Tensor) -> Result<ProgramStats, CrossbarError>,
     ) -> Result<MapReport, CrossbarError> {
         // Disjoint field borrows: `trained` borrows the software weights
         // for the whole loop (no per-map clone of every matrix), while the
@@ -248,7 +238,6 @@ impl CrossbarNetwork {
             outlier_percentile,
             wear_leveling,
             engine,
-            delta_remap,
             ..
         } = &mut *self;
         let software: &Network = software;
@@ -256,7 +245,6 @@ impl CrossbarNetwork {
         let spec = model.spec();
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
-        let delta_remap = *delta_remap;
         // New mapping epoch: worker contexts lazily re-sync the (possibly
         // retrained) software weights at their first lease.
         engine.begin_epoch();
@@ -333,11 +321,7 @@ impl CrossbarNetwork {
                 )?;
             }
             let physical = row_assignments[idx].to_physical(&targets)?;
-            stats.merge(if delta_remap {
-                arrays[idx].program_conductances_delta(&physical)?
-            } else {
-                arrays[idx].program_conductances(&physical)?
-            });
+            stats.merge(program(&mut arrays[idx], &physical)?);
             mappings[idx] = Some(mapping);
             last_windows[idx] = Some(window);
             windows.push(window);
@@ -486,19 +470,11 @@ impl CrossbarNetwork {
     /// leaves `stress_per_read` seconds of effective stress on every device
     /// it reads. Applied as one multiply-add per device so the wear state
     /// depends only on the total read count (see
-    /// [`Crossbar::apply_read_disturb`]).
-    pub fn apply_read_disturb(&mut self, reads: u64, stress_per_read: f64) {
-        for array in &mut self.arrays {
-            array.apply_read_disturb(reads, stress_per_read);
-        }
-    }
-
-    /// [`CrossbarNetwork::apply_read_disturb`] with request tracing: each
-    /// tile's accrual is wrapped in a `tile.read_disturb` span carrying
-    /// `trace` (the serve-tier maintenance-boundary id), closing the
-    /// admission → batch → forward → tile causal chain. Wear arithmetic is
-    /// identical to the untraced path; with a disabled recorder the only
-    /// extra cost is one branch per tile.
+    /// [`Crossbar::apply_read_disturb`]). Each tile's accrual is wrapped in
+    /// a `tile.read_disturb` span carrying `trace` (the serve-tier
+    /// maintenance-boundary id), closing the admission → batch → forward →
+    /// tile causal chain; with a disabled recorder the only extra cost is
+    /// one branch per tile.
     pub fn apply_read_disturb_traced(
         &mut self,
         reads: u64,
@@ -836,20 +812,28 @@ mod tests {
     }
 
     #[test]
-    fn delta_remap_matches_full_reprogram_oracle() {
+    fn remap_programming_matches_full_reprogram_oracle() {
         let (net, data) = trained_setup(9);
         let mut delta =
             CrossbarNetwork::new(net.clone(), DeviceSpec::default(), ArrheniusAging::default())
                 .unwrap();
         let mut full =
             CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        assert!(delta.delta_remap(), "delta programming is the default");
-        full.set_delta_remap(false);
+        let disabled = memaging_obs::Recorder::disabled();
         for epoch in 0..3 {
             let rd = delta.map_weights(MappingStrategy::AgingAware, Some((&data, 64))).unwrap();
-            let rf = full.map_weights(MappingStrategy::AgingAware, Some((&data, 64))).unwrap();
+            let rf = full
+                .map_weights_inner(
+                    MappingStrategy::AgingAware,
+                    Some((&data, 64)),
+                    &disabled,
+                    Crossbar::program_conductances_full,
+                )
+                .unwrap();
             assert_eq!(rd.windows, rf.windows, "epoch {epoch}");
-            assert_eq!(rd.stats.pulses, rf.stats.pulses, "epoch {epoch}");
+            let counts = |s: ProgramStats| (s.pulses, s.clipped, s.dead);
+            assert_eq!(counts(rd.stats), counts(rf.stats), "epoch {epoch}");
+            assert_eq!(rd.stats.programmed + rd.stats.skipped(), rf.stats.programmed);
             assert_eq!(rd.post_map_accuracy, rf.post_map_accuracy, "epoch {epoch}");
             if epoch > 0 {
                 // Steady state: targets repeat, so the delta path skips the

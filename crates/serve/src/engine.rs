@@ -100,9 +100,8 @@ impl ServeEngine {
     /// generation (id 0) to publish. With a fleet replica id, all
     /// per-hardware observability (series, wear causes, forecast gauges,
     /// the attribution ledger) is namespaced `replica{r}.`; `None` emits
-    /// the plain single-deployment streams. Remaps program the hardware
-    /// with the network's own delta-programming setting
-    /// ([`CrossbarNetwork::set_delta_remap`]).
+    /// the plain single-deployment streams. Remaps program only the cells
+    /// whose level changed ([`memaging_crossbar::Crossbar::program_conductances`]).
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ manifest=(
     "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   programmed_cells skipped_cells"
     "BENCH_serve.json MEMAGING_BENCH_CANDIDATE_SERVE wear_total_stress wear_inference_read_stress
         wear_remap_stress wear_ledger_entries latency_e2e_count series_points forecast_tiles
-        forecast_worst_velocity remap_cells_skipped_frac delta_remap_speedup"
+        forecast_worst_velocity remap_cells_skipped_frac"
     "BENCH_fleet.json MEMAGING_BENCH_CANDIDATE_FLEET fleet_wear_imbalance
         fleet_wear_imbalance_round_robin fleet_scaling fleet_retires"
 )

@@ -285,24 +285,6 @@ fn forced_remap_attribution_sums_to_total_wear() {
 }
 
 #[test]
-fn engine_keeps_the_networks_remap_programming_settings() {
-    // Remap programming is configured on the crossbar network alone: the
-    // service must program with whatever the caller handed it.
-    let (network, calib, spec, aging) = trained();
-    let mut hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
-    hardware.set_delta_remap(false);
-    let service = InferenceService::deploy(
-        hardware,
-        calib.clone(),
-        ServeConfig::default(),
-        Recorder::disabled(),
-    )
-    .expect("deploy");
-    let report = service.shutdown();
-    assert!(!report.network.delta_remap(), "the full-reprogram setting must survive deploy");
-}
-
-#[test]
 fn batched_responses_replay_solo_responses_bit_for_bit() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     let (_, calib, spec, aging) = trained();
