@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use memaging::crossbar::CrossbarNetwork;
 use memaging::device::{ArrheniusAging, DeviceModel, DeviceSpec, Memristor};
-use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
+use memaging::fleet::{FleetConfig, FleetHandler, FleetService};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
 use memaging::obs::monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 use memaging::obs::{
@@ -70,8 +70,6 @@ struct ServeFlags {
     /// With `--infer`: deploy this many independent replicas behind the
     /// wear-balancing fleet router (default 1).
     replicas: usize,
-    /// With `--infer`: the fleet routing policy.
-    router: RouterPolicy,
 }
 
 impl Default for ServeFlags {
@@ -83,7 +81,6 @@ impl Default for ServeFlags {
             requests: 0,
             deadline_ms: None,
             replicas: 1,
-            router: RouterPolicy::WearBalance,
         }
     }
 }
@@ -191,7 +188,7 @@ fn parse_run_opts(
         ];
         let known = known.contains(&flag.as_str())
             || (serve
-                && ["--port", "--requests", "--deadline-ms", "--replicas", "--router"]
+                && ["--port", "--requests", "--deadline-ms", "--replicas"]
                     .contains(&flag.as_str()));
         if !known {
             return Err(format!("unknown flag `{flag}`"));
@@ -232,15 +229,14 @@ fn parse_run_opts(
                 }
                 flags.replicas = n;
             }
-            "--router" => flags.router = RouterPolicy::parse(value)?,
             _ => unreachable!("flag validated above"),
         }
     }
     if !flags.infer && (flags.requests != 0 || flags.deadline_ms.is_some()) {
         return Err("--requests / --deadline-ms require --infer".into());
     }
-    if !flags.infer && (flags.replicas != 1 || flags.router != RouterPolicy::WearBalance) {
-        return Err("--replicas / --router require --infer".into());
+    if !flags.infer && flags.replicas != 1 {
+        return Err("--replicas requires --infer".into());
     }
     Ok((opts, flags))
 }
@@ -332,7 +328,6 @@ fn print_help() {
          \u{20}   memaging serve <quick|lenet|vgg> --infer\n\
          \u{20}                                       [--requests N] [--deadline-ms N]\n\
          \u{20}                                       [--replicas N (default 1)]\n\
-         \u{20}                                       [--router wear|round-robin]\n\
          \u{20}                       trains the strategy's model and deploys it behind\n\
          \u{20}                       the batched inference service: POST /infer,\n\
          \u{20}                       GET /serve/stats, /serve/latency (log-bucketed\n\
@@ -348,9 +343,8 @@ fn print_help() {
          \u{20}                       --replicas N shards the deployment into N\n\
          \u{20}                       independent crossbar replicas behind the\n\
          \u{20}                       deterministic wear-balancing fleet router\n\
-         \u{20}                       (GET /fleet shows per-replica routing state);\n\
-         \u{20}                       --router picks the policy: wear (default,\n\
-         \u{20}                       least projected stress) or round-robin\n\
+         \u{20}                       (GET /fleet shows per-replica routed counts\n\
+         \u{20}                       and wear snapshots)\n\
          \u{20}   memaging analyze <trace.jsonl> [baseline.jsonl]\n\
          \u{20}                                       [--json] [--tolerance F (default 0.05)]\n\
          \u{20}                       replays a JSONL trace (from --trace or a flight\n\
@@ -545,8 +539,7 @@ fn run_infer(
     let networks = (0..flags.replicas)
         .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
         .collect::<Result<Vec<_>, memaging::crossbar::CrossbarError>>()?;
-    let fleet_config =
-        FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
+    let fleet_config = FleetConfig::new(flags.replicas, config);
     let service =
         Arc::new(FleetService::deploy(networks, calib.clone(), fleet_config, recorder.clone())?);
     let handler = Arc::new(FleetHandler::new(
@@ -564,7 +557,7 @@ fn run_infer(
         "serving {} replica(s) ({} router): POST http://{addr}/infer  GET /fleet  \
          /serve/stats  /serve/latency  /wear/attribution  /metrics  /health  /wear",
         flags.replicas,
-        flags.router.label(),
+        service.router().label(),
     );
     if flags.requests > 0 {
         // Deterministic self-driven smoke load from the calibration set.
@@ -605,14 +598,13 @@ fn run_infer(
         for r in &report.replicas {
             recorder.message(&format!(
                 "  replica {}: {} routed, {} served, {} expired, {} boundaries, {} remaps, \
-                 {} retires, {:.3e}s stress attributed",
+                 {:.3e}s stress attributed",
                 r.replica,
                 r.routed,
                 r.served,
                 r.expired,
                 r.boundaries,
                 r.remaps,
-                r.retires,
                 r.attribution.total(),
             ));
         }
@@ -954,29 +946,17 @@ mod tests {
 
     #[test]
     fn parses_fleet_flags() {
-        let cmd =
-            parse_args(&argv("serve quick --infer --replicas 4 --router round-robin")).unwrap();
+        let cmd = parse_args(&argv("serve quick --infer --replicas 4")).unwrap();
         assert_eq!(
             cmd,
             Command::Serve {
                 name: "quick".into(),
                 opts: RunOpts { strategy: StrategyArg::One(Strategy::StAt), ..RunOpts::default() },
-                flags: ServeFlags {
-                    infer: true,
-                    replicas: 4,
-                    router: RouterPolicy::RoundRobin,
-                    ..ServeFlags::default()
-                },
+                flags: ServeFlags { infer: true, replicas: 4, ..ServeFlags::default() },
             }
         );
-        // `wear-balance` is accepted as an alias of the default policy.
-        let cmd = parse_args(&argv("serve quick --infer --router wear-balance")).unwrap();
-        let Command::Serve { flags, .. } = cmd else { panic!("not serve") };
-        assert_eq!(flags.router, RouterPolicy::WearBalance);
-        // Fleet flags are serve --infer only.
+        // The fleet flag is serve --infer only.
         let err = parse_args(&argv("serve quick --replicas 2")).unwrap_err();
-        assert!(err.contains("--infer"), "got: {err}");
-        let err = parse_args(&argv("serve quick --router round-robin")).unwrap_err();
         assert!(err.contains("--infer"), "got: {err}");
         let err = parse_args(&argv("scenario quick --replicas 2")).unwrap_err();
         assert!(err.contains("unknown flag"), "got: {err}");
@@ -984,8 +964,6 @@ mod tests {
         let err = parse_args(&argv("serve quick --infer --replicas 0")).unwrap_err();
         assert!(err.contains("at least 1"), "got: {err}");
         assert!(parse_args(&argv("serve quick --infer --replicas abc")).is_err());
-        let err = parse_args(&argv("serve quick --infer --router random")).unwrap_err();
-        assert!(err.contains("unknown router policy"), "got: {err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Serving-tier configuration: the per-replica [`ServeConfig`] and the
-//! fleet-level [`FleetConfig`] (replica count, router policy, per-replica
-//! stress heterogeneity, and the retire/rejoin thresholds).
+//! fleet-level [`FleetConfig`] (replica count, router policy, and
+//! per-replica stress heterogeneity).
 
 use std::time::Duration;
 
@@ -105,31 +105,19 @@ impl ServeConfig {
 /// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
-    /// Least-forecast-burn-rate: route each block to the active replica
-    /// with the lowest projected stress (its last published generation's
+    /// Least-forecast-burn-rate: route each block to the replica with the
+    /// lowest projected stress (its last published generation's
     /// stress total plus its measured per-request burn rate times the
     /// requests it would absorb), with a block-rotating tie-break. The
     /// lifetime-maximizing policy.
     WearBalance,
-    /// Rotate over active replicas by block index. The fairness baseline
-    /// the wear-imbalance gate compares against.
+    /// Rotate over the replicas by block index. The fairness baseline the
+    /// wear-imbalance gate compares against (`exp_fleet`, the fleet
+    /// integration tests).
     RoundRobin,
 }
 
 impl RouterPolicy {
-    /// Parses a CLI `--router` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for an unknown policy name.
-    pub fn parse(name: &str) -> Result<RouterPolicy, String> {
-        match name {
-            "wear" | "wear-balance" => Ok(RouterPolicy::WearBalance),
-            "round-robin" => Ok(RouterPolicy::RoundRobin),
-            other => Err(format!("unknown router policy `{other}` (expected wear or round-robin)")),
-        }
-    }
-
     /// The policy's stable wire label (`wear` / `round-robin`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -147,27 +135,13 @@ impl RouterPolicy {
 pub struct FleetConfig {
     /// Number of replicas (independent crossbar deployments).
     pub replicas: usize,
-    /// Routing policy. CLI flag: `--router`.
+    /// Routing policy (wear balancing by default).
     pub router: RouterPolicy,
     /// Per-replica multiplier on [`ServeConfig::stress_per_read`] —
     /// physically, an endurance/temperature gradient across chips (no two
     /// fabricated crossbars age identically). Empty means homogeneous
     /// (all 1.0); otherwise the length must equal `replicas`.
     pub stress_scale: Vec<f64>,
-    /// Retire trigger: when the hottest active replica's published worst
-    /// window fraction falls to or below this, the router drains it and
-    /// force-remaps it in the background while its siblings absorb the
-    /// traffic. `0.0` disables retiring. A replica is never retired while
-    /// it is the only active one.
-    pub retire_fraction: f64,
-    /// How many admission blocks a retiring replica sits out before
-    /// rejoining.
-    pub retire_blocks: u64,
-    /// Minimum blocks between two retires of the same replica (window
-    /// fractions are monotone hardware wear — a remap does not restore
-    /// them, so without a cooldown a hot replica would re-retire at every
-    /// block).
-    pub retire_cooldown_blocks: u64,
     /// The per-replica serving configuration. `maintenance_interval` is
     /// also the router's block quantum: each block of that many
     /// consecutive admissions is routed whole to one replica, so a routed
@@ -176,18 +150,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `replicas` cells with the wear-balancing router,
-    /// homogeneous stress, and retiring disabled.
+    /// A fleet of `replicas` cells with the wear-balancing router and
+    /// homogeneous stress.
     pub fn new(replicas: usize, serve: ServeConfig) -> Self {
-        FleetConfig {
-            replicas,
-            router: RouterPolicy::WearBalance,
-            stress_scale: Vec::new(),
-            retire_fraction: 0.0,
-            retire_blocks: 4,
-            retire_cooldown_blocks: 16,
-            serve,
-        }
+        FleetConfig { replicas, router: RouterPolicy::WearBalance, stress_scale: Vec::new(), serve }
     }
 
     /// Validates the fleet-level ranges plus the embedded [`ServeConfig`].
@@ -211,16 +177,6 @@ impl FleetConfig {
         if self.stress_scale.iter().any(|s| !s.is_finite() || *s <= 0.0) {
             return Err(ServeError::InvalidConfig {
                 reason: "stress_scale entries must be finite and > 0".into(),
-            });
-        }
-        if !self.retire_fraction.is_finite() || !(0.0..1.0).contains(&self.retire_fraction) {
-            return Err(ServeError::InvalidConfig {
-                reason: "retire_fraction must lie in [0, 1)".into(),
-            });
-        }
-        if self.retire_fraction > 0.0 && self.retire_blocks == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "retire_blocks must be nonzero when retiring is enabled".into(),
             });
         }
         self.serve.validate()
@@ -269,11 +225,8 @@ mod tests {
 
     #[test]
     fn router_policies_round_trip_through_labels() {
-        for policy in [RouterPolicy::WearBalance, RouterPolicy::RoundRobin] {
-            assert_eq!(RouterPolicy::parse(policy.label()).unwrap(), policy);
-        }
-        assert_eq!(RouterPolicy::parse("wear-balance").unwrap(), RouterPolicy::WearBalance);
-        assert!(RouterPolicy::parse("random").unwrap_err().contains("unknown router policy"));
+        assert_eq!(RouterPolicy::WearBalance.label(), "wear");
+        assert_eq!(RouterPolicy::RoundRobin.label(), "round-robin");
     }
 
     #[test]
@@ -289,9 +242,6 @@ mod tests {
             FleetConfig { stress_scale: vec![1.0], ..base() },
             FleetConfig { stress_scale: vec![1.0, 0.0], ..base() },
             FleetConfig { stress_scale: vec![1.0, f64::NAN], ..base() },
-            FleetConfig { retire_fraction: 1.0, ..base() },
-            FleetConfig { retire_fraction: -0.1, ..base() },
-            FleetConfig { retire_fraction: 0.5, retire_blocks: 0, ..base() },
             FleetConfig { serve: ServeConfig { max_batch: 0, ..ServeConfig::default() }, ..base() },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");

@@ -279,16 +279,6 @@ impl ServeEngine {
         }
     }
 
-    /// Runs the aging-aware remap unconditionally — the fleet's retire
-    /// path: a retiring replica is drained of traffic and re-mapped in the
-    /// background while its siblings absorb the load, regardless of
-    /// whether the warn threshold armed the trigger. Same failure policy
-    /// as [`ServeEngine::maybe_remap`].
-    pub fn force_remap(&mut self) -> bool {
-        self.remap_armed = true;
-        self.maybe_remap()
-    }
-
     /// The fleet replica id this engine was deployed with (`None` for a
     /// single-replica deployment).
     pub fn replica(&self) -> Option<usize> {

@@ -13,17 +13,12 @@
 //!
 //! * **Wear-balancing router** ([`RouterPolicy::WearBalance`]): each block
 //!   of one maintenance interval's worth of consecutive admissions is
-//!   routed whole to the active replica with the least projected stress —
-//!   its last published generation's stress total plus its *measured*
-//!   burn rate times the load it would absorb. A `round-robin` baseline
-//!   is selectable for comparison; the `exp_fleet` bench gates that wear
-//!   balancing yields a strictly tighter max/mean replica-stress ratio
-//!   than round-robin on the same admitted sequence.
-//! * **Retire/rejoin** ([`FleetConfig::retire_fraction`]): when the
-//!   hottest replica's resistance window degrades past the threshold, the
-//!   router drains it, force-remaps it in the background while its
-//!   siblings absorb the traffic, and rejoins it a configured number of
-//!   blocks later.
+//!   routed whole to the replica with the least projected stress — its
+//!   last published generation's stress total plus its *measured* burn
+//!   rate times the load it would absorb. The `exp_fleet` bench gates
+//!   that wear balancing yields a strictly tighter max/mean
+//!   replica-stress ratio than the round-robin baseline on the same
+//!   admitted sequence.
 //! * **Per-replica observability**: when a replica has siblings, every
 //!   wear checkpoint, forecast gauge, and tile series it emits is
 //!   namespaced `replica{r}.` and its attribution ledger is tagged with
@@ -47,9 +42,9 @@
 //!   [`SlotPool`] slot) lazily re-synced to the batch's `(replica,
 //!   generation)` and delivers straight to the response slots.
 //! * **Per-replica maintenance** (`memaging-serve-maint-{r}`) — consumes
-//!   that replica's boundary jobs (wear accrual + generation publish +
-//!   optional live remap, run *after* the publish so the sweep overlaps
-//!   traffic) and retire-time force-remap jobs.
+//!   that replica's boundary jobs: wear accrual, generation publish, and
+//!   the optional live remap, run *after* the publish so the sweep
+//!   overlaps traffic.
 //!
 //! ## Determinism contract
 //!
@@ -88,84 +83,35 @@ use crate::request::{InferRequest, InferResponse};
 use crate::stats::ServeStats;
 use crate::worker::{declare_serve_histograms, dispatch_batch, form_batch, WorkerCtx};
 
-/// One job on a replica's maintenance channel.
-enum ReplicaJob {
-    /// Accrue one local interval's wear and publish the next generation.
-    Boundary {
-        /// Local boundary index = generation id to publish.
-        id: u64,
-        /// Admitted requests routed to this replica in the interval.
-        interval_requests: u64,
-        /// `false` on retire flushes and the shutdown flush.
-        allow_remap: bool,
-    },
-    /// Retire-time background remap: force the aging-aware sweep now and
-    /// ack when it finished so the router can rejoin the replica.
-    ForceRemap {
-        /// Signalled (once) after the remap completes.
-        ack: mpsc::Sender<()>,
-    },
-}
-
-/// A replica's routing lifecycle state.
-enum ReplicaState {
-    /// In the routing rotation.
-    Active,
-    /// Drained: a force-remap is running in the background while siblings
-    /// absorb the traffic.
-    Retiring {
-        /// First block at which the router may rejoin the replica.
-        until_block: u64,
-        /// Completion signal of the background remap; rejoin blocks on it.
-        ack: mpsc::Receiver<()>,
-    },
+/// One boundary job on a replica's maintenance channel: accrue one local
+/// interval's wear and publish the next generation.
+struct BoundaryJob {
+    /// Local boundary index = generation id to publish.
+    id: u64,
+    /// Admitted requests routed to this replica in the interval.
+    interval_requests: u64,
+    /// `false` on the shutdown flush.
+    allow_remap: bool,
 }
 
 /// Dispatcher-owned runtime state of one replica.
 struct ReplicaRt {
-    job_tx: mpsc::Sender<ReplicaJob>,
+    job_tx: mpsc::Sender<BoundaryJob>,
     generations: Arc<GenerationCell>,
+    /// The replica's stats; the dispatcher is the only writer of
+    /// [`ServeStats::routed`].
     stats: Arc<ServeStats>,
     /// Stress total of generation 0 — the baseline the measured burn rate
     /// is taken against.
     deploy_stress: f64,
-    /// Requests routed to this replica so far.
-    routed: u64,
     /// Full blocks routed so far == local maintenance intervals started.
     blocks: u64,
     /// Next local boundary id to send (== highest id sent + 1, so the
     /// newest generation the cell can hold is `next_boundary - 1`).
     next_boundary: u64,
-    /// Last refreshed wear snapshot: (generation id, total stress, worst
-    /// window fraction). Read only from published generations.
-    snap: (u64, f64, f64),
-    state: ReplicaState,
-    /// Block of the last retire, for the cooldown.
-    last_retire_block: Option<u64>,
-    retires: u64,
-}
-
-/// A point-in-time routing view of one replica, published by the
-/// dispatcher at block starts (and once more after the shutdown flush).
-/// Rendered by `GET /fleet`.
-#[derive(Debug, Clone)]
-pub struct ReplicaView {
-    /// `"active"` or `"retiring"`.
-    pub state: &'static str,
-    /// Requests routed to the replica (as of the last block start).
-    pub routed: u64,
-    /// Blocks (= local maintenance intervals) routed to the replica.
-    pub blocks: u64,
-    /// Times the replica has been retired for a background remap.
-    pub retires: u64,
-    /// Generation id of the last wear snapshot.
-    pub snapshot_generation: u64,
-    /// Total accrued tile stress (seconds) at that snapshot.
-    pub snapshot_stress: f64,
-    /// Worst-tile window fraction at that snapshot.
-    pub worst_window_fraction: f64,
-    /// When retiring: the first block at which the replica may rejoin.
-    pub rejoin_block: Option<u64>,
+    /// Last refreshed wear snapshot: (generation id, total stress). Read
+    /// only from published generations.
+    snap: (u64, f64),
 }
 
 /// Final report of one replica of a shut-down fleet.
@@ -183,12 +129,10 @@ pub struct ReplicaReport {
     pub batches: u64,
     /// Local maintenance boundaries processed.
     pub boundaries: u64,
-    /// Aging-aware remaps performed (drift-armed and retire-forced).
+    /// Drift-armed aging-aware remaps performed.
     pub remaps: u64,
     /// Requests routed to this replica.
     pub routed: u64,
-    /// Times the replica was retired for a background remap.
-    pub retires: u64,
     /// The replica's wear-attribution ledger (tagged with the replica id
     /// when the fleet has more than one replica).
     pub attribution: WearLedger,
@@ -230,6 +174,7 @@ impl FleetReport {
 /// Client-visible handle of one deployed replica.
 struct ReplicaHandle {
     stats: Arc<ServeStats>,
+    generations: Arc<GenerationCell>,
     ledger: Arc<Mutex<WearLedger>>,
     maintenance: Option<JoinHandle<ServeEngine>>,
 }
@@ -242,7 +187,6 @@ pub struct FleetService {
     admitted: AtomicU64,
     rejected_full: AtomicU64,
     replicas: Vec<ReplicaHandle>,
-    view: Arc<Mutex<Vec<ReplicaView>>>,
     router: RouterPolicy,
     quantum: u64,
     input_dim: usize,
@@ -300,7 +244,7 @@ impl FleetService {
             let ledger = engine.ledger();
             let generations = Arc::new(GenerationCell::default());
             generations.publish(Arc::clone(&initial));
-            let (job_tx, job_rx) = mpsc::channel::<ReplicaJob>();
+            let (job_tx, job_rx) = mpsc::channel::<BoundaryJob>();
             let maintenance = {
                 let generations = Arc::clone(&generations);
                 let recorder = recorder.clone();
@@ -311,30 +255,29 @@ impl FleetService {
             };
             rts.push(ReplicaRt {
                 job_tx,
-                generations,
+                generations: Arc::clone(&generations),
                 stats: Arc::clone(&stats),
                 deploy_stress: initial.total_stress,
-                routed: 0,
                 blocks: 0,
                 next_boundary: 1,
-                snap: (0, initial.total_stress, initial.worst_window_fraction),
-                state: ReplicaState::Active,
-                last_retire_block: None,
-                retires: 0,
+                snap: (0, initial.total_stress),
             });
-            handles.push(ReplicaHandle { stats, ledger, maintenance: Some(maintenance) });
+            handles.push(ReplicaHandle {
+                stats,
+                generations,
+                ledger,
+                maintenance: Some(maintenance),
+            });
         }
-        let view = Arc::new(Mutex::new(rts.iter().map(ReplicaRt::view).collect::<Vec<_>>()));
         let queue = Arc::new(RequestQueue::new(config.serve.queue_capacity));
         let dispatcher = {
             let queue = Arc::clone(&queue);
-            let view = Arc::clone(&view);
             let recorder = recorder.clone();
             let base = base.expect("replicas is nonzero by validate()");
             let config = config.clone();
             std::thread::Builder::new()
                 .name("memaging-serve-dispatch".into())
-                .spawn(move || dispatch_loop(&queue, rts, &view, &recorder, &base, &config))
+                .spawn(move || dispatch_loop(&queue, rts, &recorder, &base, &config))
                 .map_err(|e| ServeError::Internal { reason: e.to_string() })?
         };
         Ok(FleetService {
@@ -342,7 +285,6 @@ impl FleetService {
             admitted: AtomicU64::new(0),
             rejected_full: AtomicU64::new(0),
             replicas: handles,
-            view,
             router: config.router,
             quantum: config.serve.maintenance_interval,
             input_dim,
@@ -422,11 +364,6 @@ impl FleetService {
             .map(|h| h.ledger.lock().unwrap_or_else(PoisonError::into_inner).clone())
     }
 
-    /// The router's per-replica view (as of the last block start).
-    pub fn fleet_view(&self) -> Vec<ReplicaView> {
-        self.view.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
     /// Fleet-wide admission counters plus per-replica
     /// [`ServeStats`] rows, as the JSON body of `GET /serve/stats`.
     pub fn stats_json(&self) -> String {
@@ -478,41 +415,34 @@ impl FleetService {
         out
     }
 
-    /// The router's view of the fleet, as the JSON body of `GET /fleet`:
-    /// per replica its lifecycle state, routed share, wear snapshot, and
-    /// live boundary/remap/served counters.
+    /// The fleet's routing and wear state, as the JSON body of
+    /// `GET /fleet`: per replica its routed count, the wear snapshot of its
+    /// latest published generation, and live served/boundary/remap
+    /// counters.
     pub fn fleet_json(&self) -> String {
-        let views = self.fleet_view();
-        let mut out = String::with_capacity(192 * (1 + views.len()));
+        let mut out = String::with_capacity(192 * (1 + self.replicas.len()));
         let _ = write!(
             out,
             "{{\"router\":\"{}\",\"quantum\":{},\"replicas\":[",
             self.router.label(),
             self.quantum,
         );
-        for (r, view) in views.iter().enumerate() {
+        for (r, handle) in self.replicas.iter().enumerate() {
             if r > 0 {
                 out.push(',');
             }
-            let stats = &self.replicas[r].stats;
+            let stats = &handle.stats;
+            let generation =
+                handle.generations.current().expect("generation 0 published at deploy");
             let _ = write!(
                 out,
-                "{{\"replica\":{r},\"state\":\"{}\",\"routed\":{},\"blocks\":{},\"retires\":{},",
-                view.state, view.routed, view.blocks, view.retires,
-            );
-            match view.rejoin_block {
-                Some(block) => {
-                    let _ = write!(out, "\"rejoin_block\":{block},");
-                }
-                None => out.push_str("\"rejoin_block\":null,"),
-            }
-            let _ = write!(
-                out,
-                "\"snapshot_generation\":{},\"snapshot_stress\":{},\
-                 \"worst_window_fraction\":{},\"served\":{},\"boundaries\":{},\"remaps\":{}}}",
-                view.snapshot_generation,
-                view.snapshot_stress,
-                view.worst_window_fraction,
+                "{{\"replica\":{r},\"routed\":{},\"snapshot_generation\":{},\
+                 \"snapshot_stress\":{},\"worst_window_fraction\":{},\"served\":{},\
+                 \"boundaries\":{},\"remaps\":{}}}",
+                stats.routed.load(Ordering::Relaxed),
+                generation.id,
+                generation.total_stress,
+                generation.worst_window_fraction,
                 stats.served.load(Ordering::Relaxed),
                 stats.boundaries.load(Ordering::Relaxed),
                 stats.remaps.load(Ordering::Relaxed),
@@ -532,8 +462,6 @@ impl FleetService {
                 std::panic::resume_unwind(payload);
             }
         }
-        // The dispatcher published a final view after its shutdown flush.
-        let views = self.fleet_view();
         let mut replicas = Vec::with_capacity(self.replicas.len());
         for (r, mut handle) in std::mem::take(&mut self.replicas).into_iter().enumerate() {
             let engine = match handle.maintenance.take().map(JoinHandle::join) {
@@ -549,8 +477,7 @@ impl FleetService {
                 batches: handle.stats.batches.load(Ordering::Relaxed),
                 boundaries: handle.stats.boundaries.load(Ordering::Relaxed),
                 remaps: handle.stats.remaps.load(Ordering::Relaxed),
-                routed: views[r].routed,
-                retires: views[r].retires,
+                routed: handle.stats.routed.load(Ordering::Relaxed),
                 attribution: handle.ledger.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             });
         }
@@ -580,21 +507,9 @@ impl Drop for FleetService {
 }
 
 impl ReplicaRt {
-    fn view(&self) -> ReplicaView {
-        let (state, rejoin_block) = match &self.state {
-            ReplicaState::Active => ("active", None),
-            ReplicaState::Retiring { until_block, .. } => ("retiring", Some(*until_block)),
-        };
-        ReplicaView {
-            state,
-            routed: self.routed,
-            blocks: self.blocks,
-            retires: self.retires,
-            snapshot_generation: self.snap.0,
-            snapshot_stress: self.snap.1,
-            worst_window_fraction: self.snap.2,
-            rejoin_block,
-        }
+    /// Requests routed to this replica so far.
+    fn routed(&self) -> u64 {
+        self.stats.routed.load(Ordering::Relaxed)
     }
 
     /// Deterministic wear snapshot: the newest generation whose boundary
@@ -604,7 +519,7 @@ impl ReplicaRt {
     /// itself is still being processed).
     fn refresh_snapshot(&mut self) {
         let generation = self.generations.wait_for(self.next_boundary - 1);
-        self.snap = (generation.id, generation.total_stress, generation.worst_window_fraction);
+        self.snap = (generation.id, generation.total_stress);
     }
 
     /// Projected stress after absorbing one more block: the snapshot's
@@ -612,18 +527,21 @@ impl ReplicaRt {
     /// stress minus deploy stress, over the requests the snapshot covers)
     /// times the requests routed past the snapshot plus one full block.
     fn projected_stress(&self, quantum: u64) -> f64 {
-        let (id, stress, _) = self.snap;
+        let (id, stress) = self.snap;
         let covered = id * quantum;
         let rate = if covered > 0 { (stress - self.deploy_stress) / covered as f64 } else { 0.0 };
-        let pending = self.routed - covered;
+        let pending = self.routed() - covered;
         stress + rate * (pending + quantum) as f64
     }
-}
 
-fn publish_view(view: &Mutex<Vec<ReplicaView>>, reps: &[ReplicaRt]) {
-    let mut slots = view.lock().unwrap_or_else(PoisonError::into_inner);
-    for (slot, rt) in slots.iter_mut().zip(reps) {
-        *slot = rt.view();
+    /// Queues boundary job `next_boundary`; `false` when maintenance died.
+    fn send_boundary(&mut self, interval_requests: u64, allow_remap: bool) -> bool {
+        let job = BoundaryJob { id: self.next_boundary, interval_requests, allow_remap };
+        let sent = self.job_tx.send(job).is_ok();
+        if sent {
+            self.next_boundary += 1;
+        }
+        sent
     }
 }
 
@@ -632,7 +550,6 @@ fn publish_view(view: &Mutex<Vec<ReplicaView>>, reps: &[ReplicaRt]) {
 fn dispatch_loop(
     queue: &RequestQueue,
     mut reps: Vec<ReplicaRt>,
-    view: &Mutex<Vec<ReplicaView>>,
     recorder: &Recorder,
     base: &Network,
     config: &FleetConfig,
@@ -651,10 +568,9 @@ fn dispatch_loop(
             // requests are contiguous: one routing decision covers them
             // all.
             current_block = Some(block);
-            target = begin_block(block, &mut reps, config, recorder);
+            target = route(block, &mut reps, config);
             local_interval = reps[target].blocks;
             reps[target].blocks += 1;
-            publish_view(view, &reps);
         }
         let boundary_seq = (block + 1) * quantum;
         let (batch, linger_us) =
@@ -662,148 +578,59 @@ fn dispatch_loop(
         let rt = &mut reps[target];
         rt.stats.latency().linger.record(0, linger_us);
         recorder.observe("serve.linger_us", linger_us as f64);
-        rt.routed += batch.len() as u64;
+        rt.stats.routed.fetch_add(batch.len() as u64, Ordering::Relaxed);
         // Ask the target's maintenance thread for every generation up to
         // this block's local interval, then wait for it (normally a single
         // step; the wait only stalls while the boundary job itself runs —
         // never for a remap, which executes after the publish).
         while rt.next_boundary <= local_interval {
-            let job = ReplicaJob::Boundary {
-                id: rt.next_boundary,
-                interval_requests: quantum,
-                allow_remap: true,
-            };
-            if rt.job_tx.send(job).is_err() {
+            if !rt.send_boundary(quantum, true) {
                 break; // Maintenance died; entries fail below.
             }
-            rt.next_boundary += 1;
         }
         let generation = rt.generations.wait_for(local_interval);
         dispatch_batch(batch, target, &generation, &mut pool, base, &rt.stats, recorder);
     }
-    // Queue closed and drained: resolve in-flight retires, then flush each
-    // replica's final partial interval's wear so the reported hardware
-    // state covers every routed request.
+    // Queue closed and drained: flush each replica's final partial
+    // interval's wear so the reported hardware state covers every routed
+    // request.
     for rt in &mut reps {
-        if let ReplicaState::Retiring { ack, .. } =
-            std::mem::replace(&mut rt.state, ReplicaState::Active)
-        {
-            let _ = ack.recv();
-        }
         let flushed = (rt.next_boundary - 1) * quantum;
-        if rt.routed > flushed {
-            let job = ReplicaJob::Boundary {
-                id: rt.next_boundary,
-                interval_requests: rt.routed - flushed,
-                allow_remap: false,
-            };
-            if rt.job_tx.send(job).is_ok() {
-                rt.next_boundary += 1;
-            }
+        if rt.routed() > flushed {
+            rt.send_boundary(rt.routed() - flushed, false);
         }
     }
-    publish_view(view, &reps);
     // Dropping the senders ends each maintenance loop after it has
     // processed every queued job.
 }
 
-/// Block-start routing: rejoin due replicas, retire the hottest eligible
-/// one, and pick the block's target. Every input is deterministic — the
-/// block index, dispatcher-local counters, and published-generation
-/// snapshots.
-fn begin_block(
-    block: u64,
-    reps: &mut [ReplicaRt],
-    config: &FleetConfig,
-    recorder: &Recorder,
-) -> usize {
-    let quantum = config.serve.maintenance_interval;
-    // 1. Rejoin replicas whose sit-out elapsed, blocking on the remap ack:
-    //    a rejoined replica always serves its post-remap state.
-    for rt in reps.iter_mut() {
-        let due = matches!(&rt.state, ReplicaState::Retiring { until_block, .. } if block >= *until_block);
-        if due {
-            if let ReplicaState::Retiring { ack, .. } =
-                std::mem::replace(&mut rt.state, ReplicaState::Active)
-            {
-                let _ = ack.recv();
-            }
-        }
-    }
-    let mut active: Vec<usize> = reps
-        .iter()
-        .enumerate()
-        .filter(|(_, rt)| matches!(rt.state, ReplicaState::Active))
-        .map(|(r, _)| r)
-        .collect();
-    // 2. Refresh wear snapshots where a decision below needs them.
-    let need_snapshots = config.retire_fraction > 0.0
-        || (config.router == RouterPolicy::WearBalance && active.len() > 1);
-    if need_snapshots {
-        for &r in &active {
-            reps[r].refresh_snapshot();
-        }
-    }
-    // 3. Retire the hottest eligible active replica (never the last one):
-    //    flush its completed intervals so the forced remap sees all
-    //    accrued wear, then hand it the remap job and take it out of the
-    //    rotation.
-    if config.retire_fraction > 0.0 && active.len() > 1 {
-        let eligible = active.iter().copied().filter(|&r| {
-            let rt = &reps[r];
-            rt.snap.0 > 0
-                && rt.snap.2 <= config.retire_fraction
-                && rt
-                    .last_retire_block
-                    .is_none_or(|last| block - last >= config.retire_cooldown_blocks)
-        });
-        let hottest =
-            eligible.min_by(|&a, &b| reps[a].snap.2.total_cmp(&reps[b].snap.2).then(a.cmp(&b)));
-        if let Some(r) = hottest {
-            let rt = &mut reps[r];
-            while rt.next_boundary <= rt.blocks {
-                let job = ReplicaJob::Boundary {
-                    id: rt.next_boundary,
-                    interval_requests: quantum,
-                    allow_remap: false,
-                };
-                if rt.job_tx.send(job).is_err() {
-                    break;
-                }
-                rt.next_boundary += 1;
-            }
-            let (ack_tx, ack_rx) = mpsc::channel();
-            if rt.job_tx.send(ReplicaJob::ForceRemap { ack: ack_tx }).is_ok() {
-                rt.state = ReplicaState::Retiring {
-                    until_block: block + config.retire_blocks,
-                    ack: ack_rx,
-                };
-                rt.last_retire_block = Some(block);
-                rt.retires += 1;
-                recorder.counter("fleet.retire", 1);
-                active.retain(|&a| a != r);
-            }
-        }
-    }
-    // 4. Route the block.
+/// Block-start routing: picks the block's target replica. Every input is
+/// deterministic — the block index, dispatcher-local counters, and
+/// published-generation snapshots.
+fn route(block: u64, reps: &mut [ReplicaRt], config: &FleetConfig) -> usize {
+    let n = reps.len();
     match config.router {
-        RouterPolicy::RoundRobin => active[(block % active.len() as u64) as usize],
+        RouterPolicy::RoundRobin => (block % n as u64) as usize,
         RouterPolicy::WearBalance => {
-            if active.len() == 1 {
-                return active[0];
+            if n == 1 {
+                return 0;
             }
-            // Warmup: until every active replica has absorbed a block, the
-            // burn rates aren't comparable — deal in index order.
-            if let Some(&cold) = active.iter().find(|&&r| reps[r].blocks == 0) {
+            for rt in reps.iter_mut() {
+                rt.refresh_snapshot();
+            }
+            // Warmup: until every replica has absorbed a block, the burn
+            // rates aren't comparable — deal in index order.
+            if let Some(cold) = reps.iter().position(|rt| rt.blocks == 0) {
                 return cold;
             }
             // Least projected stress, scanning from a block-rotated start
             // so exact ties don't starve higher indices.
-            let start = (block % active.len() as u64) as usize;
-            let mut best = active[start];
+            let quantum = config.serve.maintenance_interval;
+            let start = (block % n as u64) as usize;
+            let mut best = start;
             let mut best_cost = reps[best].projected_stress(quantum);
-            for i in 1..active.len() {
-                let r = active[(start + i) % active.len()];
+            for i in 1..n {
+                let r = (start + i) % n;
                 let cost = reps[r].projected_stress(quantum);
                 if cost < best_cost {
                     best = r;
@@ -816,55 +643,42 @@ fn begin_block(
 }
 
 /// Per-replica maintenance: the boundary pipeline (wear accrual,
-/// generation publish, optional live remap) plus the retire-time
-/// force-remap job.
+/// generation publish, optional live remap).
 fn maintenance_loop(
     mut engine: ServeEngine,
-    jobs: &mpsc::Receiver<ReplicaJob>,
+    jobs: &mpsc::Receiver<BoundaryJob>,
     generations: &GenerationCell,
     recorder: &Recorder,
 ) -> ServeEngine {
     let replica = engine.replica().unwrap_or(0);
-    while let Ok(job) = jobs.recv() {
-        match job {
-            ReplicaJob::Boundary { id, interval_requests, allow_remap } => {
-                match engine.boundary(id, interval_requests) {
-                    Ok(generation) => generations.publish(generation),
-                    Err(e) => {
-                        // The router is (or will be) waiting on this
-                        // generation id: republish the previous weights
-                        // under the new id so serving continues, and raise
-                        // the alarm.
-                        recorder.alert(
-                            memaging_obs::AlertSeverity::Critical,
-                            "serve.boundary_failed",
-                            id as f64,
-                            0.0,
-                            &format!(
-                                "replica {replica} boundary {id} failed, serving stale mapping: {e}"
-                            ),
-                        );
-                        let prior =
-                            generations.current().expect("generation 0 published at deploy");
-                        generations.publish(Arc::new(MappingGeneration {
-                            id,
-                            weights: prior.weights.clone(),
-                            worst_window_fraction: prior.worst_window_fraction,
-                            total_stress: prior.total_stress,
-                            remaps: prior.remaps,
-                        }));
-                    }
-                }
-                if allow_remap {
-                    // Runs *after* the publish: the sweep overlaps live
-                    // traffic on the sibling replicas and this one.
-                    engine.maybe_remap();
-                }
+    while let Ok(BoundaryJob { id, interval_requests, allow_remap }) = jobs.recv() {
+        match engine.boundary(id, interval_requests) {
+            Ok(generation) => generations.publish(generation),
+            Err(e) => {
+                // The router is (or will be) waiting on this generation
+                // id: republish the previous weights under the new id so
+                // serving continues, and raise the alarm.
+                recorder.alert(
+                    memaging_obs::AlertSeverity::Critical,
+                    "serve.boundary_failed",
+                    id as f64,
+                    0.0,
+                    &format!("replica {replica} boundary {id} failed, serving stale mapping: {e}"),
+                );
+                let prior = generations.current().expect("generation 0 published at deploy");
+                generations.publish(Arc::new(MappingGeneration {
+                    id,
+                    weights: prior.weights.clone(),
+                    worst_window_fraction: prior.worst_window_fraction,
+                    total_stress: prior.total_stress,
+                    remaps: prior.remaps,
+                }));
             }
-            ReplicaJob::ForceRemap { ack } => {
-                engine.force_remap();
-                let _ = ack.send(());
-            }
+        }
+        if allow_remap {
+            // Runs *after* the publish: the sweep overlaps live traffic on
+            // the sibling replicas and this one.
+            engine.maybe_remap();
         }
     }
     engine

@@ -7,8 +7,9 @@
 //!   Admission-control outcomes map to HTTP statuses: 429 queue full,
 //!   504 deadline expired, 503 shutting down, 400 bad payload. The router
 //!   decides which replica serves the request.
-//! * `GET /fleet` — the router's per-replica view: lifecycle state,
-//!   routed share, wear snapshot, and live boundary/remap counters.
+//! * `GET /fleet` — per replica: routed count, the wear snapshot of its
+//!   latest published generation, and live served/boundary/remap
+//!   counters.
 //! * `GET /serve/stats` — fleet admission counters plus one full
 //!   [`crate::ServeStats`] row per replica (including p50/p90/p99/max per
 //!   latency stage).

@@ -81,6 +81,9 @@ pub struct ServeStats {
     pub boundaries: AtomicU64,
     /// Aging-triggered live remaps performed.
     pub remaps: AtomicU64,
+    /// Requests the fleet router sent to this replica (written by the
+    /// dispatcher only; rendered by `GET /fleet`).
+    pub routed: AtomicU64,
     queue_wait_us: Reservoir,
     service_us: Reservoir,
     batch_sizes: Reservoir,
@@ -173,6 +176,7 @@ impl Default for ServeStats {
             batches: AtomicU64::new(0),
             boundaries: AtomicU64::new(0),
             remaps: AtomicU64::new(0),
+            routed: AtomicU64::new(0),
             queue_wait_us: Reservoir::new(),
             service_us: Reservoir::new(),
             batch_sizes: Reservoir::new(),

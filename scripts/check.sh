@@ -29,9 +29,9 @@ cargo test -q
 #   extras are deterministic (pure FP over a fixed admission sequence), so
 #   they stay at the strict default tolerance even when the timing
 #   tolerance is loosened for cross-machine runs.
-# * fleet (exp_fleet): the wear-imbalance gate (exp_fleet asserts
-#   wear-balancing strictly beats round-robin when it runs) and the
-#   throughput-scaling extra.
+# * fleet (exp_fleet): the wear-imbalance pair (exp_fleet asserts
+#   wear-balancing strictly beats round-robin when it runs), held at the
+#   same strict extras tolerance as serve's.
 #
 # The self-compare is a structural sanity check (the gate must parse the
 # baseline and exit 0); when the candidate variable names an existing
@@ -45,7 +45,7 @@ manifest=(
         wear_remap_stress wear_ledger_entries latency_e2e_count series_points forecast_tiles
         forecast_worst_velocity remap_cells_skipped_frac"
     "BENCH_fleet.json MEMAGING_BENCH_CANDIDATE_FLEET fleet_wear_imbalance
-        fleet_wear_imbalance_round_robin fleet_scaling fleet_retires"
+        fleet_wear_imbalance_round_robin"
 )
 for row in "${manifest[@]}"; do
     # shellcheck disable=SC2086 # word-split the row into its fields
