@@ -4,12 +4,13 @@
 //! Runs the instrumented quick scenario (ST+AT) twice — single- and
 //! multi-threaded — and asserts that the two runs are bit-identical (the
 //! thread count must not change a single session record, nor the number of
-//! programmed and delta-skipped cells).
+//! programmed and delta-skipped cells, nor the tuner's evaluation counts).
 //!
 //! The engine's bit-identity to the naive per-candidate re-simulation is
 //! checked by the oracle proptest in `memaging-crossbar`'s unit tests, not
 //! here. The thread-suffixed phase profile is written to `BENCH_map.json`,
-//! with the programmed and delta-skipped cell counts as extras;
+//! with the programmed and delta-skipped cell counts and the tuner's
+//! evaluation and evaluated-sample counts as extras;
 //! `map.sweep_incr_1t` vs `map.sweep_incr_{N}t` is the sweep wall-clock
 //! scaling gate (enforced when the machine actually has >1 core).
 //!
@@ -36,6 +37,11 @@ struct ProfiledRun {
     /// Total cells the delta-programming engine left untouched
     /// (`mapping.cells_skipped` counter).
     skipped_cells: u64,
+    /// Tuner accuracy passes (`tuner.evaluations` counter).
+    tune_evaluations: u64,
+    /// Samples those passes forwarded (`tuner.eval_samples` counter); the
+    /// tuner's early exit is what keeps it below evaluations × samples.
+    tune_eval_samples: u64,
 }
 
 /// One leg of the incremental engine at `threads` workers.
@@ -57,6 +63,8 @@ fn profiled_run(threads: usize) -> Result<ProfiledRun, Box<dyn std::error::Error
     };
     let programmed_cells = counter_total("mapping.cells_programmed");
     let skipped_cells = counter_total("mapping.cells_skipped");
+    let tune_evaluations = counter_total("tuner.evaluations");
+    let tune_eval_samples = counter_total("tuner.eval_samples");
     let mut profiles = profile_phases(&events);
     for p in &mut profiles {
         p.name = format!("{}_incr_{threads}t", p.name);
@@ -67,6 +75,8 @@ fn profiled_run(threads: usize) -> Result<ProfiledRun, Box<dyn std::error::Error
         accuracy_bits: outcome.software_accuracy.to_bits(),
         programmed_cells,
         skipped_cells,
+        tune_evaluations,
+        tune_eval_samples,
     })
 }
 
@@ -85,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The thread count may not change a single bit of the trajectory:
     // every parallel region preserves the serial reduction order.
-    // Programming volume — written *and* delta-skipped cells — is part of
-    // the deterministic trajectory.
+    // Programming volume — written *and* delta-skipped cells — and the
+    // tuner's evaluation work are part of the deterministic trajectory.
     assert_eq!(legs[0].lifetime, legs[1].lifetime, "lifetime result differs between thread counts");
     assert_eq!(
         legs[0].accuracy_bits, legs[1].accuracy_bits,
@@ -97,6 +107,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (legs[1].programmed_cells, legs[1].skipped_cells),
         "programmed/skipped cell counts differ between thread counts"
     );
+    assert_eq!(
+        (legs[0].tune_evaluations, legs[0].tune_eval_samples),
+        (legs[1].tune_evaluations, legs[1].tune_eval_samples),
+        "tuner evaluation counts differ between thread counts"
+    );
     report(&format!(
         "  determinism: 1t/{threads}t bit-identical ({} sessions, {} applications)",
         legs[0].lifetime.sessions.len(),
@@ -106,9 +121,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  programmed cells: {} programmed / {} delta-skipped",
         legs[0].programmed_cells, legs[0].skipped_cells,
     ));
+    report(&format!(
+        "  tuner: {} evaluations forwarding {} samples",
+        legs[0].tune_evaluations, legs[0].tune_eval_samples,
+    ));
 
     let programmed_cells = legs[0].programmed_cells;
     let skipped_cells = legs[0].skipped_cells;
+    let (tune_evaluations, tune_eval_samples) =
+        (legs[0].tune_evaluations, legs[0].tune_eval_samples);
     let mut profiles = Vec::new();
     for leg in legs {
         profiles.extend(leg.profiles);
@@ -145,7 +166,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = phase_profile_json_with(
         &format!("quick scenario, ST+AT strategy, range selection, 1 vs {threads} threads"),
         &profiles,
-        &[("programmed_cells", programmed_cells as f64), ("skipped_cells", skipped_cells as f64)],
+        &[
+            ("programmed_cells", programmed_cells as f64),
+            ("skipped_cells", skipped_cells as f64),
+            ("tune_evaluations", tune_evaluations as f64),
+            ("tune_eval_samples", tune_eval_samples as f64),
+        ],
     );
     let path = "BENCH_map.json";
     std::fs::write(path, &json)?;

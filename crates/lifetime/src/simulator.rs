@@ -208,7 +208,8 @@ pub fn run_lifetime(
 
 /// [`run_lifetime`] with observability. Each maintenance session is stamped
 /// with its index ([`Recorder::set_session`]) and traced as `map` (when the
-/// session maps), `evaluate` and `tune` spans; per session the recorder
+/// session maps) and `tune` spans, the session's pre-tune `evaluate` span
+/// nested in its first `tune`; per session the recorder
 /// receives the wear-health report of [`crate::HealthMonitor`] (the
 /// `aging.*`/`wear.*`/`health.*` gauges, the sessions-to-failure forecast
 /// and any warn/critical alerts), wear counters, and a session-summary
@@ -250,7 +251,6 @@ pub fn run_lifetime_with_recorder(
         recorder.set_session(Some(session as u64));
         let mut map_stats = ProgramStats::default();
         let mut remapped = false;
-        let pre_tune_accuracy;
         if session == 0 {
             // Deployment: initial mapping.
             hw.restore_software_weights(&trained)?;
@@ -262,25 +262,16 @@ pub fn run_lifetime_with_recorder(
             map_stats.merge(report.stats);
             last_windows = report.windows.clone();
             remapped = true;
-            pre_tune_accuracy = if recorder.is_enabled() {
-                // Evaluation is pure, so this re-measures post_map_accuracy
-                // exactly — it exists to give session 0 an `evaluate` span
-                // like every later session.
-                let _span = recorder.span("evaluate");
-                hw.evaluate(data, config.batch_size)?
-            } else {
-                report.post_map_accuracy.unwrap_or(0.0)
-            };
         } else {
             // Serve applications: recoverable conductance drift.
             hw.apply_conductance_drift(config.drift_probability, config.drift_sigma, &mut rng);
             applications += config.applications_per_session;
-            let span = recorder.span("evaluate");
-            pre_tune_accuracy = hw.evaluate(data, config.batch_size)?;
-            drop(span);
         }
         // Maintenance: online tuning (paper eq. 5) with limited patience.
+        // Its first, exact evaluation scores the state the session starts
+        // from, so it is the session's pre-tune accuracy.
         let mut tune_report = tune_with_recorder(&mut hw, data, &patience_config, recorder)?;
+        let pre_tune_accuracy = tune_report.initial_accuracy;
         let mut iterations = tune_report.iterations;
         let mut pulses = tune_report.pulses;
         if !tune_report.converged {

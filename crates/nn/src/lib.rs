@@ -23,7 +23,9 @@
 //! * [`Sgd`]: momentum SGD applying data + regularizer gradients (eq. 3);
 //! * [`models`]: LeNet-5 and VGG-16 builders (faithful structure) plus
 //!   scaled variants for simulation-budget experiments;
-//! * [`train`] / [`evaluate`]: the mini-batch training loop.
+//! * [`train`] / [`evaluate`]: the mini-batch training loop and the one
+//!   accuracy loop ([`evaluate_reaching`], which can stop once a target is
+//!   out of reach).
 //!
 //! # Example: skewed-weight training
 //!
@@ -75,4 +77,7 @@ pub use pool::{Pool2d, PoolKind};
 pub use regularizer::{
     applies_to, NoRegularizer, PerLayer, Regularizer, SkewedL2, WeightPenalty, L2,
 };
-pub use trainer::{evaluate, train, train_with_recorder, EpochStats, TrainConfig, TrainReport};
+pub use trainer::{
+    evaluate, evaluate_reaching, train, train_with_recorder, EpochStats, Evaluation, TrainConfig,
+    TrainReport,
+};

@@ -12,8 +12,8 @@
 //!   access, reshape and element-wise arithmetic;
 //! * [`ops`]: matrix products (including implicit-transpose variants used by
 //!   backpropagation), softmax and row reductions;
-//! * [`conv`]: `im2col`/`col2im` lowering so convolutions become matrix
-//!   multiplications — the exact form mapped onto memristor crossbars;
+//! * [`conv`]: `im2col`/`im2row`/`col2im` lowering so convolutions become
+//!   matrix multiplications — the exact form mapped onto memristor crossbars;
 //! * [`init`]: seeded random initialization (Box–Muller gaussian, Xavier,
 //!   He);
 //! * [`stats`]: distribution summaries and histograms used to reproduce the

@@ -22,8 +22,9 @@ cargo test -q
 #
 # * obs (exp_all), par (exp_par): phase timings only.
 # * map (exp_map): the programmed and delta-skipped cell counts of the
-#   range-selection trajectory; this keeps them from silently vanishing
-#   from the baseline.
+#   range-selection trajectory and the tuner's evaluation and
+#   evaluated-sample counts; this keeps them from silently vanishing from
+#   the baseline, and a lost tuner early exit moves tune_eval_samples.
 # * serve (exp_serve): the wear-attribution / latency extras. bench-diff
 #   fails on drifted or vanished extras, and unlike wall-clock times the
 #   extras are deterministic (pure FP over a fixed admission sequence), so
@@ -40,7 +41,8 @@ cargo test -q
 manifest=(
     "BENCH_obs.json   MEMAGING_BENCH_CANDIDATE"
     "BENCH_par.json   MEMAGING_BENCH_CANDIDATE_PAR"
-    "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   programmed_cells skipped_cells"
+    "BENCH_map.json   MEMAGING_BENCH_CANDIDATE_MAP   programmed_cells skipped_cells
+        tune_evaluations tune_eval_samples"
     "BENCH_serve.json MEMAGING_BENCH_CANDIDATE_SERVE wear_total_stress wear_inference_read_stress
         wear_remap_stress wear_ledger_entries latency_e2e_count series_points forecast_tiles
         forecast_worst_velocity remap_cells_skipped_frac"
