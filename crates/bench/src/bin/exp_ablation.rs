@@ -34,10 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let net = scenario.framework.model.build(scenario.seed)?;
         let mut hw = CrossbarNetwork::new(net, spec, scenario.framework.aging)?;
         hw.restore_software_weights(&trained.network.weight_matrices())?;
-        let report = hw.map_weights(MappingStrategy::Fresh, Some((&calib, 32)))?;
+        let report = hw.map_weights(MappingStrategy::Fresh, None)?;
+        let accuracy = hw.evaluate(&calib, 32)?;
         t.row(&[
             format!("{levels}"),
-            format!("{:.1}%", 100.0 * report.post_map_accuracy.unwrap_or(0.0)),
+            format!("{:.1}%", 100.0 * accuracy),
             format!("{}", report.stats.pulses),
         ]);
     }
@@ -175,11 +176,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut hw = CrossbarNetwork::new(net, DeviceSpec::default(), scenario.framework.aging)?;
         hw.set_outlier_percentile(pct);
         hw.restore_software_weights(&trained.network.weight_matrices())?;
-        let report = hw.map_weights(MappingStrategy::Fresh, Some((&calib, 32)))?;
-        t.row(&[
-            format!("{pct}"),
-            format!("{:.1}%", 100.0 * report.post_map_accuracy.unwrap_or(0.0)),
-        ]);
+        hw.map_weights(MappingStrategy::Fresh, None)?;
+        let accuracy = hw.evaluate(&calib, 32)?;
+        t.row(&[format!("{pct}"), format!("{:.1}%", 100.0 * accuracy)]);
     }
     t.print();
     println!(
@@ -237,12 +236,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let net = scenario.framework.model.build(scenario.seed)?;
         let mut hw = CrossbarNetwork::new(net, spec, scenario.framework.aging)?;
         hw.restore_software_weights(&trained.network.weight_matrices())?;
-        let report = hw.map_weights(MappingStrategy::Fresh, Some((&calib, 32)))?;
+        hw.map_weights(MappingStrategy::Fresh, None)?;
+        let accuracy = hw.evaluate(&calib, 32)?;
         t.row(&[
             name.into(),
             format!("{:.0}k-{:.0}k", spec.r_min / 1e3, spec.r_max / 1e3),
             format!("{}", spec.levels),
-            format!("{:.1}%", 100.0 * report.post_map_accuracy.unwrap_or(0.0)),
+            format!("{:.1}%", 100.0 * accuracy),
         ]);
     }
     t.print();

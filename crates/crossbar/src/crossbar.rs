@@ -342,21 +342,6 @@ impl Crossbar {
         })
     }
 
-    /// Applies one session of read-disturb drift: each device independently
-    /// drifts ±1 level with probability `probability` (recoverable by the
-    /// next reprogramming; see [`memaging_device::Memristor::drift_level`]).
-    /// Returns the number of drifted devices.
-    pub fn apply_drift<R: rand::Rng + ?Sized>(&mut self, probability: f64, rng: &mut R) -> usize {
-        let mut drifted = 0;
-        for d in &mut self.devices {
-            if rng.gen::<f64>() < probability {
-                d.drift_level(&self.model, if rng.gen::<bool>() { 1 } else { -1 });
-                drifted += 1;
-            }
-        }
-        drifted
-    }
-
     /// Applies one session of multiplicative conductance drift: each device
     /// independently drifts by `g ← g·(1 + σ·z)` with `z ~ N(0,1)` with
     /// probability `probability`. Returns the number of drifted devices.
@@ -729,20 +714,6 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "{field}: {got} vs {want}");
         }
         assert_eq!(snap.total_pulses, x.iter().map(|(_, _, d)| d.pulse_count()).sum::<u64>());
-    }
-
-    #[test]
-    fn drift_changes_levels_without_stress() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut x = xbar(8, 8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let drifted = x.apply_drift(1.0, &mut rng);
-        assert_eq!(drifted, 64);
-        assert_eq!(x.total_pulses(), 0);
-        assert!(x.total_stress() == 0.0);
-        // Probability 0 drifts nothing.
-        assert_eq!(x.apply_drift(0.0, &mut rng), 0);
     }
 
     #[test]

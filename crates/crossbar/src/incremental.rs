@@ -5,23 +5,24 @@
 //! do not actually depend on the candidate: cloning the software network
 //! and every weight matrix, re-deriving the percentile weight range (a full
 //! sort), forwarding the calibration batch through the unchanged layers
-//! below the swept one, and re-quantizing every cell from scratch. This
-//! module removes each of those while keeping the *selection result*
-//! bit-identical to the naive sweep (`select_range`, kept in the crate's
-//! tests as the oracle) at every thread count:
+//! below the swept one, and re-quantizing every cell from scratch.
+//! [`sweep`] does each of those once per layer while keeping the *selection
+//! result* bit-identical to the naive sweep (`select_range`, kept in the
+//! crate's tests as the oracle) at every thread count. It keeps no state
+//! between calls:
 //!
-//! 1. **Persistent per-worker contexts** ([`EvalEngine`]): one cloned
-//!    network per worker thread, leased from a
-//!    [`memaging_par::SlotPool`] that lives across all layers and all map
-//!    epochs. A generation counter re-syncs the trained weights lazily at
-//!    the first lease of each mapping epoch, and a dirty-layer tag restores
-//!    the previously swept layer before the next one starts — so steady
-//!    state does zero allocation and copies only what changed.
+//! 1. **Per-sweep clones**: the software network is cloned once for the
+//!    prefix forward (the clone then also hosts the hysteresis re-check)
+//!    and once per worker in `par_map_init`'s `init`. Inside a mapping the
+//!    software network *is* the trained model and only the swept layer
+//!    changes, so no clone needs a weight resync. Clones are cheap because
+//!    a trained network holds no forward caches (`backward` consumes them).
 //! 2. **Prefix-activation caching**: the calibration batch is forwarded
 //!    through layers `0..net_layer` once per sweep (`map.prefix` span);
-//!    candidates replay only the suffix from the cached activations
-//!    (`map.replay` spans) via [`memaging_nn::Network::forward_from`].
-//!    Eval-mode forwards are pure, so splitting the pass is exact.
+//!    candidates and the re-check of the previous window replay only the
+//!    suffix from the cached activations (`map.replay` spans) via
+//!    [`memaging_nn::Network::forward_from`]. Eval-mode forwards are pure,
+//!    so splitting the pass is exact.
 //! 3. **Quantization memoization**: the percentile weight range is derived
 //!    once per sweep (it is window-independent — see
 //!    [`crate::mapping::WeightRange`]); per candidate, the per-cell
@@ -47,8 +48,6 @@ use memaging_dataset::Dataset;
 use memaging_device::{AgedWindow, DeviceModel, Ohms, Quantizer};
 use memaging_nn::{Mode, Network};
 use memaging_obs::{names, Recorder};
-use memaging_par::{SlotLease, SlotPool};
-use memaging_tensor::scratch::ScratchArena;
 use memaging_tensor::Tensor;
 
 use crate::error::CrossbarError;
@@ -65,8 +64,9 @@ const PRUNE_SLACK: f64 = 1e-9;
 
 /// Everything a sweep needs to know about the layer under selection.
 pub(crate) struct SweepParams<'a> {
-    /// Trained weight matrices of every mappable layer, borrowed.
-    pub trained: &'a [&'a Tensor],
+    /// The trained software network; every candidate changes only the
+    /// swept layer of a clone of it.
+    pub software: &'a Network,
     /// Mappable index of the layer being swept.
     pub layer: usize,
     /// Network layer index of `layer` (prefix boundary).
@@ -83,214 +83,126 @@ pub(crate) struct SweepParams<'a> {
     pub percentile: f64,
 }
 
-/// One worker's persistent evaluation state.
-struct EvalContext {
-    net: Network,
-    /// Mapping epoch whose trained weights `net` holds.
-    generation: u64,
-    /// Mappable layer whose matrix currently holds candidate values.
-    dirty: Option<usize>,
-}
-
-impl EvalContext {
-    fn new(software: &Network) -> Self {
-        EvalContext { net: software.clone(), generation: 0, dirty: None }
+impl SweepParams<'_> {
+    /// The trained weight matrix of the swept layer.
+    fn weights(&self) -> &Tensor {
+        self.software.weight_matrix(self.layer).expect("swept layer is mappable")
     }
 }
 
-/// The persistent incremental-evaluation engine owned by a
-/// [`crate::CrossbarNetwork`].
-pub(crate) struct EvalEngine {
-    /// Per-worker contexts, alive across sweeps and map epochs.
-    pool: SlotPool<EvalContext>,
-    /// Dedicated context for prefix forwards: worker contexts carry dirty
-    /// swept layers, the prefix must come from fully trained weights.
-    prefix: Option<EvalContext>,
-    /// Bumped per map epoch; contexts lazily re-sync trained weights.
-    generation: u64,
-    /// Arena for the serial candidate-matrix build on the driving thread.
-    arena: ScratchArena,
-}
-
-impl EvalEngine {
-    pub(crate) fn new() -> Self {
-        EvalEngine {
-            pool: SlotPool::new(),
-            prefix: None,
-            generation: 0,
-            arena: ScratchArena::new(),
-        }
+/// Runs the full candidate sweep for one layer, returning the selection the
+/// naive sweep would have produced. With `previous` set, the same setup
+/// also scores that window (the hysteresis re-check of the last mapping)
+/// with full accuracy — no pruning — bit-identical to the naive simulation
+/// of the window; the re-check runs only once the selection succeeded.
+pub(crate) fn sweep(
+    estimates: &[TracedEstimate],
+    fresh_r_min: f64,
+    previous: Option<AgedWindow>,
+    p: &SweepParams<'_>,
+    recorder: &Recorder,
+) -> Result<(RangeSelection, Option<f64>), CrossbarError> {
+    let sweep_span = recorder.span(names::MAP_SWEEP);
+    if estimates.is_empty() {
+        return Err(CrossbarError::InvalidMapping {
+            reason: "range selection needs at least one traced estimate".into(),
+        });
+    }
+    let candidates = candidate_upper_bounds(estimates, fresh_r_min);
+    if candidates.is_empty() {
+        return Ok((fold_candidates(fresh_r_min, std::iter::empty())?, None));
     }
 
-    /// Starts a new mapping epoch: the next lease of every context re-syncs
-    /// the (possibly retrained) software weights.
-    pub(crate) fn begin_epoch(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Runs the full candidate sweep for one layer, returning the selection
-    /// the naive sweep would have produced.
-    pub(crate) fn sweep(
-        &mut self,
-        software: &Network,
-        estimates: &[TracedEstimate],
-        fresh_r_min: f64,
-        p: &SweepParams<'_>,
-        recorder: &Recorder,
-    ) -> Result<RangeSelection, CrossbarError> {
-        let _sweep_span = recorder.span(names::MAP_SWEEP);
-        if estimates.is_empty() {
-            return Err(CrossbarError::InvalidMapping {
-                reason: "range selection needs at least one traced estimate".into(),
-            });
-        }
-        let candidates = candidate_upper_bounds(estimates, fresh_r_min);
-        if candidates.is_empty() {
-            return fold_candidates(fresh_r_min, std::iter::empty());
-        }
-
-        let prefix = self.prefix_activations(software, p, recorder)?;
-        let range =
-            WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
-        let quantizer = p.model.quantizer();
-        let level_r: Vec<f64> =
-            (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
-
-        // Serial build of every candidate's simulated weight matrix, with
-        // bitwise deduplication: adjacent candidate bounds frequently
-        // quantize to the same matrix, and equal matrices evaluate equal.
-        let n_cells = p.trained[p.layer].len();
-        let mut uniques: Vec<Vec<f32>> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut first_pos: Vec<usize> = Vec::new();
-        let mut groups: Vec<Result<usize, CrossbarError>> = Vec::with_capacity(candidates.len());
-        for (pos, &r_max) in candidates.iter().enumerate() {
-            let window = AgedWindow { r_min: fresh_r_min, r_max };
-            let mapping = match WeightMapping::from_range(range, window) {
-                Ok(m) => m,
-                Err(e) => {
-                    groups.push(Err(e));
-                    continue;
-                }
-            };
-            let mut buf = self.arena.take(n_cells);
-            build_candidate_matrix(&mapping, quantizer, &level_r, p, &mut buf);
-            let hash = fnv1a(&buf);
-            let existing = hashes
-                .iter()
-                .enumerate()
-                .position(|(u, &h)| h == hash && bits_equal(&uniques[u], &buf));
-            match existing {
-                Some(u) => {
-                    groups.push(Ok(u));
-                    self.arena.give(buf);
-                }
-                None => {
-                    groups.push(Ok(uniques.len()));
-                    hashes.push(hash);
-                    first_pos.push(pos);
-                    uniques.push(buf);
-                }
-            }
-        }
-
-        // Parallel evaluation of the unique matrices on the persistent
-        // worker contexts, with exact-bound pruning.
-        self.pool.ensure_slots(memaging_par::num_threads());
-        let gate = PruneGate::new(&first_pos);
-        let pool = &self.pool;
-        let generation = self.generation;
-        let results: Vec<Result<f64, CrossbarError>> = memaging_par::par_map_init(
-            uniques.len(),
-            |worker| (worker, lease_synced(pool, worker, generation, software, p)),
-            |(worker, lease), u| {
-                let ctx = lease.as_mut().expect("populated by lease_synced");
-                evaluate_matrix(
-                    ctx,
-                    &uniques[u],
-                    &prefix,
-                    p,
-                    Some((first_pos[u], u, &gate)),
-                    recorder,
-                    *worker,
-                )
-            },
-        );
-
-        // Re-expand unique results to candidate order and fold exactly like
-        // the naive sweep. An error is moved out at its first (widest)
-        // duplicate position; the fold stops there, so the placeholder left
-        // behind is never read.
-        let mut unique_results = results;
-        let mut per_candidate: Vec<(f64, Result<f64, CrossbarError>)> =
-            Vec::with_capacity(candidates.len());
-        for (pos, group) in groups.into_iter().enumerate() {
-            let result = match group {
-                Ok(u) => match &unique_results[u] {
-                    Ok(a) => Ok(*a),
-                    Err(_) => std::mem::replace(&mut unique_results[u], Ok(f64::NEG_INFINITY)),
-                },
-                Err(e) => Err(e),
-            };
-            per_candidate.push((candidates[pos], result));
-        }
-        for buf in uniques {
-            self.arena.give(buf);
-        }
-        fold_candidates(fresh_r_min, per_candidate.into_iter())
-    }
-
-    /// Evaluates a single window (the hysteresis re-check of the previous
-    /// epoch's window) with full accuracy — no pruning — on the worker-0
-    /// context. Bit-identical to the naive simulation of the same window.
-    pub(crate) fn evaluate_window(
-        &mut self,
-        software: &Network,
-        window: AgedWindow,
-        p: &SweepParams<'_>,
-        recorder: &Recorder,
-    ) -> Result<f64, CrossbarError> {
-        let prefix = self.prefix_activations(software, p, recorder)?;
-        let range =
-            WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
+    let mut net = p.software.clone();
+    let prefix = prefix_activations(&mut net, p, recorder)?;
+    let range = WeightRange::from_weights_percentile(p.weights().as_slice(), p.percentile)?;
+    let quantizer = p.model.quantizer();
+    let level_r: Vec<f64> =
+        (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
+    let matrix = |window: AgedWindow| -> Result<Vec<f32>, CrossbarError> {
         let mapping = WeightMapping::from_range(range, window)?;
-        let quantizer = p.model.quantizer();
-        let level_r: Vec<f64> =
-            (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
-        let mut buf = self.arena.take(p.trained[p.layer].len());
-        build_candidate_matrix(&mapping, quantizer, &level_r, p, &mut buf);
-        self.pool.ensure_slots(1);
-        let mut lease = lease_synced(&self.pool, 0, self.generation, software, p);
-        let ctx = lease.as_mut().expect("populated by lease_synced");
-        let acc = evaluate_matrix(ctx, &buf, &prefix, p, None, recorder, 0);
-        drop(lease);
-        self.arena.give(buf);
-        acc
+        Ok(build_candidate_matrix(&mapping, quantizer, &level_r, p))
+    };
+
+    // Serial build of every candidate's simulated weight matrix, with
+    // bitwise deduplication: adjacent candidate bounds frequently
+    // quantize to the same matrix, and equal matrices evaluate equal.
+    let mut uniques: Vec<Vec<f32>> = Vec::new();
+    let mut hashes: Vec<u64> = Vec::new();
+    let mut first_pos: Vec<usize> = Vec::new();
+    let mut groups: Vec<Result<usize, CrossbarError>> = Vec::with_capacity(candidates.len());
+    for (pos, &r_max) in candidates.iter().enumerate() {
+        let buf = match matrix(AgedWindow { r_min: fresh_r_min, r_max }) {
+            Ok(buf) => buf,
+            Err(e) => {
+                groups.push(Err(e));
+                continue;
+            }
+        };
+        let hash = fnv1a(&buf);
+        let existing =
+            hashes.iter().zip(&uniques).position(|(&h, u)| h == hash && bits_equal(u, &buf));
+        match existing {
+            Some(u) => groups.push(Ok(u)),
+            None => {
+                groups.push(Ok(uniques.len()));
+                hashes.push(hash);
+                first_pos.push(pos);
+                uniques.push(buf);
+            }
+        }
     }
 
-    /// Forwards the calibration batches through the unchanged layers
-    /// `0..net_layer` once, from fully trained weights.
-    fn prefix_activations(
-        &mut self,
-        software: &Network,
-        p: &SweepParams<'_>,
-        recorder: &Recorder,
-    ) -> Result<Vec<PrefixBatch>, CrossbarError> {
-        let _span = recorder.span(names::MAP_PREFIX);
-        let ctx = self.prefix.get_or_insert_with(|| EvalContext::new(software));
-        if ctx.generation != self.generation {
-            for (i, t) in p.trained.iter().enumerate() {
-                ctx.net.set_weight_matrix(i, t.as_slice())?;
-            }
-            ctx.generation = self.generation;
-        }
-        let mut out = Vec::new();
-        for (input, labels) in p.data.batches(p.batch.max(1)) {
-            let act = ctx.net.forward_prefix(p.net_layer, &input, Mode::Eval)?;
-            out.push(PrefixBatch { act, labels: labels.to_vec() });
-        }
-        Ok(out)
+    // Parallel evaluation of the unique matrices, one network clone per
+    // worker, with exact-bound pruning.
+    let gate = PruneGate::new(&first_pos);
+    let mut unique_results: Vec<Result<f64, CrossbarError>> = memaging_par::par_map_init(
+        uniques.len(),
+        |worker| (worker, p.software.clone()),
+        |(worker, net), u| {
+            let prune = Some((first_pos[u], u, &gate));
+            evaluate_matrix(net, &uniques[u], &prefix, p, prune, recorder, *worker)
+        },
+    );
+
+    // Re-expand unique results to candidate order and fold exactly like
+    // the naive sweep. An error is moved out at its first (widest)
+    // duplicate position; the fold stops there, so the placeholder left
+    // behind is never read.
+    let mut per_candidate: Vec<(f64, Result<f64, CrossbarError>)> =
+        Vec::with_capacity(candidates.len());
+    for (pos, group) in groups.into_iter().enumerate() {
+        let result = match group {
+            Ok(u) => match &unique_results[u] {
+                Ok(a) => Ok(*a),
+                Err(_) => std::mem::replace(&mut unique_results[u], Ok(f64::NEG_INFINITY)),
+            },
+            Err(e) => Err(e),
+        };
+        per_candidate.push((candidates[pos], result));
     }
+    let selection = fold_candidates(fresh_r_min, per_candidate.into_iter())?;
+    drop(sweep_span);
+    let previous_accuracy = previous
+        .map(|window| evaluate_matrix(&mut net, &matrix(window)?, &prefix, p, None, recorder, 0))
+        .transpose()?;
+    Ok((selection, previous_accuracy))
+}
+
+/// Forwards the calibration batches through the unchanged layers
+/// `0..net_layer` once, on `net` (a clone of the trained network).
+fn prefix_activations(
+    net: &mut Network,
+    p: &SweepParams<'_>,
+    recorder: &Recorder,
+) -> Result<Vec<PrefixBatch>, CrossbarError> {
+    let _span = recorder.span(names::MAP_PREFIX);
+    let mut out = Vec::new();
+    for (input, labels) in p.data.batches(p.batch.max(1)) {
+        let act = net.forward_prefix(p.net_layer, &input, Mode::Eval)?;
+        out.push(PrefixBatch { act, labels: labels.to_vec() });
+    }
+    Ok(out)
 }
 
 /// One cached calibration batch of the sweep: the prefix activation and
@@ -300,40 +212,8 @@ struct PrefixBatch {
     labels: Vec<usize>,
 }
 
-/// Leases worker `worker`'s persistent context, creating it on first use
-/// and bringing its weights up to date: a full trained-weight sync on the
-/// first lease of a mapping epoch, otherwise only restoring a layer left
-/// dirty by a previous sweep.
-fn lease_synced<'pool>(
-    pool: &'pool SlotPool<EvalContext>,
-    worker: usize,
-    generation: u64,
-    software: &Network,
-    p: &SweepParams<'_>,
-) -> SlotLease<'pool, EvalContext> {
-    let mut lease = pool.lease(worker);
-    let ctx = lease.get_or_insert_with(|| EvalContext::new(software));
-    if ctx.generation != generation {
-        for (i, t) in p.trained.iter().enumerate() {
-            ctx.net
-                .set_weight_matrix(i, t.as_slice())
-                .expect("trained weights match the cloned architecture");
-        }
-        ctx.generation = generation;
-        ctx.dirty = None;
-    } else if let Some(d) = ctx.dirty {
-        if d != p.layer {
-            ctx.net
-                .set_weight_matrix(d, p.trained[d].as_slice())
-                .expect("trained weights match the cloned architecture");
-            ctx.dirty = None;
-        }
-    }
-    lease
-}
-
-/// Builds the simulated weight matrix of one candidate window into `out`,
-/// with the exact per-cell float operations of the naive path:
+/// Builds the simulated weight matrix of one candidate window, with the
+/// exact per-cell float operations of the naive path:
 /// `w → g` (eq. 4), nearest fresh level, clamp into the cell's estimated
 /// block window, inverse map. The last three steps depend only on
 /// `(estimate window, level index)`, so they are computed once per distinct
@@ -343,18 +223,18 @@ fn build_candidate_matrix(
     quantizer: &Quantizer,
     level_r: &[f64],
     p: &SweepParams<'_>,
-    out: &mut [f32],
-) {
-    let w = p.trained[p.layer].as_slice();
-    let cols = p.trained[p.layer].dims()[1];
+) -> Vec<f32> {
+    let weights = p.weights();
+    let cols = weights.dims()[1];
     let n_windows = p.blocks.windows().len();
     let levels = level_r.len();
     // Flat (window, level) table; NAN sentinel marks unfilled entries — a
     // real entry is never NAN (finite mapping over a positive resistance).
     let mut table = vec![f32::NAN; n_windows * levels];
-    for (i, slot) in out.iter_mut().enumerate() {
+    let mut out = Vec::with_capacity(weights.len());
+    for (i, &w) in weights.as_slice().iter().enumerate() {
         let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w[i] as f64);
+        let g = mapping.weight_to_conductance(w as f64);
         // Fresh-grid quantization in the resistance domain.
         let k = quantizer.nearest_level(Ohms::new(1.0 / g).expect("g > 0"));
         let wi = p.blocks.window_index(row, col) as usize;
@@ -366,17 +246,18 @@ fn build_candidate_matrix(
             let r = p.blocks.windows()[wi].clamp(level_r[k]);
             *entry = mapping.conductance_to_weight(1.0 / r) as f32;
         }
-        *slot = *entry;
+        out.push(*entry);
     }
+    out
 }
 
-/// Runs the accuracy pass of one simulated weight matrix on a worker
-/// context, replaying cached prefix activations through the suffix layers.
+/// Runs the accuracy pass of one simulated weight matrix on `net`,
+/// replaying cached prefix activations through the suffix layers.
 /// With `prune` set, the pass aborts once the remaining samples provably
 /// cannot clear the candidate's certified adoption bound; the truncated
 /// accuracy (unprocessed samples counted wrong) is reported instead.
 fn evaluate_matrix(
-    ctx: &mut EvalContext,
+    net: &mut Network,
     matrix: &[f32],
     prefix: &[PrefixBatch],
     p: &SweepParams<'_>,
@@ -385,8 +266,7 @@ fn evaluate_matrix(
     worker: usize,
 ) -> Result<f64, CrossbarError> {
     let _span = recorder.worker_span(names::MAP_CANDIDATE, worker);
-    ctx.net.set_weight_matrix(p.layer, matrix)?;
-    ctx.dirty = Some(p.layer);
+    net.set_weight_matrix(p.layer, matrix)?;
     let n_total: usize = prefix.iter().map(|b| b.labels.len()).sum();
     if n_total == 0 {
         return Ok(0.0);
@@ -399,7 +279,7 @@ fn evaluate_matrix(
         }
         let logits = {
             let _replay = recorder.worker_span(names::MAP_REPLAY, worker);
-            ctx.net.forward_from(p.net_layer, act, Mode::Eval)?
+            net.forward_from(p.net_layer, act, Mode::Eval)?
         };
         let acc = memaging_nn::loss::accuracy(&logits, labels)?;
         correct += acc * labels.len() as f64;

@@ -19,8 +19,9 @@
 //! * [`trace_estimates`] / [`traced_positions`]: the 1-of-9 block-center
 //!   representative tracing of §IV-B;
 //! * the iterative common-range selection of Fig. 8, which
-//!   [`CrossbarNetwork::map_weights`] runs on an incremental engine; a
-//!   naive sweep kept in the crate's tests checks it bit for bit;
+//!   [`CrossbarNetwork::map_weights`] runs on an incremental engine that
+//!   clones the software network per sweep and keeps no state between
+//!   calls; a naive sweep kept in the crate's tests checks it bit for bit;
 //! * [`CrossbarNetwork`]: a whole neural network on crossbars, with
 //!   [`MappingStrategy::Fresh`] (traditional) and
 //!   [`MappingStrategy::AgingAware`] (proposed) mapping;

@@ -7,7 +7,7 @@ use memaging_tensor::Tensor;
 
 use crate::crossbar::{Crossbar, ProgramStats};
 use crate::error::CrossbarError;
-use crate::incremental::{EvalEngine, SweepParams};
+use crate::incremental::{sweep, SweepParams};
 use crate::mapping::WeightMapping;
 use crate::tracer::{trace_estimates, BlockMap, TracedEstimate};
 use crate::wear_level::RowAssignment;
@@ -36,9 +36,6 @@ pub struct MapReport {
     /// Per mappable layer: trained weights outside the derived weight range
     /// (clamped by eq. 4 during programming — percentile outliers).
     pub out_of_range_weights: Vec<usize>,
-    /// Calibration accuracy after mapping (before tuning), if calibration
-    /// data was supplied.
-    pub post_map_accuracy: Option<f64>,
 }
 
 /// A network whose mappable weight matrices live on memristor crossbars.
@@ -66,9 +63,6 @@ pub struct CrossbarNetwork {
     model: DeviceModel,
     outlier_percentile: f64,
     wear_leveling: bool,
-    /// Persistent incremental candidate-evaluation engine (per-worker
-    /// network contexts, prefix caches, quantization memos).
-    engine: EvalEngine,
 }
 
 impl std::fmt::Debug for CrossbarNetwork {
@@ -111,7 +105,6 @@ impl CrossbarNetwork {
             model,
             outlier_percentile: 0.005,
             wear_leveling: false,
-            engine: EvalEngine::new(),
         })
     }
 
@@ -178,8 +171,9 @@ impl CrossbarNetwork {
     /// wrapped in a `map` span, and per layer the
     /// `mapping.out_of_range_weights` counter plus the
     /// `mapping.window_r_max_ohms{layer}` gauges are recorded; afterwards
-    /// `mapping.candidates_tried` and `mapping.post_map_accuracy` summarize
-    /// the run. With a disabled recorder this is identical to
+    /// the `mapping.candidates_tried`, `mapping.pulses` and
+    /// `mapping.cells_{programmed,skipped}` counters summarize the run.
+    /// With a disabled recorder this is identical to
     /// [`CrossbarNetwork::map_weights`].
     ///
     /// # Errors
@@ -209,9 +203,6 @@ impl CrossbarNetwork {
             recorder.counter("mapping.pulses", report.stats.pulses);
             recorder.counter("mapping.cells_programmed", report.stats.programmed as u64);
             recorder.counter("mapping.cells_skipped", report.stats.skipped() as u64);
-            if let Some(accuracy) = report.post_map_accuracy {
-                recorder.gauge("mapping.post_map_accuracy", accuracy);
-            }
         }
         Ok(report)
     }
@@ -225,9 +216,10 @@ impl CrossbarNetwork {
         recorder: &memaging_obs::Recorder,
         program: fn(&mut Crossbar, &Tensor) -> Result<ProgramStats, CrossbarError>,
     ) -> Result<MapReport, CrossbarError> {
-        // Disjoint field borrows: `trained` borrows the software weights
-        // for the whole loop (no per-map clone of every matrix), while the
-        // engine, arrays and bookkeeping vectors are mutated alongside.
+        // Disjoint field borrows: the sweep reads the software network (its
+        // weights are the trained ones for the whole loop, so no per-map
+        // clone of every matrix), while the arrays and bookkeeping vectors
+        // are mutated alongside.
         let CrossbarNetwork {
             software,
             arrays,
@@ -237,7 +229,6 @@ impl CrossbarNetwork {
             model,
             outlier_percentile,
             wear_leveling,
-            engine,
             ..
         } = &mut *self;
         let software: &Network = software;
@@ -245,17 +236,12 @@ impl CrossbarNetwork {
         let spec = model.spec();
         let percentile = *outlier_percentile;
         let wear_leveling = *wear_leveling;
-        // New mapping epoch: worker contexts lazily re-sync the (possibly
-        // retrained) software weights at their first lease.
-        engine.begin_epoch();
-        let trained: Vec<&Tensor> = (0..arrays.len())
-            .map(|i| software.weight_matrix(i).expect("one array per mappable layer"))
-            .collect();
         let mut stats = ProgramStats::default();
         let mut windows = Vec::with_capacity(arrays.len());
         let mut candidates_tried = 0usize;
         let mut out_of_range_weights = Vec::with_capacity(arrays.len());
-        for (idx, &w) in trained.iter().enumerate() {
+        for idx in 0..arrays.len() {
+            let w = software.weight_matrix(idx).expect("one array per mappable layer");
             let window = match strategy {
                 MappingStrategy::Fresh => AgedWindow { r_min: spec.r_min, r_max: spec.r_max },
                 MappingStrategy::AgingAware => {
@@ -264,7 +250,7 @@ impl CrossbarNetwork {
                     })?;
                     let (candidates, blocks) = traced_candidates(&arrays[idx]);
                     let params = SweepParams {
-                        trained: &trained,
+                        software,
                         layer: idx,
                         net_layer: software
                             .mappable_layer_index(idx)
@@ -275,24 +261,17 @@ impl CrossbarNetwork {
                         batch,
                         percentile,
                     };
-                    match engine.sweep(software, &candidates, spec.r_min, &params, recorder) {
-                        Ok(sel) => {
+                    // Hysteresis: a re-selected window moves *every*
+                    // conductance target, so re-mapping against a new
+                    // window costs a pulse burst across the whole array.
+                    // Keep the previous window unless the new one is
+                    // meaningfully more accurate.
+                    let previous = last_windows[idx].filter(|prev| prev.r_max > spec.r_min);
+                    match sweep(&candidates, spec.r_min, previous, &params, recorder) {
+                        Ok((sel, prev_acc)) => {
                             candidates_tried += sel.candidates_tried;
-                            // Hysteresis: a re-selected window moves *every*
-                            // conductance target, so re-mapping against a
-                            // new window costs a pulse burst across the
-                            // whole array. Keep the previous window unless
-                            // the new one is meaningfully more accurate.
-                            match last_windows[idx] {
-                                Some(prev) if prev.r_max > spec.r_min => {
-                                    let prev_acc = engine
-                                        .evaluate_window(software, prev, &params, recorder)?;
-                                    if prev_acc + 0.01 >= sel.accuracy {
-                                        prev
-                                    } else {
-                                        sel.window
-                                    }
-                                }
+                            match (previous, prev_acc) {
+                                (Some(prev), Some(acc)) if acc + 0.01 >= sel.accuracy => prev,
                                 _ => sel.window,
                             }
                         }
@@ -328,15 +307,7 @@ impl CrossbarNetwork {
         }
         // Leave the software model consistent with what the hardware now holds.
         self.sync_software_from_hardware()?;
-        // Evaluate on the just-synced software state directly:
-        // `CrossbarNetwork::evaluate` would redundantly re-read every
-        // device's conductance (a full aged-window evaluation per cell)
-        // when nothing has touched the hardware since the sync above.
-        let post_map_accuracy = match calibration {
-            Some((data, batch)) => Some(memaging_nn::evaluate(&mut self.software, data, batch)?),
-            None => None,
-        };
-        Ok(MapReport { stats, windows, candidates_tried, out_of_range_weights, post_map_accuracy })
+        Ok(MapReport { stats, windows, candidates_tried, out_of_range_weights })
     }
 
     /// Reads the effective weight matrices back from the arrays (inverse of
@@ -403,12 +374,6 @@ impl CrossbarNetwork {
     /// translates logical weight rows to physical device rows.
     pub(crate) fn pulse_lanes_mut(&mut self) -> Vec<(&mut Crossbar, &RowAssignment)> {
         self.arrays.iter_mut().zip(self.row_assignments.iter()).collect()
-    }
-
-    /// Applies one session of read-disturb drift to every array; returns the
-    /// total number of drifted devices.
-    pub fn apply_drift<R: rand::Rng + ?Sized>(&mut self, probability: f64, rng: &mut R) -> usize {
-        self.arrays.iter_mut().map(|a| a.apply_drift(probability, rng)).sum()
     }
 
     /// Applies one session of multiplicative conductance drift to every
@@ -543,14 +508,13 @@ mod tests {
     /// quantization level → clamp into the device's *estimated* aged window
     /// (its 3×3 block center's estimate) → inverse map → evaluate.
     fn simulate_layer_window_accuracy(
-        software: &Network,
         p: &SweepParams<'_>,
         cand: AgedWindow,
     ) -> Result<f64, CrossbarError> {
-        let w = p.trained[p.layer];
+        let w = p.software.weight_matrix(p.layer).expect("swept layer is mappable");
         let mapping = WeightMapping::from_weights_percentile(w.as_slice(), cand, p.percentile)?;
         let quantizer = p.model.quantizer();
-        let mut scratch: Vec<Tensor> = p.trained.iter().map(|&t| t.clone()).collect();
+        let mut scratch = p.software.weight_matrices();
         let cols = w.dims()[1];
         for (i, slot) in scratch[p.layer].as_mut_slice().iter_mut().enumerate() {
             let (row, col) = (i / cols, i % cols);
@@ -561,34 +525,30 @@ mod tests {
             let r = p.blocks.at(row, col).clamp(r);
             *slot = mapping.conductance_to_weight(1.0 / r) as f32;
         }
-        let mut net = software.clone();
+        let mut net = p.software.clone();
         net.set_weight_matrices(&scratch)?;
         Ok(memaging_nn::evaluate(&mut net, p.data, p.batch)?)
     }
 
-    /// Checks the two engine calls `map_weights` makes per layer against the
-    /// naive oracle, on `cn`'s current hardware — exactly the inputs the
-    /// next `map_weights` sees: the candidate sweep must return the
+    /// Checks the sweep `map_weights` runs per layer against the naive
+    /// oracle, on `cn`'s current hardware and software weights — exactly
+    /// the inputs the next `map_weights` sees: the selection must be the
     /// `RangeSelection` of [`select_range`] over the oracle, and the
     /// hysteresis re-check of the previous window must equal the oracle's
     /// accuracy bit for bit. Returns the oracle's total `candidates_tried`.
     fn assert_engine_matches_oracle(
-        cn: &mut CrossbarNetwork,
+        cn: &CrossbarNetwork,
         data: &Dataset,
         batch: usize,
     ) -> Result<usize, TestCaseError> {
         let model = cn.model;
         let spec = model.spec();
-        let trained: Vec<&Tensor> = (0..cn.arrays.len())
-            .map(|i| cn.software.weight_matrix(i).expect("one array per mappable layer"))
-            .collect();
-        cn.engine.begin_epoch();
         let disabled = memaging_obs::Recorder::disabled();
         let mut tried = 0;
         for idx in 0..cn.arrays.len() {
             let (candidates, blocks) = traced_candidates(&cn.arrays[idx]);
             let params = SweepParams {
-                trained: &trained,
+                software: &cn.software,
                 layer: idx,
                 net_layer: cn.software.mappable_layer_index(idx).expect("mappable"),
                 blocks: &blocks,
@@ -597,19 +557,23 @@ mod tests {
                 batch,
                 percentile: cn.outlier_percentile,
             };
-            let swept = cn.engine.sweep(&cn.software, &candidates, spec.r_min, &params, &disabled);
+            let previous = cn.last_windows[idx].filter(|w| w.r_max > spec.r_min);
+            let swept = sweep(&candidates, spec.r_min, previous, &params, &disabled);
             let naive = select_range(&candidates, spec.r_min, &mut |w| {
-                simulate_layer_window_accuracy(&cn.software, &params, w)
+                simulate_layer_window_accuracy(&params, w)
             });
-            prop_assert_eq!(&swept, &naive, "layer {} sweep diverged from the oracle", idx);
+            prop_assert_eq!(
+                swept.as_ref().map(|(sel, _)| sel),
+                naive.as_ref(),
+                "layer {} sweep diverged from the oracle",
+                idx
+            );
             tried += naive.map_or(0, |sel| sel.candidates_tried);
-            if let Some(prev) = cn.last_windows[idx].filter(|w| w.r_max > spec.r_min) {
-                let rechecked =
-                    cn.engine.evaluate_window(&cn.software, prev, &params, &disabled).unwrap();
-                let naive = simulate_layer_window_accuracy(&cn.software, &params, prev).unwrap();
+            if let (Some(prev), Ok((_, rechecked))) = (previous, &swept) {
+                let naive = simulate_layer_window_accuracy(&params, prev).unwrap();
                 prop_assert_eq!(
-                    rechecked.to_bits(),
-                    naive.to_bits(),
+                    rechecked.map(f64::to_bits),
+                    Some(naive.to_bits()),
                     "layer {} hysteresis re-check diverged from the oracle",
                     idx
                 );
@@ -647,10 +611,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// Across training seeds and irregular aging patterns, two mapping
-        /// epochs (the second exercises the hysteresis re-check) at 1, 2
-        /// and 8 threads: the incremental engine must reproduce the naive
-        /// oracle exactly. The only test in this crate that sets the
+        /// Across training seeds and irregular aging patterns, three mapping
+        /// epochs at 1, 2 and 8 threads: the incremental sweep must
+        /// reproduce the naive oracle exactly. The second and third epochs
+        /// exercise the hysteresis re-check; the third maps the weights
+        /// read back from the second mapping, not the trained ones, as a
+        /// live serve remap does. The only test in this crate that sets the
         /// thread count — every other result is thread-count independent.
         #[test]
         fn incremental_engine_matches_naive_oracle_at_every_thread_count(
@@ -667,18 +633,21 @@ mod tests {
                 let mut cn = CrossbarNetwork::new(net.clone(), DeviceSpec::default(), fast_aging())
                     .unwrap();
                 apply_aging(&mut cn, cycles);
-                for epoch in 0..2 {
-                    // The second epoch re-checks every layer's previous window.
-                    prop_assert_eq!(cn.last_windows.iter().all(Option::is_some), epoch == 1);
-                    let tried = assert_engine_matches_oracle(&mut cn, &data, 16)?;
+                for epoch in 0..3 {
+                    // Later epochs re-check every layer's previous window.
+                    prop_assert_eq!(cn.last_windows.iter().all(Option::is_some), epoch > 0);
+                    let tried = assert_engine_matches_oracle(&cn, &data, 16)?;
                     prop_assert!(tried > 0, "aging-aware sweep must evaluate candidates");
                     let report =
                         cn.map_weights(MappingStrategy::AgingAware, Some((&data, 16))).unwrap();
                     prop_assert_eq!(report.candidates_tried, tried, "epoch {}", epoch);
-                    // Restore the trained weights (mapping synced the
-                    // quantized hardware view back into software), age a
+                    // Mapping synced the quantized hardware view back into
+                    // software. Restore the trained weights once, so only
+                    // the third epoch re-maps the read-back weights; age a
                     // little more, re-map.
-                    cn.software_mut().set_weight_matrices(&net.weight_matrices()).unwrap();
+                    if epoch == 0 {
+                        cn.software_mut().set_weight_matrices(&net.weight_matrices()).unwrap();
+                    }
                     apply_aging(&mut cn, 3);
                 }
             }
@@ -713,8 +682,8 @@ mod tests {
         let sw_acc = memaging_nn::evaluate(&mut net, &data, 64).unwrap();
         let mut cn =
             CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        let report = cn.map_weights(MappingStrategy::Fresh, Some((&data, 64))).unwrap();
-        let hw_acc = report.post_map_accuracy.unwrap();
+        let report = cn.map_weights(MappingStrategy::Fresh, None).unwrap();
+        let hw_acc = cn.evaluate(&data, 64).unwrap();
         assert!(report.stats.pulses > 0);
         assert!(
             hw_acc > sw_acc - 0.15,
@@ -808,7 +777,7 @@ mod tests {
             report.windows[0]
         );
         // Mapping into the reduced window keeps decent accuracy.
-        assert!(report.post_map_accuracy.unwrap() > 0.5);
+        assert!(cn.evaluate(&data, 64).unwrap() > 0.5);
     }
 
     #[test]
@@ -834,7 +803,8 @@ mod tests {
             let counts = |s: ProgramStats| (s.pulses, s.clipped, s.dead);
             assert_eq!(counts(rd.stats), counts(rf.stats), "epoch {epoch}");
             assert_eq!(rd.stats.programmed + rd.stats.skipped(), rf.stats.programmed);
-            assert_eq!(rd.post_map_accuracy, rf.post_map_accuracy, "epoch {epoch}");
+            let acc = |cn: &mut CrossbarNetwork| cn.evaluate(&data, 64).unwrap().to_bits();
+            assert_eq!(acc(&mut delta), acc(&mut full), "epoch {epoch}");
             if epoch > 0 {
                 // Steady state: targets repeat, so the delta path skips the
                 // vast majority of cells.

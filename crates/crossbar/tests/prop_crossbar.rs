@@ -73,7 +73,6 @@ proptest! {
         use rand::SeedableRng;
         let mut xbar = Crossbar::new(rows, cols, DeviceModel::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        xbar.apply_drift(0.7, &mut rng);
         xbar.apply_conductance_drift(0.7, 0.1, &mut rng);
         prop_assert_eq!(xbar.total_pulses(), 0);
         prop_assert_eq!(xbar.total_stress(), 0.0);

@@ -297,24 +297,13 @@ impl Memristor {
         }
     }
 
-    /// Drifts the position one level in `direction` **without** a
-    /// programming pulse: models read-disturb relaxation (paper §I, the
-    /// recoverable effect of ref. 8). No stress accrues and no pulse is
-    /// counted — the whole point of drift is that reprogramming undoes it
-    /// for free, while the reprogramming itself is what ages the device.
-    pub fn drift_level(&mut self, model: &DeviceModel, direction: i8) {
-        let max = (model.spec.levels - 1) as f64;
-        self.position = match direction.signum() {
-            1 => (self.position + 1.0).min(max),
-            -1 => (self.position - 1.0).max(0.0),
-            _ => self.position,
-        };
-    }
-
     /// Drifts the conductance multiplicatively by `1 + relative_delta`
-    /// (read-disturb relaxation scales with the current through the
-    /// filament, so it is proportional in the conductance domain). Like
-    /// [`Memristor::drift_level`], this is stress-free and recoverable.
+    /// **without** a programming pulse: models read-disturb relaxation
+    /// (paper §I, the recoverable effect of ref. 8), which scales with the
+    /// current through the filament, so it is proportional in the
+    /// conductance domain. No stress accrues and no pulse is counted — the
+    /// whole point of drift is that reprogramming undoes it for free, while
+    /// the reprogramming itself is what ages the device.
     ///
     /// Non-finite deltas are ignored; the result is clamped to the fresh
     /// grid.
@@ -590,40 +579,14 @@ mod tests {
     }
 
     #[test]
-    fn drift_moves_level_without_stress() {
-        let (d, mut m) = fresh();
-        let lvl = m.level(&d);
-        m.drift_level(&d, 1);
-        assert_eq!(m.level(&d), lvl + 1);
-        assert_eq!(m.stress(), 0.0);
-        assert_eq!(m.pulse_count(), 0);
-        m.drift_level(&d, -1);
-        m.drift_level(&d, -1);
-        assert_eq!(m.level(&d), lvl - 1);
-        m.drift_level(&d, 0);
-        assert_eq!(m.level(&d), lvl - 1);
-    }
-
-    #[test]
-    fn drift_respects_grid_bounds() {
-        let (d, mut m) = fresh();
-        m.program_to_level(&d, 31).unwrap();
-        m.drift_level(&d, 1);
-        assert_eq!(m.level(&d), 31);
-        m.program_to_level(&d, 0).unwrap();
-        m.drift_level(&d, -1);
-        assert_eq!(m.level(&d), 0);
-    }
-
-    #[test]
     fn grid_position_reads_raw_unclamped_state() {
         let (d, mut m) = fresh();
         assert_eq!(m.grid_position(), 16.0);
         m.program_to_level(&d, 20).unwrap();
         assert!((m.grid_position() - 20.0).abs() < 1e-9);
         // Drift moves the raw position without stress; grid_position sees it.
-        m.drift_level(&d, 1);
-        assert!((m.grid_position() - 21.0).abs() < 1e-9);
+        m.drift_conductance(&d, -0.01);
+        assert!(m.grid_position() > 20.0 && m.grid_position() < 21.0);
         // Heavy aging pins reads at the window bound while the raw position
         // stays put.
         m.program_to_level(&d, 31).unwrap();

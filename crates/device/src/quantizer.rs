@@ -102,12 +102,6 @@ impl Quantizer {
         (0..self.levels).map(|i| self.level_resistance(i)).collect()
     }
 
-    /// All level conductances, descending (level 0 has the highest
-    /// conductance).
-    pub fn level_conductances(&self) -> Vec<Siemens> {
-        (0..self.levels).map(|i| self.level_conductance(i)).collect()
-    }
-
     /// The nearest level index for a target resistance (clamped into range).
     pub fn nearest_level(&self, target: Ohms) -> usize {
         let t = target.value().clamp(self.r_min, self.r_max);
@@ -118,13 +112,6 @@ impl Quantizer {
     /// Quantizes a target resistance to its nearest level value.
     pub fn quantize(&self, target: Ohms) -> Ohms {
         self.level_resistance(self.nearest_level(target))
-    }
-
-    /// Quantizes a target conductance through the resistance domain — the
-    /// exact pipeline of Fig. 3: conductance → resistance → nearest uniform
-    /// resistance level → conductance.
-    pub fn quantize_conductance(&self, target: Siemens) -> Siemens {
-        self.quantize(target.to_ohms()).to_siemens()
     }
 
     /// Number of this quantizer's levels whose resistance lies within
@@ -198,7 +185,7 @@ mod tests {
         // Inverse relation: gaps between conductance levels shrink toward
         // the small-conductance (large-resistance) end — Fig. 3c.
         let q = q8();
-        let gs = q.level_conductances();
+        let gs: Vec<Siemens> = (0..q.levels()).map(|i| q.level_conductance(i)).collect();
         let first_gap = gs[0].value() - gs[1].value(); // near g_max
         let last_gap = gs[6].value() - gs[7].value(); // near g_min
         assert!(
@@ -228,15 +215,6 @@ mod tests {
             let out = q.quantize(Ohms::new(r).unwrap());
             assert!((out.value() - r).abs() <= half + 1e-9, "error too large at {r}");
         }
-    }
-
-    #[test]
-    fn quantize_conductance_round_trips_through_resistance() {
-        let q = q8();
-        let g = Siemens::new(1.0 / 3.3e4).unwrap();
-        let gq = q.quantize_conductance(g);
-        let rq = q.quantize(Ohms::new(3.3e4).unwrap());
-        assert!((gq.value() - rq.to_siemens().value()).abs() < 1e-15);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl Layer for Activation {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let out = self
             .cached_output
-            .as_ref()
+            .take()
             .ok_or(NnError::BackwardBeforeForward { layer: self.name() })?;
         let f = self.func;
         let deriv = out.map(|y| f.derivative_from_output(y));

@@ -177,7 +177,7 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let rows =
-            self.cached_rows.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
+            self.cached_rows.take().ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
         let g = self.geometry;
         let npatch = g.num_patches();
         let patch = g.patch_len();

@@ -133,9 +133,9 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input =
-            self.cached_input.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
+            self.cached_input.take().ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
         // dW += x^T · dy ; db += column sums of dy ; dx = dy · W^T
-        let dw = ops::matmul_transpose_a(input, grad_out)?;
+        let dw = ops::matmul_transpose_a(&input, grad_out)?;
         self.grad_weights.axpy(1.0, &dw)?;
         let db = ops::sum_rows(grad_out)?;
         self.grad_bias.axpy(1.0, &db)?;

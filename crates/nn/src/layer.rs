@@ -101,8 +101,8 @@ pub trait Layer: Send + Sync {
     }
 
     /// Clones this layer behind a fresh box, preserving its parameters
-    /// (networks are cloned into parallel evaluation workers, so cached
-    /// activations need not survive the copy).
+    /// (networks are cloned into parallel evaluation workers; after a
+    /// finished backward there is no cached activation left to copy).
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 

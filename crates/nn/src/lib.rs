@@ -13,7 +13,10 @@
 //!
 //! * [`Layer`] implementations: [`Dense`], [`Conv2d`], [`Pool2d`],
 //!   [`Activation`] — all operating on flattened `[batch, features]`
-//!   matrices, whose weight matrices are the objects a crossbar stores;
+//!   matrices, whose weight matrices are the objects a crossbar stores.
+//!   `backward` consumes what the training forward cached, so a network
+//!   after a finished train step holds no batch activations and is cheap
+//!   to clone;
 //! * [`Network`]: a validated sequential container with forward/backward and
 //!   weight export/import for hardware mapping;
 //! * [`loss`]: softmax cross-entropy (eq. 1) and accuracy;

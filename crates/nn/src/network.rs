@@ -426,6 +426,28 @@ mod tests {
     }
 
     #[test]
+    fn train_step_leaves_no_forward_caches() {
+        // `backward` consumes what the training forward cached, so a trained
+        // network holds no batch activations and clones stay cheap. A clone
+        // copies any cache left behind, so each layer's clone must refuse a
+        // backward without a new forward.
+        let mut net = crate::models::lenet5_scaled(1, 3, &mut StdRng::seed_from_u64(4)).unwrap();
+        let x = Tensor::from_fn([2, net.in_features()], |i| (i as f32 * 0.37).sin());
+        net.train_step(&x, &[0, 2]).unwrap();
+        for layer in net.layers() {
+            let mut layer = layer.clone_box();
+            let grad = Tensor::ones([2, layer.out_features()]);
+            assert!(
+                matches!(layer.backward(&grad), Err(NnError::BackwardBeforeForward { .. })),
+                "{} kept its forward cache",
+                layer.name()
+            );
+        }
+        let grad = Tensor::ones([2, net.out_features()]);
+        assert!(matches!(net.backward(&grad), Err(NnError::BackwardBeforeForward { .. })));
+    }
+
+    #[test]
     fn visit_params_reports_mappable_layer_indices() {
         let mut net = mlp(3);
         let mut indices = Vec::new();

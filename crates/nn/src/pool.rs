@@ -173,10 +173,11 @@ impl Layer for Pool2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        if self.cached_batch == 0 {
+        let batch = std::mem::take(&mut self.cached_batch);
+        let argmax = self.cached_argmax.take();
+        if batch == 0 {
             return Err(NnError::BackwardBeforeForward { layer: self.name() });
         }
-        let batch = self.cached_batch;
         let in_feat = self.in_features();
         let (oh, ow) = self.output_hw();
         let out_feat = self.channels * oh * ow;
@@ -191,10 +192,7 @@ impl Layer for Pool2d {
         let g = grad_out.as_slice();
         match self.kind {
             PoolKind::Max => {
-                let argmax = self
-                    .cached_argmax
-                    .as_ref()
-                    .ok_or(NnError::BackwardBeforeForward { layer: self.name() })?;
+                let argmax = argmax.ok_or(NnError::BackwardBeforeForward { layer: self.name() })?;
                 for (oidx, &src_idx) in argmax.iter().enumerate() {
                     grad_in[src_idx] += g[oidx];
                 }

@@ -243,16 +243,6 @@ impl<S> SlotPool<S> {
         SlotPool { slots: Vec::new() }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when the pool has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Grows the pool to at least `n` slots (never shrinks — a shrink would
     /// discard live worker states).
     pub fn ensure_slots(&mut self, n: usize) {
@@ -268,17 +258,10 @@ impl<S> SlotPool<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= self.len()` — call [`SlotPool::ensure_slots`]
-    /// before fanning out.
+    /// Panics if the pool has no slot `worker` — call
+    /// [`SlotPool::ensure_slots`] before fanning out.
     pub fn lease(&self, worker: usize) -> SlotLease<'_, S> {
         self.slots[worker].lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Drops every stored state, keeping the slots.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        }
     }
 }
 
@@ -403,20 +386,17 @@ mod tests {
             );
             assert_eq!(out, (0..12).collect::<Vec<_>>(), "round {round}");
         }
-        let total: usize = (0..pool.len()).map(|w| pool.lease(w).unwrap_or(0)).sum();
+        let total: usize = (0..3).map(|w| pool.lease(w).unwrap_or(0)).sum();
         assert_eq!(total, 36, "every item increments exactly one persistent slot");
-        pool.clear();
-        assert!((0..pool.len()).all(|w| pool.lease(w).is_none()));
         set_threads(0);
     }
 
     #[test]
     fn slot_pool_never_shrinks() {
         let mut pool: SlotPool<u8> = SlotPool::new();
-        assert!(pool.is_empty());
         pool.ensure_slots(4);
         pool.ensure_slots(2);
-        assert_eq!(pool.len(), 4);
+        // Slot 3 survives the smaller request.
         *pool.lease(3) = Some(9);
         assert_eq!(*pool.lease(3), Some(9));
     }

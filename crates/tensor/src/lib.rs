@@ -17,9 +17,7 @@
 //! * [`init`]: seeded random initialization (Box–Muller gaussian, Xavier,
 //!   He);
 //! * [`stats`]: distribution summaries and histograms used to reproduce the
-//!   paper's weight/resistance/conductance figures;
-//! * [`scratch`]: reusable per-worker buffer arenas keeping allocation off
-//!   hot evaluation loops.
+//!   paper's weight/resistance/conductance figures.
 //!
 //! # Example
 //!
@@ -48,7 +46,6 @@ mod tensor;
 pub mod conv;
 pub mod init;
 pub mod ops;
-pub mod scratch;
 pub mod stats;
 
 pub use error::TensorError;

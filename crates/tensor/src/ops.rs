@@ -169,8 +169,8 @@ fn narrow_panel<const NP: usize>(
 /// and per-element accumulation order never changes.
 ///
 /// Dense by design — zero entries in `A` are multiplied, not skipped, so
-/// the inner loop is branch-free. Use [`matmul_sparse_a`] when `A` is known
-/// to be mostly zeros.
+/// the inner loop is branch-free (trained weights are essentially never
+/// exact zeros).
 ///
 /// # Errors
 ///
@@ -210,41 +210,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         let i0 = band * I_BLOCK;
         let rows = chunk.len() / n;
         matmul_band(&av[i0 * k..(i0 + rows) * k], bv, chunk, k, n);
-    });
-    Tensor::from_vec(out, [m, n])
-}
-
-/// [`matmul`] for a left operand that is mostly zeros: rows of `B` whose
-/// matching `A` entry is exactly `0.0` are skipped instead of multiplied.
-///
-/// This is the explicit home of the sparsity fast path that used to hide
-/// inside the dense kernel (where the branch cost every dense caller ~15%
-/// and never paid off — trained weights are essentially never exact zeros).
-/// For finite inputs the result equals [`matmul`] bitwise, since skipping
-/// `0.0 · x` only elides additions of `±0.0`.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul`].
-pub fn matmul_sparse_a(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k) = (a.dims().first().copied().unwrap_or(0), a.dims().get(1).copied().unwrap_or(0));
-    let (k2, n) = (b.dims().first().copied().unwrap_or(0), b.dims().get(1).copied().unwrap_or(0));
-    check_matmul(a, b, (m, k), (k2, n), "matmul_sparse_a")?;
-    let mut out = vec![0.0f32; m * n];
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let threads = parallelism_for(2 * m * k * n);
-    par_chunks_mut(&mut out, n, threads, |i, orow| {
-        let arow = &av[i * k..(i + 1) * k];
-        for (p, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[p * n..(p + 1) * n];
-            for (o, &bpj) in orow.iter_mut().zip(brow.iter()) {
-                *o += aik * bpj;
-            }
-        }
     });
     Tensor::from_vec(out, [m, n])
 }
@@ -481,21 +446,6 @@ mod tests {
         assert!(matches!(matmul(&a, &b), Err(TensorError::MatmulDimMismatch { .. })));
         let v = Tensor::zeros([3]);
         assert!(matches!(matmul(&v, &b), Err(TensorError::RankMismatch { .. })));
-    }
-
-    #[test]
-    fn matmul_sparse_a_matches_dense_kernel() {
-        // 70% zeros in A: the skip branch must not change the result.
-        let a = Tensor::from_fn([7, 9], |i| if i % 10 < 7 { 0.0 } else { (i as f32 * 0.3).sin() });
-        let b = Tensor::from_fn([9, 5], |i| (i as f32 * 0.7).cos());
-        assert_eq!(matmul_sparse_a(&a, &b).unwrap(), matmul(&a, &b).unwrap());
-    }
-
-    #[test]
-    fn matmul_sparse_a_rejects_bad_dims() {
-        let a = t(vec![0.0; 6], [2, 3]);
-        let b = t(vec![0.0; 6], [2, 3]);
-        assert!(matches!(matmul_sparse_a(&a, &b), Err(TensorError::MatmulDimMismatch { .. })));
     }
 
     #[test]

@@ -33,12 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Hardware mapping onto fresh crossbars (paper §II-B, eq. 4).
     let mut hardware =
         CrossbarNetwork::new(network, DeviceSpec::default(), ArrheniusAging::default())?;
-    let map = hardware.map_weights(MappingStrategy::Fresh, Some((&data, 64)))?;
+    let map = hardware.map_weights(MappingStrategy::Fresh, None)?;
     println!(
         "mapping: {} pulses, {} clipped devices, post-map accuracy {:.1}%",
         map.stats.pulses,
         map.stats.clipped,
-        100.0 * map.post_map_accuracy.unwrap_or(0.0)
+        100.0 * hardware.evaluate(&data, 64)?
     );
 
     // 4. Online tuning (paper §II-C, eq. 5).

@@ -21,8 +21,8 @@ fn mapped_network(seed: u64) -> (CrossbarNetwork, Dataset, f64) {
     .unwrap();
     let mut hw =
         CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-    let report = hw.map_weights(MappingStrategy::Fresh, Some((&data, 64))).unwrap();
-    let base = report.post_map_accuracy.unwrap();
+    hw.map_weights(MappingStrategy::Fresh, None).unwrap();
+    let base = hw.evaluate(&data, 64).unwrap();
     (hw, data, base)
 }
 
