@@ -100,8 +100,13 @@ impl TileWear {
 /// `I_j = Σᵢ Vᵢ·gᵢⱼ`. The array holds one [`DeviceModel`] and one
 /// [`Memristor`] state per device; every device ages with its own
 /// programming pulses under the shared law. The network reads the
-/// programmed conductances back ([`Crossbar::conductances`]) and computes
-/// that sum in software.
+/// programmed conductances back and computes that sum in software.
+///
+/// Every read of the array's state — the conductances
+/// ([`Crossbar::conductances`]), the wear summary
+/// ([`Crossbar::wear_snapshot`]) or both at once for the network's
+/// read-back — is one pass over the devices that evaluates each aged
+/// window once.
 ///
 /// # Examples
 ///
@@ -337,9 +342,10 @@ impl Crossbar {
     /// Reads the present conductance of every device as a `[rows, cols]`
     /// tensor.
     pub fn conductances(&self) -> Tensor {
-        Tensor::from_fn([self.rows, self.cols], |i| {
-            self.devices[i].conductance(&self.model).value() as f32
-        })
+        let cols = self.cols;
+        let mut out = vec![0.0f32; self.rows * cols];
+        self.fold_devices(|row, col, g| out[row * cols + col] = g);
+        Tensor::from_vec(out, [self.rows, cols]).expect("one value per device")
     }
 
     /// Applies one session of multiplicative conductance drift: each device
@@ -406,21 +412,33 @@ impl Crossbar {
     /// behind the monitor's `/wear` heatmap and the lifetime health
     /// forecaster.
     pub fn wear_snapshot(&self) -> TileWear {
-        let spec = self.model.spec();
+        self.fold_devices(|_, _, _| {})
+    }
+
+    /// One pass over the devices in storage order: each device's aged
+    /// window is evaluated once, and from it the pass folds the
+    /// [`TileWear`] summary and hands the device's conductance (as `f32`,
+    /// the read-back precision) to `read(row, col, g)`. Every sum runs in
+    /// device order, so each field equals its own per-field pass bit for
+    /// bit.
+    pub(crate) fn fold_devices(&self, mut read: impl FnMut(usize, usize, f32)) -> TileWear {
+        let model = &self.model;
+        let spec = model.spec();
         let fresh_width = (spec.r_max - spec.r_min).max(1e-12);
         let n = self.devices.len() as f64;
-        let mut mean_r_max = 0.0;
-        let mut mean_r_min = 0.0;
-        let mut min_width = f64::INFINITY;
-        let mut worn_out = 0;
-        for device in &self.devices {
-            // One aged-window evaluation per device: the worn-out test runs
-            // on the window already in hand.
-            let w = device.aged_window(&self.model);
-            mean_r_max += w.r_max;
-            mean_r_min += w.r_min;
-            min_width = min_width.min(w.width());
-            worn_out += usize::from(self.model.is_worn_out(&w));
+        let (mut mean_r_max, mut mean_r_min, mut min_width) = (0.0, 0.0, f64::INFINITY);
+        let (mut worn_out, mut total_pulses, mut total_stress) = (0, 0u64, 0.0);
+        for (row, devices) in self.devices.chunks_exact(self.cols).enumerate() {
+            for (col, device) in devices.iter().enumerate() {
+                let w = device.aged_window(model);
+                mean_r_max += w.r_max;
+                mean_r_min += w.r_min;
+                min_width = min_width.min(w.width());
+                worn_out += usize::from(model.is_worn_out(&w));
+                total_pulses += device.pulse_count();
+                total_stress += device.stress();
+                read(row, col, device.conductance_in(model, &w).value() as f32);
+            }
         }
         mean_r_max /= n;
         mean_r_min /= n;
@@ -432,8 +450,8 @@ impl Crossbar {
             mean_r_min,
             min_window_width: min_width,
             mean_window_fraction: ((mean_r_max - mean_r_min) / fresh_width).clamp(0.0, 1.0),
-            total_pulses: self.total_pulses(),
-            total_stress: self.total_stress(),
+            total_pulses,
+            total_stress,
         }
     }
 
@@ -468,6 +486,56 @@ impl Crossbar {
         for device in &mut self.devices {
             device.absorb_ambient_stress(delta);
         }
+    }
+}
+
+/// The separate-pass read-back oracles: one aged-window evaluation per
+/// device per read, through the aging law itself
+/// ([`memaging_device::ArrheniusAging::aged_window`], not the model's
+/// precomputed magnitudes) and the full level count
+/// ([`memaging_device::Quantizer::levels_within`]).
+/// [`Crossbar::fold_devices`] must reproduce both bit for bit.
+#[cfg(test)]
+impl Crossbar {
+    fn oracle_window(&self, device: &Memristor) -> AgedWindow {
+        self.model.aging().aged_window(self.model.spec(), device.stress())
+    }
+
+    pub(crate) fn wear_snapshot_separate(&self) -> TileWear {
+        let spec = self.model.spec();
+        let fresh_width = (spec.r_max - spec.r_min).max(1e-12);
+        let n = self.devices.len() as f64;
+        let mut mean_r_max = 0.0;
+        let mut mean_r_min = 0.0;
+        let mut min_width = f64::INFINITY;
+        let mut worn_out = 0;
+        for device in &self.devices {
+            let w = self.oracle_window(device);
+            mean_r_max += w.r_max;
+            mean_r_min += w.r_min;
+            min_width = min_width.min(w.width());
+            worn_out += usize::from(self.model.quantizer().levels_within(w.r_min, w.r_max) < 2);
+        }
+        mean_r_max /= n;
+        mean_r_min /= n;
+        TileWear {
+            rows: self.rows,
+            cols: self.cols,
+            worn_out,
+            mean_r_max,
+            mean_r_min,
+            min_window_width: min_width,
+            mean_window_fraction: ((mean_r_max - mean_r_min) / fresh_width).clamp(0.0, 1.0),
+            total_pulses: self.devices.iter().map(|d| d.pulse_count()).sum(),
+            total_stress: self.devices.iter().map(|d| d.stress()).sum(),
+        }
+    }
+
+    pub(crate) fn conductances_separate(&self) -> Tensor {
+        Tensor::from_fn([self.rows, self.cols], |i| {
+            let device = &self.devices[i];
+            device.conductance_in(&self.model, &self.oracle_window(device)).value() as f32
+        })
     }
 }
 
@@ -1009,6 +1077,82 @@ mod tests {
             for (r, c, d) in full.iter() {
                 prop_assert_eq!(d, one.device(r, c), "device ({}, {}) diverged", r, c);
             }
+        }
+    }
+
+    /// The fused fold against the separate-pass oracles: every
+    /// [`TileWear`] field and every conductance, bit for bit, and each
+    /// conductance handed to the right `(row, col)`.
+    fn assert_fold_matches(x: &Crossbar, at: &str) -> Result<TileWear, TestCaseError> {
+        let (got, want) = (x.wear_snapshot(), x.wear_snapshot_separate());
+        let floats = |t: &TileWear| {
+            [t.mean_r_max, t.mean_r_min, t.min_window_width, t.mean_window_fraction, t.total_stress]
+                .map(f64::to_bits)
+        };
+        prop_assert_eq!(floats(&got), floats(&want), "{}", at);
+        prop_assert_eq!(
+            (got.rows, got.cols, got.worn_out, got.total_pulses),
+            (want.rows, want.cols, want.worn_out, want.total_pulses),
+            "{}",
+            at
+        );
+        let oracle = x.conductances_separate();
+        prop_assert_eq!(conductance_bits(x), bits(&oracle), "{}", at);
+        let mut seen = vec![0u32; x.rows() * x.cols()];
+        let folded = x.fold_devices(|r, c, g| seen[r * x.cols() + c] = g.to_bits());
+        prop_assert_eq!(seen, bits(&oracle), "{}", at);
+        prop_assert_eq!(floats(&folded), floats(&want), "{}", at);
+        Ok(got)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|g| g.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// One read-back pass equals the separate snapshot and conductance
+        /// passes through a serve-like life: deployment, read disturb,
+        /// thermal coupling, programming clipped by the aged windows, stuck
+        /// faults from `force_worn_out`, and drift, until some cells die.
+        #[test]
+        fn fused_fold_matches_separate_passes(
+            seed in 0u64..64,
+            rows in 2usize..14,
+            cols in 2usize..14,
+            disturb in 0.1f64..0.3,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            let spec = DeviceSpec::default();
+            let aging = *fast_model().aging();
+            let mut x = Crossbar::new(rows, cols, fast_model()).unwrap();
+            assert_fold_matches(&x, "fresh")?;
+            let (mut clipped, mut partly_worn) = (0, false);
+            for round in 0..5 {
+                let targets = mapped_targets(rows, cols, seed + round as u64, 0.0);
+                clipped += x.program_conductances(&targets).unwrap().clipped;
+                assert_fold_matches(&x, &format!("round {round} program"))?;
+                let stress = aging.stress_for_degradation(
+                    spec.temperature,
+                    disturb * (round + 1) as f64 * (spec.r_max - spec.r_min),
+                );
+                x.apply_read_disturb(7, stress / 7.0);
+                let wear = assert_fold_matches(&x, &format!("round {round} read disturb"))?;
+                partly_worn |= wear.worn_out > 0 && wear.worn_out < rows * cols;
+                cycle(&mut x, round);
+                x.equilibrate_thermal();
+                assert_fold_matches(&x, &format!("round {round} thermal"))?;
+                let (r, c) = ((seed as usize + round) % rows, (seed as usize * 3 + round) % cols);
+                let (m, d) = x.device_mut(r, c);
+                d.force_worn_out(m);
+                let mut rng = StdRng::seed_from_u64(seed * 31 + round as u64);
+                x.apply_conductance_drift(0.3, 0.01, &mut rng);
+                assert_fold_matches(&x, &format!("round {round} faults and drift"))?;
+            }
+            prop_assert!(clipped > 0, "programming must clip");
+            prop_assert!(partly_worn, "some snapshot must hold live and worn-out cells");
         }
     }
 }

@@ -63,6 +63,16 @@ impl RowAssignment {
         self.assignment[logical]
     }
 
+    /// The inverse assignment: entry `physical` is the logical row that
+    /// physical row hosts.
+    pub(crate) fn logical_rows(&self) -> Vec<usize> {
+        let mut logical = vec![0; self.assignment.len()];
+        for (l, &p) in self.assignment.iter().enumerate() {
+            logical[p] = l;
+        }
+        logical
+    }
+
     /// Permutes a `[rows, cols]` matrix of logical-row targets into physical
     /// row order (for programming).
     ///

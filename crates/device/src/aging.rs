@@ -130,18 +130,23 @@ impl ArrheniusAging {
 
     /// Upper-bound degradation `f(T, t)` in ohms (eq. 6).
     pub fn f(&self, t_kelvin: f64, stress: f64) -> f64 {
-        if stress <= 0.0 {
-            return 0.0;
-        }
-        self.a_f * self.arrhenius_factor(t_kelvin) * stress.powf(self.exponent_m)
+        self.scales(t_kelvin).degradation(stress).0
     }
 
     /// Lower-bound degradation `g(T, t)` in ohms (eq. 7).
     pub fn g(&self, t_kelvin: f64, stress: f64) -> f64 {
-        if stress <= 0.0 {
-            return 0.0;
+        self.scales(t_kelvin).degradation(stress).1
+    }
+
+    /// The magnitudes of eqs. 6–7 at temperature `t_kelvin`, with the
+    /// Arrhenius factor multiplied in.
+    pub(crate) fn scales(&self, t_kelvin: f64) -> AgingScales {
+        let arrhenius = self.arrhenius_factor(t_kelvin);
+        AgingScales {
+            f: self.a_f * arrhenius,
+            g: self.a_g * arrhenius,
+            exponent_m: self.exponent_m,
         }
-        self.a_g * self.arrhenius_factor(t_kelvin) * stress.powf(self.exponent_m)
     }
 
     /// Effective stress needed for the upper bound to degrade by `delta_r`
@@ -150,15 +155,53 @@ impl ArrheniusAging {
         if delta_r <= 0.0 {
             return 0.0;
         }
-        (delta_r / (self.a_f * self.arrhenius_factor(t_kelvin))).powf(1.0 / self.exponent_m)
+        (delta_r / self.scales(t_kelvin).f).powf(1.0 / self.exponent_m)
     }
 
     /// The aged window after `stress` seconds of effective stress, the sum
     /// of [`ArrheniusAging::stress_increment`] over every pulse plus any
     /// absorbed ambient stress.
     pub fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
-        let f = self.f(spec.temperature, stress);
-        let g = self.g(spec.temperature, stress);
+        self.scales(spec.temperature).window(spec, stress)
+    }
+
+    /// The effective-stress contribution of one programming pulse applied
+    /// while the device sits at resistance `at`.
+    pub fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64 {
+        let power = spec.pulse_power(at);
+        spec.pulse_width * (power / self.power_ref).powf(self.power_exponent)
+    }
+}
+
+/// Eqs. 6–7 at one temperature: `f = (a_f·exp(−E_a/k_B T))·t^m` and the
+/// same for `g`, with both magnitudes already multiplied out. This is the
+/// one copy of the law: [`ArrheniusAging::f`], [`ArrheniusAging::g`] and
+/// [`ArrheniusAging::aged_window`] build it per call, and a
+/// `DeviceModel` builds it once and keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct AgingScales {
+    /// `a_f · exp(−E_a / k_B T)`, ohms.
+    f: f64,
+    /// `a_g · exp(−E_a / k_B T)`, ohms.
+    g: f64,
+    /// The stress exponent `m`.
+    exponent_m: f64,
+}
+
+impl AgingScales {
+    /// The degradations `(f, g)` after `stress` seconds of effective
+    /// stress, ohms: one `powf`, shared by both.
+    fn degradation(&self, stress: f64) -> (f64, f64) {
+        if stress <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let t_m = stress.powf(self.exponent_m);
+        (self.f * t_m, self.g * t_m)
+    }
+
+    /// The aged window after `stress` seconds of effective stress.
+    pub(crate) fn window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
+        let (f, g) = self.degradation(stress);
         // Both bounds decrease (Fig. 4). The lower bound is floored at a
         // fraction of its fresh value — filaments conduct more with damage,
         // but resistance stays physical — and the upper bound never crosses
@@ -167,13 +210,6 @@ impl ArrheniusAging {
         let r_min = (spec.r_min - g).max(spec.r_min * 0.1);
         let r_max = (spec.r_max - f).max(r_min);
         AgedWindow { r_min, r_max }
-    }
-
-    /// The effective-stress contribution of one programming pulse applied
-    /// while the device sits at resistance `at`.
-    pub fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64 {
-        let power = spec.pulse_power(at);
-        spec.pulse_width * (power / self.power_ref).powf(self.power_exponent)
     }
 }
 

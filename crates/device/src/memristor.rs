@@ -2,7 +2,7 @@
 //! programmable position on the fresh level grid, accumulated aging
 //! stress, pulse counting.
 
-use crate::aging::{AgedWindow, ArrheniusAging};
+use crate::aging::{AgedWindow, AgingScales, ArrheniusAging};
 use crate::error::DeviceError;
 use crate::quantizer::Quantizer;
 use crate::spec::DeviceSpec;
@@ -32,11 +32,19 @@ impl ProgramOutcome {
 /// of eqs. 6–7 and the fresh-grid quantizer. Devices differ only in their
 /// [`Memristor`] state, so an array holds one model and one state per
 /// device.
+///
+/// The Arrhenius factor `exp(−E_a / k_B T)` is constant for the whole
+/// array, so the model multiplies it into both aging magnitudes once, at
+/// construction. An aged-window evaluation is then one `powf` shared by
+/// both bounds, and its bits equal [`ArrheniusAging::aged_window`]'s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     spec: DeviceSpec,
     aging: ArrheniusAging,
     quantizer: Quantizer,
+    /// `aging` at `spec.temperature`, with the Arrhenius factor multiplied
+    /// in.
+    scales: AgingScales,
 }
 
 impl Default for DeviceModel {
@@ -54,7 +62,8 @@ impl DeviceModel {
     /// Returns [`DeviceError::InvalidSpec`] if the spec is invalid.
     pub fn new(spec: DeviceSpec, aging: ArrheniusAging) -> Result<Self, DeviceError> {
         let quantizer = Quantizer::from_spec(&spec)?;
-        Ok(DeviceModel { spec, aging, quantizer })
+        let scales = aging.scales(spec.temperature);
+        Ok(DeviceModel { spec, aging, quantizer, scales })
     }
 
     /// The device spec.
@@ -74,7 +83,7 @@ impl DeviceModel {
 
     /// The aged window after `stress` seconds of effective stress.
     pub(crate) fn aged_window(&self, stress: f64) -> AgedWindow {
-        self.aging.aged_window(&self.spec, stress)
+        self.scales.window(&self.spec, stress)
     }
 
     /// Number of fresh levels inside window `w`.
@@ -83,14 +92,19 @@ impl DeviceModel {
     }
 
     /// `true` once fewer than 2 levels fit in window `w` — a device there
-    /// can no longer represent information.
+    /// can no longer represent information. Decides exactly
+    /// `levels_within(w.r_min, w.r_max) < 2` of the fresh-grid
+    /// [`Quantizer`] without counting both ends of the run: the first level
+    /// at or above the lower bound is seeded arithmetically and settled with
+    /// the same per-level predicate, and the device is alive iff the next
+    /// level is still at or below the upper bound.
     pub fn is_worn_out(&self, w: &AgedWindow) -> bool {
-        self.usable_levels(w) < 2
+        !self.quantizer.holds_two_levels(w.r_min, w.r_max)
     }
 
     /// Window `w` expressed in fresh-grid position units `(lo, hi)`.
     fn position_bounds(&self, w: &AgedWindow) -> (f64, f64) {
-        let width = self.spec.level_width();
+        let width = self.quantizer.level_width();
         let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
         let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
         (lo, hi.max(lo))
@@ -202,7 +216,8 @@ impl Memristor {
 
     /// The resistance of the stored position clamped into `w`.
     fn resistance_in(&self, model: &DeviceModel, w: &AgedWindow) -> Ohms {
-        let r = model.spec.r_min + self.effective_position(model, w) * model.spec.level_width();
+        let r =
+            model.spec.r_min + self.effective_position(model, w) * model.quantizer.level_width();
         Ohms::new(r).expect("aged window stays positive")
     }
 
@@ -218,7 +233,15 @@ impl Memristor {
 
     /// The device's present conductance (what the crossbar column sums).
     pub fn conductance(&self, model: &DeviceModel) -> Siemens {
-        self.resistance(model).to_siemens()
+        self.conductance_in(model, &self.aged_window(model))
+    }
+
+    /// The conductance of the stored position clamped into `w`. With `w`
+    /// the device's present window ([`Memristor::aged_window`]) this is
+    /// [`Memristor::conductance`], for a caller that already holds the
+    /// window and reads more than the conductance from it.
+    pub fn conductance_in(&self, model: &DeviceModel, w: &AgedWindow) -> Siemens {
+        self.resistance_in(model, w).to_siemens()
     }
 
     /// Number of fresh levels still inside the aged window.
@@ -316,7 +339,7 @@ impl Memristor {
             return;
         }
         let r = 1.0 / g;
-        let position = (r - model.spec.r_min) / model.spec.level_width();
+        let position = (r - model.spec.r_min) / model.quantizer.level_width();
         self.position = position.clamp(0.0, (model.spec.levels - 1) as f64);
     }
 
@@ -402,10 +425,108 @@ impl Memristor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aging::BOLTZMANN_EV;
 
     fn fresh() -> (DeviceModel, Memristor) {
         let model = DeviceModel::default();
         (model, Memristor::new(&model))
+    }
+
+    /// `f` and `g` of eqs. 6–7 as the law evaluated them before the model
+    /// hoisted the Arrhenius factor: each evaluates the exponential and the
+    /// power.
+    fn degradation_unhoisted(aging: &ArrheniusAging, t_kelvin: f64, stress: f64) -> (f64, f64) {
+        if stress <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let arrhenius = || (-aging.activation_energy / (BOLTZMANN_EV * t_kelvin)).exp();
+        (
+            aging.a_f * arrhenius() * stress.powf(aging.exponent_m),
+            aging.a_g * arrhenius() * stress.powf(aging.exponent_m),
+        )
+    }
+
+    /// The aged window from [`degradation_unhoisted`].
+    fn window_unhoisted(aging: &ArrheniusAging, spec: &DeviceSpec, stress: f64) -> AgedWindow {
+        let (f, g) = degradation_unhoisted(aging, spec.temperature, stress);
+        let r_min = (spec.r_min - g).max(spec.r_min * 0.1);
+        let r_max = (spec.r_max - f).max(r_min);
+        AgedWindow { r_min, r_max }
+    }
+
+    /// The stress of every device state row of the crossbar crate's
+    /// `golden_device_state` test (its first column), as bit patterns.
+    const GOLDEN_STRESS_BITS: [u64; 13] = [
+        4534045268238185828,
+        4538817034542522881,
+        4541205544609733023,
+        4543077052595406828,
+        4544461633074219100,
+        4545280213582500625,
+        4545298802130936585,
+        4545317455891757029,
+        4545336314391013160,
+        4545355313867791083,
+        4545393094622934260,
+        4545432332955244422,
+        4549935932582614918,
+    ];
+
+    #[test]
+    fn hoisted_window_keeps_the_bits_of_the_aging_law() {
+        let fast = ArrheniusAging {
+            a_f: 2.0e16,
+            a_g: 2.0e15,
+            thermal_coupling: 2.0,
+            ..ArrheniusAging::default()
+        };
+        let hot = DeviceSpec { temperature: 420.0, ..DeviceSpec::default() };
+        let models = [
+            DeviceModel::default(),
+            DeviceModel::new(DeviceSpec::default(), fast).unwrap(),
+            DeviceModel::new(hot, fast).unwrap(),
+            DeviceModel::new(DeviceSpec::hfox(), ArrheniusAging::default()).unwrap(),
+            DeviceModel::new(DeviceSpec::taox(), ArrheniusAging::default()).unwrap(),
+            DeviceModel::new(DeviceSpec::tiox(), fast).unwrap(),
+        ];
+        let mut stresses = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            -1.0e-3,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        // 1e-300 to 1e6, 40 stresses per decade.
+        stresses.extend((0..=306 * 40).map(|k| 10f64.powf(-300.0 + k as f64 / 40.0)));
+        stresses.extend(GOLDEN_STRESS_BITS.map(f64::from_bits));
+        // Every pulse's stress of a fast-aging device cycled to wear-out.
+        let d = models[1];
+        let mut m = Memristor::new(&d);
+        m.program_to_level(&d, 0).unwrap();
+        while m.pulse(&d, 1).is_ok() && m.pulse(&d, -1).is_ok() {
+            stresses.push(m.stress());
+        }
+        assert!(m.is_worn_out(&d), "the pulse sweep must reach wear-out");
+        let bits = |w: AgedWindow| (w.r_min.to_bits(), w.r_max.to_bits());
+        for model in &models {
+            let (aging, spec) = (model.aging(), model.spec());
+            for &stress in &stresses {
+                let w = bits(model.aged_window(stress));
+                assert_eq!(w, bits(aging.aged_window(spec, stress)), "law at {stress:e}");
+                assert_eq!(
+                    w,
+                    bits(window_unhoisted(aging, spec, stress)),
+                    "unhoisted at {stress:e}"
+                );
+                let t = spec.temperature;
+                let (f, g) = degradation_unhoisted(aging, t, stress);
+                assert_eq!(aging.f(t, stress).to_bits(), f.to_bits(), "f at {stress:e}");
+                assert_eq!(aging.g(t, stress).to_bits(), g.to_bits(), "g at {stress:e}");
+            }
+        }
     }
 
     #[test]

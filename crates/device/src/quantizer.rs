@@ -33,6 +33,8 @@ pub struct Quantizer {
     r_min: f64,
     r_max: f64,
     levels: usize,
+    /// `(r_max − r_min) / (levels − 1)`, computed once.
+    width: f64,
 }
 
 impl Quantizer {
@@ -53,7 +55,9 @@ impl Quantizer {
                 reason: format!("quantizer needs >= 2 levels, got {levels}"),
             });
         }
-        Ok(Quantizer { r_min: r_min.value(), r_max: r_max.value(), levels })
+        let (r_min, r_max) = (r_min.value(), r_max.value());
+        let width = (r_max - r_min) / (levels - 1) as f64;
+        Ok(Quantizer { r_min, r_max, levels, width })
     }
 
     /// Creates the fresh-window quantizer of a device spec.
@@ -73,7 +77,7 @@ impl Quantizer {
 
     /// Spacing between adjacent resistance levels, ohms.
     pub fn level_width(&self) -> f64 {
-        (self.r_max - self.r_min) / (self.levels - 1) as f64
+        self.width
     }
 
     /// The resistance of level `index` (level 0 = `r_min`, highest level =
@@ -128,32 +132,68 @@ impl Quantizer {
         if lo.is_nan() || hi.is_nan() {
             return 0;
         }
-        let width = self.level_width();
-        let r = |i: usize| self.r_min + i as f64 * width;
-        let estimate = |t: f64| ((t - self.r_min) / width).ceil().clamp(0.0, self.levels as f64);
-        // First level with r >= lo.
-        let mut first = estimate(lo) as usize;
-        while first > 0 && r(first - 1) >= lo {
-            first -= 1;
-        }
-        while first < self.levels && r(first) < lo {
-            first += 1;
-        }
+        let first = self.first_level_at_or_above(lo);
         // One past the last level with r <= hi.
-        let mut end = estimate(hi) as usize;
-        while end > 0 && r(end - 1) > hi {
+        let mut end = self.level_estimate(hi);
+        while end > 0 && self.level_value(end - 1) > hi {
             end -= 1;
         }
-        while end < self.levels && r(end) <= hi {
+        while end < self.levels && self.level_value(end) <= hi {
             end += 1;
         }
         end.saturating_sub(first)
+    }
+
+    /// Whether at least two of this quantizer's levels lie within
+    /// `[lo, hi]`: exactly `levels_within(lo, hi) >= 2`, decided from the
+    /// bottom of the run alone. The levels inside form one contiguous run
+    /// starting at the first level at or above the lower bound, so two fit
+    /// iff the level after that one is still at or below the upper bound.
+    pub(crate) fn holds_two_levels(&self, lo: f64, hi: f64) -> bool {
+        let (lo, hi) = (lo - 1e-9, hi + 1e-9);
+        if lo.is_nan() || hi.is_nan() {
+            return false;
+        }
+        let second = self.first_level_at_or_above(lo) + 1;
+        second < self.levels && self.level_value(second) <= hi
+    }
+
+    /// The raw resistance of level `i`, with no range check.
+    fn level_value(&self, i: usize) -> f64 {
+        self.r_min + i as f64 * self.level_width()
+    }
+
+    /// The arithmetic guess `ceil((t − r_min) / w)` of the first level at
+    /// or above `t`, clamped to `0..=levels`; callers settle it with the
+    /// exact per-level predicate.
+    fn level_estimate(&self, t: f64) -> usize {
+        ((t - self.r_min) / self.level_width()).ceil().clamp(0.0, self.levels as f64) as usize
+    }
+
+    /// The first level with resistance `>= lo` (`levels` if none): the
+    /// estimate settled by evaluating the predicate on its neighbours.
+    /// Level 0 sits exactly at `r_min`, so a bound at or below it seeds 0
+    /// with one comparison — the case of every aged window, whose lower
+    /// bound only ever falls.
+    fn first_level_at_or_above(&self, lo: f64) -> usize {
+        if lo <= self.r_min {
+            return 0;
+        }
+        let mut first = self.level_estimate(lo);
+        while first > 0 && self.level_value(first - 1) >= lo {
+            first -= 1;
+        }
+        while first < self.levels && self.level_value(first) < lo {
+            first += 1;
+        }
+        first
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AgedWindow, ArrheniusAging, DeviceModel};
 
     fn q8() -> Quantizer {
         Quantizer::new(Ohms::new(1e4).unwrap(), Ohms::new(8e4).unwrap(), 8).unwrap()
@@ -319,6 +359,14 @@ mod tests {
         }
     }
 
+    /// A device model over the grid of [`quantizer`] with these arguments.
+    fn model(levels: usize, r_min: f64, ratio: f64) -> DeviceModel {
+        let spec = DeviceSpec { r_min, r_max: r_min * ratio, levels, ..DeviceSpec::default() };
+        let model = DeviceModel::new(spec, ArrheniusAging::default()).unwrap();
+        assert_eq!(*model.quantizer(), quantizer(levels, r_min, ratio));
+        model
+    }
+
     fn quantizer(levels: usize, r_min: f64, ratio: f64) -> Quantizer {
         Quantizer::new(Ohms::new(r_min).unwrap(), Ohms::new(r_min * ratio).unwrap(), levels)
             .unwrap()
@@ -348,6 +396,32 @@ mod tests {
                 "levels {} window [{}, {}] (kind {})", levels, lo, hi, kind
             );
         }
+
+        /// The worn-out test `!holds_two_levels` against the count it
+        /// replaces, through the device model that makes it, over the same
+        /// eight window kinds (NaN, inverted and level-aligned among them).
+        #[test]
+        fn worn_out_test_equals_the_count(
+            levels in 2usize..=256,
+            r_min in 1.0e3f64..5.0e4,
+            ratio in 1.5f64..20.0,
+            kind in 0usize..8,
+            a in 0.0f64..1.0,
+            b in 0.0f64..1.0,
+            k in 0usize..256,
+            j in 0usize..256,
+            d in -3.0e-9f64..=3.0e-9,
+            e in -3.0e-9f64..=3.0e-9,
+        ) {
+            let model = model(levels, r_min, ratio);
+            let q = model.quantizer();
+            let (lo, hi) = window(q, kind, a, b, k, j, d, e);
+            proptest::prop_assert_eq!(
+                model.is_worn_out(&AgedWindow { r_min: lo, r_max: hi }),
+                q.levels_within(lo, hi) < 2,
+                "levels {} window [{}, {}] (kind {})", levels, lo, hi, kind
+            );
+        }
     }
 
     proptest::proptest! {
@@ -356,24 +430,29 @@ mod tests {
         /// Both ends on, or an ulp from, the tolerance edge of the first,
         /// second, middle, second-to-last or last level: the cases where
         /// the arithmetic estimate is off by one and the settling loops
-        /// decide the count.
+        /// decide the count, and the worn-out test with it.
         #[test]
         fn levels_within_equals_the_scan_on_tolerance_edges(
             levels in 2usize..=256,
             r_min in 1.0e3f64..5.0e4,
             ratio in 1.5f64..20.0,
         ) {
-            let q = quantizer(levels, r_min, ratio);
+            let model = model(levels, r_min, ratio);
+            let q = model.quantizer();
             let ends = [0, 1, levels / 2, levels - 2, levels - 1];
             for k in ends {
                 for j in ends {
                     for (u, v) in (-1..=1).flat_map(|u| (-1..=1).map(move |v| (u, v))) {
                         let lo = on_edge(q.level_resistance(k).value(), -1e-9, u);
                         let hi = on_edge(q.level_resistance(j).value(), 1e-9, v);
+                        let count = levels_within_scan(q, lo, hi);
                         proptest::prop_assert_eq!(
-                            q.levels_within(lo, hi),
-                            levels_within_scan(&q, lo, hi),
+                            q.levels_within(lo, hi), count,
                             "levels {} window [{}, {}]", levels, lo, hi
+                        );
+                        proptest::prop_assert_eq!(
+                            model.is_worn_out(&AgedWindow { r_min: lo, r_max: hi }), count < 2,
+                            "worn out: levels {} window [{}, {}]", levels, lo, hi
                         );
                     }
                 }

@@ -297,6 +297,8 @@ pub fn run_lifetime_with_recorder(
             iterations += tune_report.iterations;
             pulses += tune_report.pulses;
         }
+        // One pass over the devices feeds both wear fields of the record.
+        let wear = hw.wear_snapshots();
         let record = SessionRecord {
             session,
             applications_before: applications,
@@ -308,8 +310,8 @@ pub fn run_lifetime_with_recorder(
             tuning_pulses: pulses,
             accuracy: tune_report.final_accuracy,
             converged: tune_report.converged,
-            per_layer_mean_r_max: hw.per_layer_mean_r_max(),
-            worn_out_devices: hw.worn_out_count(),
+            per_layer_mean_r_max: wear.iter().map(|tile| tile.mean_r_max).collect(),
+            worn_out_devices: wear.iter().map(|tile| tile.worn_out).sum(),
         };
         // Programming Joule heat spreads through the array substrate.
         hw.equilibrate_thermal();

@@ -9,9 +9,11 @@
 //! 1. at boundary `b`, accrue the previous interval's read-disturb wear
 //!    (one multiply-add per device, so only the admitted-request *count*
 //!    matters — not batching, timing, or worker count);
-//! 2. take one wear snapshot and run the wear-health forecaster on it;
-//! 3. read back the effective weights as generation `b`, which the caller
-//!    publishes once [`ServeEngine::boundary`] returns;
+//! 2. read the per-tile wear snapshot and the effective weights back in
+//!    one pass over the devices, which evaluates each aged window once,
+//!    and run the wear-health forecaster on the snapshot;
+//! 3. build generation `b` from those weights, which the caller publishes
+//!    once [`ServeEngine::boundary`] returns;
 //! 4. if the shared [`WearThresholds`] warn rule fires *and* the active
 //!    mapping has drifted from the observed aged windows, re-run the
 //!    paper's aging-aware range selection (the PR-4 incremental engine)
@@ -33,6 +35,7 @@ use memaging_lifetime::{
     trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger, DEFAULT_FORECAST_WINDOW,
 };
 use memaging_obs::{AlertSeverity, Recorder};
+use memaging_tensor::Tensor;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -142,7 +145,7 @@ impl ServeEngine {
         let cause = WearCause::Remap { generation: 0 };
         ledger.charge(cause, &stress);
         recorder.wear_checkpoint(&format!("{prefix}{}", cause.kind()), cause.param(), &stress);
-        let mut engine = ServeEngine {
+        let engine = ServeEngine {
             network,
             calib,
             config,
@@ -158,8 +161,8 @@ impl ServeEngine {
             replica,
             prefix,
         };
-        let wear = engine.network.wear_snapshots();
-        let generation = engine.read_generation(0, &wear)?;
+        let (wear, weights) = engine.network.read_back().map_err(internal)?;
+        let generation = engine.read_generation(0, weights, &wear);
         Ok((engine, generation))
     }
 
@@ -175,8 +178,9 @@ impl ServeEngine {
     }
 
     /// Processes maintenance boundary `id`: accrues `interval_requests`
-    /// admitted requests' read-disturb wear, reads back the effective
-    /// weights as generation `id`, runs the health forecaster, and arms
+    /// admitted requests' read-disturb wear, reads the wear snapshot and
+    /// the effective weights back in one device pass, runs the health
+    /// forecaster, builds generation `id` from the weights, and arms
     /// the remap trigger when the shared warn threshold is crossed on a
     /// stale mapping.
     ///
@@ -197,15 +201,17 @@ impl ServeEngine {
         );
         self.charge(WearCause::InferenceRead { batch_seq: id });
         self.last_boundary = id;
+        // One pass over the devices yields both the wear snapshot and the
+        // weights the generation serves.
         let phase = self.recorder.trace_span("serve.boundary.wear", id);
-        let wear = self.network.wear_snapshots();
+        let (wear, weights) = self.network.read_back().map_err(internal)?;
         drop(phase);
         let phase = self.recorder.trace_span("serve.boundary.health", id);
         let report = self.health.observe(id, &wear, 0);
         report.emit(&self.recorder);
         drop(phase);
         let phase = self.recorder.trace_span("serve.boundary.readback", id);
-        let generation = self.read_generation(id, &wear)?;
+        let generation = self.read_generation(id, weights, &wear);
         self.recorder.gauge(
             &format!("serve.{}window_fraction_worst", self.prefix),
             generation.worst_window_fraction,
@@ -285,26 +291,27 @@ impl ServeEngine {
         self.replica
     }
 
-    /// Reads back the effective hardware weights as generation `id`; `wear`
-    /// is the network's current per-tile snapshot.
+    /// Builds generation `id` from one read-back
+    /// ([`CrossbarNetwork::read_back`]): the effective hardware `weights`
+    /// and `wear`, the per-tile snapshot read in the same pass.
     fn read_generation(
-        &mut self,
+        &self,
         id: u64,
+        weights: Vec<Tensor>,
         wear: &[TileWear],
-    ) -> Result<Arc<MappingGeneration>, ServeError> {
-        let weights = self.network.read_weights().map_err(internal)?;
+    ) -> Arc<MappingGeneration> {
         let worst_window_fraction =
             wear.iter().map(|tile| tile.mean_window_fraction).fold(1.0_f64, f64::min);
         // Tile-order sum: the deterministic stress snapshot the fleet
         // router differentiates for per-replica burn rates.
-        let total_stress = self.network.tile_stress().iter().sum();
-        Ok(Arc::new(MappingGeneration {
+        let total_stress = wear.iter().map(|tile| tile.total_stress).sum();
+        Arc::new(MappingGeneration {
             id,
             weights,
             worst_window_fraction,
             total_stress,
             remaps: self.remaps,
-        }))
+        })
     }
 
     /// Consumes the engine, returning the final hardware state (for
