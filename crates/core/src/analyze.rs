@@ -23,9 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use memaging_lifetime::{
-    trend, worst_tile, TileTrend, WearCause, WearLedger, WearThresholds, DEFAULT_FORECAST_WINDOW,
-};
+use memaging_lifetime::{trend, worst_tile, TileTrend, WearCause, WearLedger, WearThresholds};
 use memaging_obs::{
     latency_detail_json, parse_label, push_json_str, Event, LatencySnapshot, SeriesStore,
     ShardedHistogram,
@@ -355,7 +353,7 @@ impl TraceAnalysis {
             let Some(("serve.window_fraction_ppb", tile)) = parse_label(&name, "tile") else {
                 continue;
             };
-            if let Some(fit) = trend(&snapshot.raw_points(), DEFAULT_FORECAST_WINDOW, critical) {
+            if let Some(fit) = trend(&snapshot.raw_points(), critical) {
                 trends.push((tile, fit));
             }
         }

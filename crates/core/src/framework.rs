@@ -35,6 +35,10 @@ impl Default for SkewParams {
     }
 }
 
+/// L2 strength of the traditional (`T`) baseline and of the pre-training
+/// stage.
+const L2_LAMBDA: f32 = 1.0e-4;
+
 /// The two-stage training plan of §IV-A: a conventional pre-training pass
 /// (to learn the per-layer σᵢ) followed by skewed refinement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +48,7 @@ pub struct TrainingPlan {
     /// Epoch budget for the skewed refinement stage (ignored for
     /// traditional training).
     pub skew_epochs: usize,
-    /// Base hyper-parameters (learning rate, batch, momentum, seed).
+    /// Base hyper-parameters (learning rate, batch, seed).
     pub base: TrainConfig,
     /// Skewed-regularizer constants.
     pub skew: SkewParams,
@@ -59,8 +63,6 @@ pub struct TrainingPlan {
     /// scenarios keep plain L2 on convolutions (the FC layers hold ~90% of
     /// the devices). See DESIGN.md §5.
     pub skew_conv_layers: bool,
-    /// L2 strength used by the traditional (`T`) baseline.
-    pub l2_lambda: f32,
 }
 
 impl Default for TrainingPlan {
@@ -72,7 +74,6 @@ impl Default for TrainingPlan {
             skew: SkewParams::default(),
             skew_lr_scale: 1.0,
             skew_conv_layers: true,
-            l2_lambda: 1.0e-4,
         }
     }
 }
@@ -172,7 +173,7 @@ impl Framework {
     ) -> Result<TrainedModel, FrameworkError> {
         let mut network = self.model.build(seed)?;
         let pre_config = TrainConfig { epochs: self.plan.pre_epochs, ..self.plan.base };
-        let l2 = L2::new(self.plan.l2_lambda);
+        let l2 = L2::new(L2_LAMBDA);
         let mut report = train_with_recorder(&mut network, data, &pre_config, &l2, &self.recorder)?;
         let baseline_accuracy = evaluate(&mut network, data, self.plan.base.batch_size)?;
         let mut sigma = None;

@@ -77,7 +77,6 @@ impl Scenario {
             skew: crate::framework::SkewParams { c: 0.2, lambda1: 0.05, lambda2: 1.0e-3 },
             skew_lr_scale: 0.5,
             skew_conv_layers: false,
-            ..TrainingPlan::default()
         };
         framework.aging = Scenario::accelerated_aging();
         framework.lifetime.target_accuracy = 0.75;
@@ -118,7 +117,6 @@ impl Scenario {
             skew: crate::framework::SkewParams { c: 0.2, lambda1: 0.1, lambda2: 2.0e-3 },
             skew_lr_scale: 0.5,
             skew_conv_layers: false,
-            ..TrainingPlan::default()
         };
         framework.aging = Scenario::accelerated_aging();
         framework.lifetime.target_accuracy = 0.55;

@@ -31,22 +31,13 @@ pub struct TuneConfig {
     pub max_iterations: usize,
     /// Accuracy that must be reached on the tuning data.
     pub target_accuracy: f64,
-    /// Mini-batch size for gradient-sign evaluation.
+    /// Mini-batch size for gradient-sign evaluation (0 is taken as 1).
     pub batch_size: usize,
-    /// Only devices whose gradient magnitude exceeds this fraction of the
-    /// layer's maximum receive a pulse. Gating avoids pulsing (and aging)
-    /// devices whose weights are already adequate.
-    pub gate_fraction: f32,
 }
 
 impl Default for TuneConfig {
     fn default() -> Self {
-        TuneConfig {
-            max_iterations: 150,
-            target_accuracy: 0.9,
-            batch_size: 32,
-            gate_fraction: 0.25,
-        }
+        TuneConfig { max_iterations: 150, target_accuracy: 0.9, batch_size: 32 }
     }
 }
 
@@ -146,11 +137,11 @@ fn tune_inner(
         }
         let grads = {
             let _span = recorder.span(names::TUNE_GRAD);
-            batch_weight_grads(network, data, config, iteration % num_batches)?
+            batch_weight_grads(network, data, batch_size, iteration % num_batches)?
         };
         {
             let _span = recorder.span(names::TUNE_PULSE);
-            apply_sign_pulses(network, &grads, config.gate_fraction);
+            apply_sign_pulses(network, &grads);
         }
         iteration += 1;
     };
@@ -166,16 +157,16 @@ fn tune_inner(
 }
 
 /// The weight gradients of every mappable layer, in order, on mini-batch
-/// `index` of `data` at the software model's present (hardware-synced)
-/// weights.
+/// `index` (of `batch_size` samples) of `data` at the software model's
+/// present (hardware-synced) weights.
 fn batch_weight_grads(
     network: &mut CrossbarNetwork,
     data: &Dataset,
-    config: &TuneConfig,
+    batch_size: usize,
     index: usize,
 ) -> Result<Vec<Tensor>, CrossbarError> {
-    let start = index * config.batch_size;
-    let end = (start + config.batch_size).min(data.len());
+    let start = index * batch_size;
+    let end = (start + batch_size).min(data.len());
     let batch = data.batch_matrix(start, end);
     let labels = data.batch_labels(start, end);
     let software = network.software_mut();
@@ -191,17 +182,23 @@ fn batch_weight_grads(
     Ok(grads)
 }
 
+/// Only devices whose gradient magnitude exceeds this fraction of the
+/// layer's maximum receive a pulse. Gating avoids pulsing (and aging)
+/// devices whose weights are already adequate.
+const GATE_FRACTION: f32 = 0.25;
+
 /// Rough scalar-op cost of gating plus nudging one device, used to size the
 /// parallel grain for pulse application.
 const PULSE_OPS_PER_WEIGHT: usize = 16;
 
-/// Applies one ±1-level pulse per gated device: positive gradient means the
-/// weight must shrink, i.e. conductance down, i.e. resistance level up.
+/// Applies one ±1-level pulse per gated device (see [`GATE_FRACTION`]):
+/// positive gradient means the weight must shrink, i.e. conductance down,
+/// i.e. resistance level up.
 ///
 /// Layers pulse in parallel — each worker owns one layer's array, and a
 /// device's pulse depends only on its own gradient entry, so the outcome is
 /// identical at any thread count.
-fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor], gate_fraction: f32) {
+fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor]) {
     let total: usize = grads.iter().map(Tensor::len).sum();
     let threads = memaging_par::parallelism_for(total * PULSE_OPS_PER_WEIGHT);
     let mut lanes = network.pulse_lanes_mut();
@@ -212,7 +209,7 @@ fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor], gate_fract
         if max_mag == 0.0 {
             return;
         }
-        let threshold = gate_fraction * max_mag;
+        let threshold = GATE_FRACTION * max_mag;
         let cols = grad.dims()[1];
         for (i, &g) in grad.as_slice().iter().enumerate() {
             if g.abs() <= threshold {
@@ -286,6 +283,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_batch_size_tunes_like_one() {
+        let config = TuneConfig {
+            target_accuracy: 1.01, // unreachable: every iteration takes a gradient
+            max_iterations: 3,
+            batch_size: 0,
+        };
+        let (mut cn, data) = mapped_setup(26);
+        let report = tune(&mut cn, &data, &config).unwrap();
+        let (mut one_cn, _) = mapped_setup(26);
+        let one = tune(&mut one_cn, &data, &TuneConfig { batch_size: 1, ..config }).unwrap();
+        assert_eq!(report, one);
+    }
+
+    #[test]
     fn tuning_ages_devices() {
         let (mut cn, data) = mapped_setup(24);
         let stress_before: f64 = cn.arrays().iter().map(|a| a.total_stress()).sum();
@@ -332,9 +343,10 @@ mod tests {
     ) -> (TuneReport, Vec<f64>) {
         let pulses_before = network.total_pulses();
         let mut history = Vec::new();
-        let num_batches = data.len().div_ceil(config.batch_size.max(1));
+        let batch_size = config.batch_size.max(1);
+        let num_batches = data.len().div_ceil(batch_size);
         for iteration in 0..config.max_iterations {
-            let accuracy = network.evaluate(data, config.batch_size.max(1)).unwrap();
+            let accuracy = network.evaluate(data, batch_size).unwrap();
             history.push(accuracy);
             if accuracy >= config.target_accuracy {
                 let report = TuneReport {
@@ -346,10 +358,11 @@ mod tests {
                 };
                 return (report, history);
             }
-            let grads = batch_weight_grads(network, data, config, iteration % num_batches).unwrap();
-            apply_sign_pulses(network, &grads, config.gate_fraction);
+            let grads =
+                batch_weight_grads(network, data, batch_size, iteration % num_batches).unwrap();
+            apply_sign_pulses(network, &grads);
         }
-        let accuracy = network.evaluate(data, config.batch_size.max(1)).unwrap();
+        let accuracy = network.evaluate(data, batch_size).unwrap();
         history.push(accuracy);
         let report = TuneReport {
             iterations: config.max_iterations,

@@ -7,8 +7,8 @@
 //! to *per-tile* trajectories: the input is the raw tail of a
 //! `memaging-obs` `SeriesStore` series (integer fixed-point values keyed by
 //! maintenance-boundary sequence, e.g. window fraction in parts-per-billion),
-//! and the math is a plain ordinary-least-squares fit over at most
-//! [`DEFAULT_FORECAST_WINDOW`] points.
+//! and the math is a plain ordinary-least-squares fit over at most the
+//! newest 16 points.
 //!
 //! ## Determinism
 //!
@@ -20,13 +20,13 @@
 
 use std::fmt::Write as _;
 
-/// Default regression window (points of the series raw tail).
-pub const DEFAULT_FORECAST_WINDOW: usize = 16;
+/// Regression window (points of the series raw tail).
+const FORECAST_WINDOW: usize = 16;
 
 /// One tile's fitted wear trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileTrend {
-    /// Points the fit used (≤ the configured window).
+    /// Points the fit used (at most 16).
     pub samples: usize,
     /// Sequence key of the newest point.
     pub latest_seq: u64,
@@ -87,12 +87,11 @@ fn slope(points: &[(u64, u64)]) -> Option<(f64, f64)> {
     (sxx > 0.0).then(|| (sxy / sxx, mean_x))
 }
 
-/// Fits the newest `window` points of a series raw tail (ascending
-/// `(seq, value)` pairs, as returned by `SeriesSnapshot::raw_points`) and
-/// extrapolates to the `critical` threshold. Returns `None` for an empty
-/// series.
-pub fn trend(points: &[(u64, u64)], window: usize, critical: u64) -> Option<TileTrend> {
-    let tail = &points[points.len().saturating_sub(window.max(1))..];
+/// Fits the newest 16 points of a series raw tail (ascending `(seq, value)`
+/// pairs, as returned by `SeriesSnapshot::raw_points`) and extrapolates to
+/// the `critical` threshold. Returns `None` for an empty series.
+pub fn trend(points: &[(u64, u64)], critical: u64) -> Option<TileTrend> {
+    let tail = &points[points.len().saturating_sub(FORECAST_WINDOW)..];
     let &(latest_seq, value) = tail.last()?;
     let velocity = slope(tail).map_or(0.0, |(v, _)| v);
     // Second derivative from the two half-window slopes, spaced by the gap
@@ -139,17 +138,17 @@ mod tests {
 
     #[test]
     fn empty_series_has_no_trend() {
-        assert_eq!(trend(&[], DEFAULT_FORECAST_WINDOW, 0), None);
+        assert_eq!(trend(&[], 0), None);
     }
 
     #[test]
     fn single_point_is_flat() {
-        let t = trend(&[(5, 100)], 16, 30).unwrap();
+        let t = trend(&[(5, 100)], 30).unwrap();
         assert_eq!((t.samples, t.latest_seq, t.value), (1, 5, 100));
         assert_eq!((t.velocity, t.acceleration), (0.0, 0.0));
         assert_eq!(t.sessions_to_critical, None, "flat trajectory never crosses");
         // ...unless it already has.
-        assert_eq!(trend(&[(5, 20)], 16, 30).unwrap().sessions_to_critical, Some(0.0));
+        assert_eq!(trend(&[(5, 20)], 30).unwrap().sessions_to_critical, Some(0.0));
     }
 
     #[test]
@@ -157,7 +156,7 @@ mod tests {
         // value = 1000 - 10·seq: velocity −10, crossing 700 from value 900
         // (seq 10) in exactly 20 steps.
         let points: Vec<(u64, u64)> = (1..=10).map(|s| (s, 1000 - 10 * s)).collect();
-        let t = trend(&points, 16, 700).unwrap();
+        let t = trend(&points, 700).unwrap();
         assert_eq!(t.samples, 10);
         assert!((t.velocity + 10.0).abs() < 1e-9, "{t:?}");
         assert!(t.acceleration.abs() < 1e-9, "linear data: no acceleration {t:?}");
@@ -170,7 +169,7 @@ mod tests {
         // value = 10000 - seq²: slope steepens, so the late-half slope is
         // more negative than the early-half slope.
         let points: Vec<(u64, u64)> = (1..=12).map(|s| (s, 10_000 - s * s)).collect();
-        let t = trend(&points, 16, 0).unwrap();
+        let t = trend(&points, 0).unwrap();
         assert!(t.velocity < 0.0);
         assert!(t.acceleration < 0.0, "{t:?}");
         // d²(−s²)/ds² = −2.
@@ -179,18 +178,18 @@ mod tests {
 
     #[test]
     fn window_limits_the_fit() {
-        // Old history rises, recent window falls: only the tail counts.
+        // Old history rises, the newest window falls: only the tail counts.
         let mut points: Vec<(u64, u64)> = (0..20).map(|s| (s, 100 + s)).collect();
-        points.extend((20..24).map(|s| (s, 200 - 5 * (s - 19))));
-        let t = trend(&points, 4, 0).unwrap();
-        assert_eq!(t.samples, 4);
+        points.extend((20..20 + FORECAST_WINDOW as u64).map(|s| (s, 200 - 5 * (s - 19))));
+        let t = trend(&points, 0).unwrap();
+        assert_eq!(t.samples, FORECAST_WINDOW);
         assert!((t.velocity + 5.0).abs() < 1e-9, "{t:?}");
     }
 
     #[test]
     fn improving_trajectory_never_crosses() {
         let points: Vec<(u64, u64)> = (1..=8).map(|s| (s, 100 + s)).collect();
-        let t = trend(&points, 16, 50).unwrap();
+        let t = trend(&points, 50).unwrap();
         assert!(t.velocity > 0.0);
         assert_eq!(t.sessions_to_critical, None);
     }
@@ -216,13 +215,13 @@ mod tests {
 
     #[test]
     fn trend_json_shape() {
-        let t = trend(&[(1, 100), (2, 90)], 16, 50).unwrap();
+        let t = trend(&[(1, 100), (2, 90)], 50).unwrap();
         assert_eq!(
             t.to_json(),
             "{\"samples\":2,\"latest_seq\":2,\"value\":90,\"velocity\":-10,\
              \"acceleration\":0,\"sessions_to_critical\":4}"
         );
-        let flat = trend(&[(1, 100)], 16, 50).unwrap();
+        let flat = trend(&[(1, 100)], 50).unwrap();
         assert!(flat.to_json().ends_with("\"sessions_to_critical\":null}"), "{}", flat.to_json());
     }
 }

@@ -28,14 +28,26 @@ use memaging_obs::{AlertSeverity, Recorder};
 
 use crate::error::LifetimeError;
 
+/// Warn when the forecast sessions-to-failure drops to this value.
+const WARN_SESSIONS_LEFT: f64 = 8.0;
+/// Critical when the forecast sessions-to-failure drops to this value.
+const CRITICAL_SESSIONS_LEFT: f64 = 3.0;
+/// Warn when a session consumes this fraction of the tuning budget.
+const WARN_TUNING_FRACTION: f64 = 0.6;
+/// Critical when a session consumes this fraction of the tuning budget.
+const CRITICAL_TUNING_FRACTION: f64 = 0.85;
+/// The forecaster's failure point: the window fraction below which the
+/// level grid is considered unusable (end of extrapolation).
+const MIN_USABLE_WINDOW_FRACTION: f64 = 0.2;
+
 /// Shared wear warn/critical thresholds: the single source of truth for
 /// "how worn is too worn", consumed by the health forecaster's alert rules
 /// *and* by any online policy that must stay in lockstep with them (the
 /// serving tier's live-remap trigger re-maps exactly when the forecaster
 /// would warn, so the two can never drift apart).
 ///
-/// Window fractions are of the fresh resistance window; session thresholds
-/// are forecast maintenance sessions remaining.
+/// Fractions are of the fresh resistance window. The forecast rule's
+/// thresholds are fixed (see [`WearThresholds::classify_sessions_left`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearThresholds {
     /// Warn when any layer's mean window falls below this fraction of
@@ -43,20 +55,11 @@ pub struct WearThresholds {
     pub warn_window_fraction: f64,
     /// Critical when any layer's mean window falls below this fraction.
     pub critical_window_fraction: f64,
-    /// Warn when the forecast sessions-to-failure drops to this value.
-    pub warn_sessions_left: f64,
-    /// Critical when the forecast sessions-to-failure drops to this value.
-    pub critical_sessions_left: f64,
 }
 
 impl Default for WearThresholds {
     fn default() -> Self {
-        WearThresholds {
-            warn_window_fraction: 0.5,
-            critical_window_fraction: 0.3,
-            warn_sessions_left: 8.0,
-            critical_sessions_left: 3.0,
-        }
+        WearThresholds { warn_window_fraction: 0.5, critical_window_fraction: 0.3 }
     }
 }
 
@@ -73,12 +76,13 @@ impl WearThresholds {
         }
     }
 
-    /// Classifies a forecast sessions-to-failure value.
-    pub fn classify_sessions_left(&self, left: f64) -> Option<(AlertSeverity, f64)> {
-        if left <= self.critical_sessions_left {
-            Some((AlertSeverity::Critical, self.critical_sessions_left))
-        } else if left <= self.warn_sessions_left {
-            Some((AlertSeverity::Warn, self.warn_sessions_left))
+    /// Classifies a forecast sessions-to-failure value: critical at 3
+    /// sessions left or fewer, warn at 8 or fewer.
+    pub fn classify_sessions_left(left: f64) -> Option<(AlertSeverity, f64)> {
+        if left <= CRITICAL_SESSIONS_LEFT {
+            Some((AlertSeverity::Critical, CRITICAL_SESSIONS_LEFT))
+        } else if left <= WARN_SESSIONS_LEFT {
+            Some((AlertSeverity::Warn, WARN_SESSIONS_LEFT))
         } else {
             None
         }
@@ -89,8 +93,7 @@ impl WearThresholds {
     /// # Errors
     ///
     /// Returns [`LifetimeError::InvalidConfig`] when a fraction leaves
-    /// `[0, 1]`, a session threshold is negative or non-finite, or a warn
-    /// threshold would fire *after* its critical counterpart.
+    /// `[0, 1]` or the warn fraction would fire *after* the critical one.
     pub fn validate(&self) -> Result<(), LifetimeError> {
         if !(0.0..=1.0).contains(&self.warn_window_fraction)
             || !(0.0..=1.0).contains(&self.critical_window_fraction)
@@ -99,18 +102,7 @@ impl WearThresholds {
                 reason: "wear window fractions must lie in [0, 1]".into(),
             });
         }
-        if !self.warn_sessions_left.is_finite()
-            || !self.critical_sessions_left.is_finite()
-            || self.warn_sessions_left < 0.0
-            || self.critical_sessions_left < 0.0
-        {
-            return Err(LifetimeError::InvalidConfig {
-                reason: "health session thresholds must be finite and >= 0".into(),
-            });
-        }
-        if self.warn_window_fraction < self.critical_window_fraction
-            || self.warn_sessions_left < self.critical_sessions_left
-        {
+        if self.warn_window_fraction < self.critical_window_fraction {
             return Err(LifetimeError::InvalidConfig {
                 reason: "health warn thresholds must fire before critical ones".into(),
             });
@@ -119,73 +111,14 @@ impl WearThresholds {
     }
 }
 
-/// Alert thresholds of the wear-health subsystem.
-///
-/// The wear-side thresholds live in the shared [`WearThresholds`] struct;
-/// the tuning-budget rule (fractions of the session tuning budget) is
-/// specific to the maintenance loop and stays here.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Shared wear warn/critical thresholds (window fraction and forecast
-    /// sessions-to-failure rules).
-    pub wear: WearThresholds,
-    /// Warn when a session consumes this fraction of the tuning budget.
-    pub warn_tuning_fraction: f64,
-    /// Critical when a session consumes this fraction of the tuning budget.
-    pub critical_tuning_fraction: f64,
-    /// The forecaster's failure point: the window fraction below which the
-    /// level grid is considered unusable (end of extrapolation).
-    pub min_usable_window_fraction: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            wear: WearThresholds::default(),
-            warn_tuning_fraction: 0.6,
-            critical_tuning_fraction: 0.85,
-            min_usable_window_fraction: 0.2,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Classifies a session's consumed tuning-budget fraction.
-    pub fn classify_tuning_fraction(&self, fraction: f64) -> Option<(AlertSeverity, f64)> {
-        if fraction >= self.critical_tuning_fraction {
-            Some((AlertSeverity::Critical, self.critical_tuning_fraction))
-        } else if fraction >= self.warn_tuning_fraction {
-            Some((AlertSeverity::Warn, self.warn_tuning_fraction))
-        } else {
-            None
-        }
-    }
-
-    /// Validates threshold ordering and ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifetimeError::InvalidConfig`] when a fraction leaves
-    /// `[0, 1]`, a session threshold is negative or non-finite, or a warn
-    /// threshold would fire *after* its critical counterpart.
-    pub fn validate(&self) -> Result<(), LifetimeError> {
-        self.wear.validate()?;
-        let fractions = [
-            self.warn_tuning_fraction,
-            self.critical_tuning_fraction,
-            self.min_usable_window_fraction,
-        ];
-        if fractions.iter().any(|f| !(0.0..=1.0).contains(f)) {
-            return Err(LifetimeError::InvalidConfig {
-                reason: "health fractions must lie in [0, 1]".into(),
-            });
-        }
-        if self.warn_tuning_fraction > self.critical_tuning_fraction {
-            return Err(LifetimeError::InvalidConfig {
-                reason: "health warn thresholds must fire before critical ones".into(),
-            });
-        }
-        Ok(())
+/// Classifies a session's consumed tuning-budget fraction.
+fn classify_tuning_fraction(fraction: f64) -> Option<(AlertSeverity, f64)> {
+    if fraction >= CRITICAL_TUNING_FRACTION {
+        Some((AlertSeverity::Critical, CRITICAL_TUNING_FRACTION))
+    } else if fraction >= WARN_TUNING_FRACTION {
+        Some((AlertSeverity::Warn, WARN_TUNING_FRACTION))
+    } else {
+        None
     }
 }
 
@@ -279,7 +212,7 @@ impl HealthReport {
 /// remaining lifetime, and decides threshold alerts.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    config: HealthConfig,
+    thresholds: WearThresholds,
     /// Fresh resistance bounds shared by every device.
     fresh_r_min: f64,
     fresh_r_max: f64,
@@ -295,15 +228,16 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// A monitor for devices with fresh bounds `[fresh_r_min,
-    /// fresh_r_max]` and the given per-session tuning budget.
+    /// fresh_r_max]`, the given per-session tuning budget and window-fraction
+    /// alert thresholds.
     pub fn new(
         fresh_r_min: f64,
         fresh_r_max: f64,
         tuning_budget: usize,
-        config: HealthConfig,
+        thresholds: WearThresholds,
     ) -> Self {
         HealthMonitor {
-            config,
+            thresholds,
             fresh_r_min,
             fresh_r_max,
             tuning_budget: tuning_budget.max(1),
@@ -348,13 +282,13 @@ impl HealthMonitor {
     }
 
     /// Extrapolates the layer's degradation to the session where its mean
-    /// window falls to `min_usable_window_fraction` of fresh.
+    /// window falls to [`MIN_USABLE_WINDOW_FRACTION`] of fresh.
     ///
     /// The observed degradation `d(s) = R_fresh,max − mean R_aged,max(s)`
     /// follows the Arrhenius power law `C·s^m` (eq. 6 with stress ∝
-    /// sessions). Two observations with nonzero degradation fit `m` in log
-    /// space (clamped to a physical `[0.2, 2]`); a single one falls back to
-    /// the model's sublinear default `m = 0.7`.
+    /// sessions). Two observations with measurable degradation fit `m` in
+    /// log space (clamped to a physical `[0.2, 2]`). With fewer there is no
+    /// forecast (`None`), unless the window has already collapsed (0).
     fn forecast_sessions_left(&self, layer: usize, tile: &TileWear) -> Option<f64> {
         let fresh_width = (self.fresh_r_max - self.fresh_r_min).max(1e-12);
         let h = &self.history[layer];
@@ -366,18 +300,16 @@ impl HealthMonitor {
         // Failure point: the window (anchored at the *current* lower bound,
         // which degrades far slower — eq. 7) collapses to the minimum
         // usable fraction of the fresh window.
-        let r_fail = tile.mean_r_min + self.config.min_usable_window_fraction * fresh_width;
+        let r_fail = tile.mean_r_min + MIN_USABLE_WINDOW_FRACTION * fresh_width;
         let d_fail = self.fresh_r_max - r_fail;
         if d_now >= d_fail {
             return Some(0.0);
         }
-        let exponent = h
+        let (s0, d0) = h
             .iter()
-            .find(|&&(s, r)| s < s_now && self.fresh_r_max - r > 1e-9 * fresh_width)
-            .map_or(0.7, |&(s0, r0)| {
-                let d0 = self.fresh_r_max - r0;
-                ((d_now / d0).ln() / (s_now / s0).ln()).clamp(0.2, 2.0)
-            });
+            .map(|&(s, r)| (s, self.fresh_r_max - r))
+            .find(|&(s, d)| s < s_now && d > 1e-9 * fresh_width)?;
+        let exponent = ((d_now / d0).ln() / (s_now / s0).ln()).clamp(0.2, 2.0);
         let c = d_now / s_now.powf(exponent);
         let s_fail = (d_fail / c).powf(1.0 / exponent);
         Some((s_fail - s_now).max(0.0))
@@ -401,7 +333,7 @@ impl HealthMonitor {
                 &mut alerts,
                 "health.window_fraction",
                 value,
-                self.config.wear.classify_window_fraction(value),
+                self.thresholds.classify_window_fraction(value),
                 &format!("layer {} mean window at {:.0}% of fresh", worst.layer, 100.0 * value),
             );
         }
@@ -410,7 +342,7 @@ impl HealthMonitor {
                 &mut alerts,
                 "health.sessions_left",
                 left,
-                self.config.wear.classify_sessions_left(left),
+                WearThresholds::classify_sessions_left(left),
                 &format!("forecast: {left:.1} maintenance sessions to window collapse"),
             );
         }
@@ -419,7 +351,7 @@ impl HealthMonitor {
             &mut alerts,
             "health.tuning_budget",
             budget_fraction,
-            self.config.classify_tuning_fraction(budget_fraction),
+            classify_tuning_fraction(budget_fraction),
             &format!(
                 "session used {tuning_iterations} of {} tuning iterations",
                 self.tuning_budget
@@ -465,25 +397,15 @@ mod tests {
     }
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(1e4, 1e5, 150, HealthConfig::default())
+        HealthMonitor::new(1e4, 1e5, 150, WearThresholds::default())
     }
 
     #[test]
     fn config_validation_catches_inverted_thresholds() {
-        assert!(HealthConfig::default().validate().is_ok());
-        let bad = HealthConfig {
-            wear: WearThresholds { warn_window_fraction: 0.2, ..WearThresholds::default() },
-            ..HealthConfig::default()
-        };
+        assert!(WearThresholds::default().validate().is_ok());
+        let bad = WearThresholds { warn_window_fraction: 0.2, ..WearThresholds::default() };
         assert!(bad.validate().is_err(), "warn below critical must be rejected");
-        let bad = HealthConfig { warn_tuning_fraction: 0.9, ..HealthConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = HealthConfig {
-            wear: WearThresholds { critical_sessions_left: -1.0, ..WearThresholds::default() },
-            ..HealthConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = HealthConfig { min_usable_window_fraction: 1.5, ..HealthConfig::default() };
+        let bad = WearThresholds { critical_window_fraction: -0.1, ..WearThresholds::default() };
         assert!(bad.validate().is_err());
     }
 
@@ -493,9 +415,12 @@ mod tests {
         assert_eq!(t.classify_window_fraction(0.9), None);
         assert_eq!(t.classify_window_fraction(0.45), Some((AlertSeverity::Warn, 0.5)));
         assert_eq!(t.classify_window_fraction(0.25), Some((AlertSeverity::Critical, 0.3)));
-        assert_eq!(t.classify_sessions_left(20.0), None);
-        assert_eq!(t.classify_sessions_left(5.0), Some((AlertSeverity::Warn, 8.0)));
-        assert_eq!(t.classify_sessions_left(1.0), Some((AlertSeverity::Critical, 3.0)));
+        assert_eq!(WearThresholds::classify_sessions_left(20.0), None);
+        assert_eq!(WearThresholds::classify_sessions_left(5.0), Some((AlertSeverity::Warn, 8.0)));
+        assert_eq!(
+            WearThresholds::classify_sessions_left(1.0),
+            Some((AlertSeverity::Critical, 3.0))
+        );
     }
 
     #[test]
@@ -523,8 +448,7 @@ mod tests {
     fn forecast_converges_on_power_law_degradation() {
         // Synthesize d(s) = 2e3·s^0.7 and check the forecast lands near the
         // true failure session.
-        let config = HealthConfig::default();
-        let mut m = HealthMonitor::new(1e4, 1e5, 150, config);
+        let mut m = monitor();
         let degrade = |s: f64| 2.0e3 * s.powf(0.7);
         let mut forecast_at_5 = None;
         for session in 0..5u64 {
@@ -541,6 +465,17 @@ mod tests {
             (left - truth).abs() / truth < 0.05,
             "forecast {left:.1} should approximate {truth:.1}"
         );
+    }
+
+    #[test]
+    fn one_degraded_observation_gives_no_forecast() {
+        let mut m = monitor();
+        // Degraded (window at 56% of fresh) but not collapsed: one point
+        // fits no power law, so nothing is extrapolated or alerted.
+        let report = m.observe(0, &[tile(1e4, 6e4, 9e4)], 10);
+        assert_eq!(report.layers[0].sessions_left, None);
+        assert_eq!(report.sessions_to_failure, None);
+        assert!(report.alerts.iter().all(|a| a.rule != "health.sessions_left"));
     }
 
     #[test]

@@ -54,10 +54,8 @@ mod telemetry;
 
 pub use attribution::{WearCause, WearEntry, WearLedger};
 pub use error::LifetimeError;
-pub use forecast::{trend, worst_tile, TileTrend, DEFAULT_FORECAST_WINDOW};
-pub use health::{
-    HealthAlert, HealthConfig, HealthMonitor, HealthReport, LayerHealth, WearThresholds,
-};
+pub use forecast::{trend, worst_tile, TileTrend};
+pub use health::{HealthAlert, HealthMonitor, HealthReport, LayerHealth, WearThresholds};
 pub use simulator::{
     run_lifetime, run_lifetime_with_recorder, LifetimeConfig, LifetimeResult, SessionRecord,
 };

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::LifetimeError;
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::{HealthMonitor, WearThresholds};
 use crate::strategy::Strategy;
 
 /// Configuration of a lifetime simulation.
@@ -55,10 +55,6 @@ pub struct LifetimeConfig {
     /// Enables the row-swapping wear-leveling baseline of the paper's
     /// ref. \[12\] on top of the selected strategy (prior-work comparison).
     pub wear_leveling: bool,
-    /// Thresholds of the wear-health subsystem (forecaster + alerts). The
-    /// monitor only runs when a recorder is enabled — its reports flow
-    /// through the recorder's sinks.
-    pub health: HealthConfig,
 }
 
 impl Default for LifetimeConfig {
@@ -75,7 +71,6 @@ impl Default for LifetimeConfig {
             seed: 0,
             remap_trigger: 0.3,
             wear_leveling: false,
-            health: HealthConfig::default(),
         }
     }
 }
@@ -117,7 +112,6 @@ impl LifetimeConfig {
                 reason: format!("remap trigger {} not in [0, 1]", self.remap_trigger),
             });
         }
-        self.health.validate()?;
         Ok(())
     }
 }
@@ -230,8 +224,12 @@ pub fn run_lifetime_with_recorder(
 ) -> Result<LifetimeResult, LifetimeError> {
     config.validate()?;
     let trained: Vec<Tensor> = network.weight_matrices();
-    let mut health =
-        HealthMonitor::new(spec.r_min, spec.r_max, config.max_tuning_iterations, config.health);
+    let mut health = HealthMonitor::new(
+        spec.r_min,
+        spec.r_max,
+        config.max_tuning_iterations,
+        WearThresholds::default(),
+    );
     let mut hw = CrossbarNetwork::new(network, spec, aging)?;
     hw.set_wear_leveling(config.wear_leveling);
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -242,7 +240,6 @@ pub fn run_lifetime_with_recorder(
         max_iterations: config.max_tuning_iterations,
         target_accuracy: config.target_accuracy,
         batch_size: config.batch_size,
-        ..TuneConfig::default()
     };
     let patience =
         ((config.max_tuning_iterations as f64) * config.remap_trigger).ceil().max(1.0) as usize;

@@ -10,6 +10,9 @@ use crate::network::Network;
 use crate::optimizer::Sgd;
 use crate::regularizer::Regularizer;
 
+/// SGD momentum coefficient of every training run (paper eq. 3).
+const MOMENTUM: f32 = 0.9;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -19,8 +22,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// SGD learning rate.
     pub learning_rate: f32,
-    /// SGD momentum coefficient.
-    pub momentum: f32,
     /// Shuffle seed (dataset order is re-drawn each epoch).
     pub seed: u64,
     /// Stop early once this training accuracy is reached (1.0 disables).
@@ -33,7 +34,6 @@ impl Default for TrainConfig {
             epochs: 20,
             batch_size: 32,
             learning_rate: 0.05,
-            momentum: 0.9,
             seed: 0,
             target_accuracy: 1.0,
         }
@@ -119,7 +119,7 @@ pub fn train_with_recorder<R: Regularizer + ?Sized>(
     if config.epochs == 0 || config.batch_size == 0 {
         return Err(NnError::InvalidConfig { reason: "epochs and batch_size must be > 0".into() });
     }
-    let mut optimizer = Sgd::new(config.learning_rate, config.momentum)?;
+    let mut optimizer = Sgd::new(config.learning_rate, MOMENTUM)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut history = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {

@@ -61,24 +61,16 @@ impl Drop for JsonlSink {
 
 /// Renders events for humans on stdout.
 ///
-/// By default only [`Event::Message`] lines are printed, verbatim — this is
-/// what keeps the CLI's default output byte-compatible with the historical
-/// `println!` reporting. [`PrettySink::verbose`] additionally renders spans,
-/// metric updates and session summaries.
+/// Only [`Event::Message`] lines, printed verbatim, and alerts are shown —
+/// this is what keeps the CLI's default output byte-compatible with the
+/// historical `println!` reporting.
 #[derive(Debug, Clone, Default)]
-pub struct PrettySink {
-    verbose: bool,
-}
+pub struct PrettySink;
 
 impl PrettySink {
-    /// A sink printing only message events (byte-compatible CLI output).
+    /// A sink printing message and alert events.
     pub fn new() -> Self {
-        PrettySink::default()
-    }
-
-    /// A sink that also renders spans, metrics and session summaries.
-    pub fn verbose() -> Self {
-        PrettySink { verbose: true }
+        PrettySink
     }
 }
 
@@ -86,35 +78,14 @@ impl Sink for PrettySink {
     fn record(&mut self, event: &Event) {
         match event {
             Event::Message { text } => println!("{text}"),
-            // Alerts are operator-facing: print them even when not verbose.
+            // Alerts are operator-facing.
             Event::Alert { severity, name, session, value, threshold, message } => {
                 let in_session = session.map_or(String::new(), |s| format!(" [session {s}]"));
                 println!(
                     "  ALERT {severity}{in_session} {name}: {message} (value {value:.4}, threshold {threshold:.4})"
                 );
             }
-            _ if !self.verbose => {}
-            Event::Span { name, session, duration_us, .. } => {
-                let in_session = session.map_or(String::new(), |s| format!(" [session {s}]"));
-                println!("  span {name}{in_session}: {:.3} ms", *duration_us as f64 / 1000.0);
-            }
-            Event::Counter { name, delta, total, .. } => {
-                println!("  counter {name}: +{delta} -> {total}")
-            }
-            Event::Gauge { name, value, .. } => println!("  gauge {name} = {value:.6}"),
-            Event::Observation { name, value, .. } => println!("  observe {name} <- {value:.6}"),
-            Event::Session { index, metrics } => {
-                let rendered: Vec<String> =
-                    metrics.iter().map(|(name, value)| format!("{name}={value:.3}")).collect();
-                println!("  session {index}: {}", rendered.join(" "));
-            }
-            Event::Series { name, seq, value } => {
-                println!("  series {name} @{seq} = {value}")
-            }
-            Event::Wear { cause, param, tiles } => {
-                let with_param = param.map_or(String::new(), |p| format!("({p})"));
-                println!("  wear {cause}{with_param}: {} tiles", tiles.len());
-            }
+            _ => {}
         }
     }
 }

@@ -31,9 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use memaging_crossbar::{CrossbarNetwork, MappingStrategy, TileWear};
 use memaging_dataset::Dataset;
-use memaging_lifetime::{
-    trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger, DEFAULT_FORECAST_WINDOW,
-};
+use memaging_lifetime::{trend, worst_tile, HealthMonitor, WearCause, WearLedger, WearThresholds};
 use memaging_obs::{AlertSeverity, Recorder};
 use memaging_tensor::Tensor;
 
@@ -129,12 +127,7 @@ impl ServeEngine {
             )
             .map_err(internal)?;
         let spec = *network.model().spec();
-        let health = HealthMonitor::new(
-            spec.r_min,
-            spec.r_max,
-            TUNING_BUDGET,
-            HealthConfig { wear: config.thresholds, ..HealthConfig::default() },
-        );
+        let health = HealthMonitor::new(spec.r_min, spec.r_max, TUNING_BUDGET, config.thresholds);
         // Open the attribution ledger with the initial deployment mapping
         // charged as `Remap{generation: 0}` — from here on every wear
         // checkpoint is taken on this thread, in admission-sequence order.
@@ -222,9 +215,9 @@ impl ServeEngine {
         self.update_forecast(wear.len());
         drop(phase);
 
-        // The remap trigger: exactly the forecaster's warn rule (shared
-        // thresholds — satellite of this PR), gated by mapping staleness
-        // so monotone wear does not re-trigger at every boundary.
+        // The remap trigger: exactly the forecaster's warn rule (the shared
+        // `ServeConfig::thresholds`), gated by mapping staleness so
+        // monotone wear does not re-trigger at every boundary.
         let warn =
             self.config.thresholds.classify_window_fraction(generation.worst_window_fraction);
         let drift = self
@@ -382,10 +375,7 @@ impl ServeEngine {
         for t in 0..tiles {
             let name = format!("serve.{}window_fraction_ppb{{tile={t}}}", self.prefix);
             let Some(snapshot) = store.snapshot(&name) else { continue };
-            let Some(fit) = trend(&snapshot.raw_points(), DEFAULT_FORECAST_WINDOW, critical_ppb)
-            else {
-                continue;
-            };
+            let Some(fit) = trend(&snapshot.raw_points(), critical_ppb) else { continue };
             self.recorder.gauge_labeled(
                 &format!("forecast.{}window_fraction", self.prefix),
                 "tile",
@@ -432,7 +422,7 @@ impl ServeEngine {
             sessions_to_critical: fit.sessions_to_critical,
         });
         if let Some(k) = fit.sessions_to_critical {
-            if let Some((severity, threshold)) = self.config.thresholds.classify_sessions_left(k) {
+            if let Some((severity, threshold)) = WearThresholds::classify_sessions_left(k) {
                 if self.burn_severity.is_none_or(|prev| severity > prev) {
                     self.burn_severity = Some(severity);
                     self.recorder.alert(

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, rustdoc, and the full test suite.
 #
 #   scripts/check.sh            # run everything
 #   scripts/check.sh --fix      # apply rustfmt instead of checking
@@ -14,6 +14,8 @@ else
     cargo fmt --check
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc as CI runs it: a doc link to a deleted item is an error.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo test -q
 
 # Perf-regression gates over the committed bench profiles, one row each:

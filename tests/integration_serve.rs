@@ -17,9 +17,11 @@ use std::time::Duration;
 use memaging::crossbar::CrossbarNetwork;
 use memaging::dataset::Dataset;
 use memaging::device::{ArrheniusAging, DeviceSpec};
-use memaging::lifetime::Strategy;
+use memaging::lifetime::{Strategy, WearThresholds};
 use memaging::nn::Network;
-use memaging::obs::{Event, MemorySink, Recorder, SeriesStore, DEFAULT_SERIES_CAPACITY};
+use memaging::obs::{
+    AlertSeverity, Event, MemorySink, Recorder, SeriesStore, DEFAULT_SERIES_CAPACITY,
+};
 use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeError, ServeReport};
 use memaging::{par, Scenario};
 
@@ -477,5 +479,45 @@ fn boundary_phase_spans_nest_inside_each_boundary() {
             "boundary {id}: phases take {children_us} us of a {parent_us} us boundary"
         );
     }
+    par::set_threads(0);
+}
+
+#[test]
+fn shared_thresholds_reach_the_monitor_and_the_remap_trigger() {
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    par::set_threads(2);
+    let (network, calib, spec, aging) = trained();
+    let total = 64;
+    // About 5% of the window wears away: far above the default warn
+    // fraction (0.5), so only a threshold that reached both users can
+    // raise the alert and arm a remap.
+    let config = ServeConfig {
+        maintenance_interval: 8,
+        stress_per_read: stress_per_read(spec, aging, 0.05, total as u64 / 2),
+        thresholds: WearThresholds { warn_window_fraction: 0.99, ..WearThresholds::default() },
+        remap_drift_fraction: 0.0,
+        ..ServeConfig::default()
+    };
+    let (sink, handle) = MemorySink::new();
+    let recorder = Recorder::new(vec![Box::new(sink)]);
+    let hardware = CrossbarNetwork::new(network.clone(), *spec, *aging).expect("hardware");
+    let service =
+        InferenceService::deploy(hardware, calib.clone(), config, recorder).expect("deploy");
+    for k in 0..total {
+        service.infer(InferRequest::new(sample(calib, k))).expect("served");
+    }
+    let report = service.shutdown();
+    let window_alerts: Vec<(AlertSeverity, f64)> = handle
+        .events()
+        .into_iter()
+        .filter_map(|event| match event {
+            Event::Alert { name, severity, threshold, .. } if name == "health.window_fraction" => {
+                Some((severity, threshold))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(window_alerts, [(AlertSeverity::Warn, 0.99)], "the monitor's warn rule");
+    assert!(report.remaps >= 1, "the remap trigger must fire on the same rule");
     par::set_threads(0);
 }
